@@ -2,7 +2,7 @@
 
 Subcommands:
 
-* ``eval``            exact (or quadrature) policy value per arrival order,
+* ``eval``            exact policy value per arrival order,
                       with the per-order optimum and ratio, as a CSV report.
 * ``hardness``        solve the finite lower-bound programs and check the
                       analytic upper-bound certificates.
@@ -63,7 +63,6 @@ from .hardness import (
 )
 from .io import InstanceFormatError, load_instance
 from .policies import (
-    MIN_QUADRATURE_POINTS,
     PolicyError,
     randomized_value,
     run_policy_sampled,
@@ -86,7 +85,6 @@ SIMULATION_CHUNK = 10_000
 CERTIFICATE_TOL = 1e-8
 RATIO_SLACK = 1e-9
 
-DEFAULT_EVAL_GRID = 200
 DEFAULT_DENSITY_GRID = 2001
 DEFAULT_LP_STEP = 0.02
 
@@ -107,7 +105,7 @@ class ExperimentConfig:
     orders_mode: str = "all"
     orders_arg: str | None = None
     seed: int | None = None
-    grid: int = DEFAULT_EVAL_GRID
+    grid: int = DEFAULT_DENSITY_GRID
     out: str | None = None
     force_enumeration: bool = False
     runs: int = 100_000
@@ -124,8 +122,6 @@ class ExperimentConfig:
         sampled = self.command == "simulate" or self.orders_mode == "random"
         if sampled and self.seed is None:
             raise CliValidationError("a --seed is required for any sampled mode")
-        if self.grid < 1:
-            raise CliValidationError("--grid must be positive")
         if self.runs < 2:
             raise CliValidationError("--runs must be at least 2")
 
@@ -193,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="'all', 'random:K', or 'file:PATH' (JSON list of id lists)",
     )
     p_eval.add_argument("--seed", type=int, default=None)
-    p_eval.add_argument("--grid", type=int, default=DEFAULT_EVAL_GRID)
     p_eval.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p_eval.add_argument(
         "--force-enumeration",
@@ -252,7 +247,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             orders_mode=orders_mode,
             orders_arg=orders_arg,
             seed=args.seed,
-            grid=args.grid,
             out=args.out,
             force_enumeration=args.force_enumeration,
         )
@@ -311,10 +305,6 @@ def _resolve_policy_flags(config: ExperimentConfig) -> None:
             raise CliValidationError(
                 f"policy {policy!r} draws its starting target from a density; "
                 "--g0 and --tau do not apply"
-            )
-        if config.grid < MIN_QUADRATURE_POINTS:
-            raise CliValidationError(
-                f"randomized policies need --grid >= {MIN_QUADRATURE_POINTS}"
             )
 
 
@@ -388,12 +378,9 @@ def _policy_value(
         return tva_exact(instance, order, _starting_target(config, instance, order)).total
     if policy == "tvd":
         return tvd_exact(instance, order, _starting_target(config, instance, order)).total
-    density, kind = (
-        (rho_656(), "tva") if policy == "tva-rand-656" else (rho_732(), "tvd")
-    )
-    return randomized_value(
-        instance, order, density, grid_points=config.grid, policy_kind=kind
-    ).value
+    if policy == "tva-rand-656":
+        return randomized_value(instance, order, rho_656(), policy_kind="tva")
+    return randomized_value(instance, order, rho_732(), policy_kind="tvd")
 
 
 def cmd_eval(config: ExperimentConfig) -> tuple[RatioReport, int]:
@@ -404,7 +391,7 @@ def cmd_eval(config: ExperimentConfig) -> tuple[RatioReport, int]:
     for order in orders:
         opt = opt_online(instance, order).total
         value = _policy_value(config, instance, order)
-        ratio = 1.0 if opt <= 0.0 else min(value / opt, 1.0 + RATIO_SLACK)
+        ratio = 1.0 if opt <= 0.0 else value / opt
         rows.append(RatioRow("|".join(order), opt, value, ratio))
     return RatioReport(tuple(rows)), EXIT_OK
 
@@ -436,12 +423,12 @@ def cmd_hardness(config: ExperimentConfig) -> tuple[list[list[str]], int]:
         steps += [config.lp_step / 2.0, config.lp_step / 4.0]
     c_det = solve_c_detection()
     for step in steps:
-        lp = build_primal_general(step)
-        value = simplex_solve(lp).value
-        rows.append(["general-primal", _fmt(step), _fmt(value), _fmt(0.0)])
-        lp_det = build_primal_tvd(c_det, step)
-        value_det = simplex_solve(lp_det).value
-        rows.append(["detection-primal", _fmt(step), _fmt(value_det), _fmt(0.0)])
+        general = simplex_solve(build_primal_general(step))
+        rows.append(["general-primal", _fmt(step), _fmt(general.value), _fmt(general.residual)])
+        detection = simplex_solve(build_primal_tvd(c_det, step))
+        rows.append(
+            ["detection-primal", _fmt(step), _fmt(detection.value), _fmt(detection.residual)]
+        )
     return rows, exit_code
 
 

@@ -15,6 +15,7 @@ and distributions only, so expected values are finite backward recursions.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
@@ -30,8 +31,14 @@ from .benchmarks import (
     prophet_value,
     ordered_dists,
 )
-from .densities import DensitySpec, density_pdf
-from .distributions import DiscreteDistribution, inverse_target, sample
+from .densities import PIECE_ZERO, DensitySpec, density_cdf
+from .distributions import (
+    TARGET_SLACK,
+    DiscreteDistribution,
+    expected_max_with,
+    inverse_target,
+    sample,
+)
 
 TARGETED = "targeted"
 CONSERVATIVE = "conservative"
@@ -39,8 +46,6 @@ TERMINATED = "terminated"
 
 # Exact-evaluation policies selectable by name.
 EXACT_POLICIES = ("sta", "tva", "tvd")
-
-MIN_QUADRATURE_POINTS = 100
 
 
 class PolicyError(ValueError):
@@ -354,55 +359,59 @@ def run_policy_sampled(
     return 0.0
 
 
-class QuadratureValue(NamedTuple):
-    """A quadrature estimate together with a grid-refinement error bound."""
+def value_cuts(
+    instance: Instance, order: ArrivalOrder, policy_kind: str, top: float
+) -> list[float]:
+    """Sorted starting targets below ``top`` where the policy value can jump.
 
-    value: float
-    error_estimate: float
+    The value depends on g0 only through each stage's acceptance index and,
+    for ``tvd``, the switch stage: through where each target g_t lies among
+    the stage's atoms and emax_after[t].  Up to rounding, inverse_target(d, g)
+    > y exactly when g > E[max(v, y)] + TARGET_SLACK, so each such level is
+    carried back to g0 stage by stage.  Levels only grow on the way, so one
+    reaching ``top`` is dropped at once.
+    """
+    if policy_kind not in ("tva", "tvd"):
+        raise ValueError(f"value profile needs tva or tvd, got {policy_kind!r}")
+    ctx = _order_context(instance, order)
+    levels: set[float] = set()
+    for t in range(len(ctx.dists) - 1, -1, -1):
+        d = ctx.dists[t]
+        levels.update(d.values)
+        if policy_kind == "tvd":
+            levels.add(ctx.emax_after()[t])
+        pulled = (expected_max_with(d, y) + TARGET_SLACK for y in levels if y < top)
+        levels = {y for y in pulled if y < top}
+    return sorted(levels)
 
 
 def randomized_value(
     instance: Instance,
     order: ArrivalOrder,
     density: DensitySpec,
-    grid_points: int,
     policy_kind: str = "tvd",
-) -> QuadratureValue:
-    """Expected exact policy value when g0 = x * prophet with x ~ density.
+) -> float:
+    """Exact expected policy value when g0 = x * prophet with x ~ density.
 
-    Midpoint quadrature is applied per smooth piece of the density (the
-    pieces split exactly at its breakpoints).  Weights are normalised to sum
-    to one, so the estimate is a convex combination of exact policy values
-    and can never exceed the online optimum.  The reported error estimate is
-    the difference between the ``grid_points`` run and one with twice as
-    many points; the finer value is returned.
+    The value is piecewise constant in g0 (see ``value_cuts``): each piece is
+    valued by the exact evaluator at its midpoint and weighted by its mass
+    under the analytic density CDF.  Weights are normalised and the result is
+    kept within the piece values, so it can never exceed the optimum.
     """
     if policy_kind not in ("tva", "tvd"):
         raise ValueError(f"randomized mixture needs tva or tvd, got {policy_kind!r}")
     evaluate = tva_exact if policy_kind == "tva" else tvd_exact
     prophet = prophet_value(instance)
     if density.point_mass is not None:
-        total = evaluate(instance, order, density.point_mass * prophet).total
-        return QuadratureValue(total, 0.0)
-    if grid_points < MIN_QUADRATURE_POINTS:
-        raise ValueError(f"need at least {MIN_QUADRATURE_POINTS} grid points")
+        return evaluate(instance, order, density.point_mass * prophet).total
 
-    pieces = [p for p in density.pieces if p.kind != "zero" and p.hi > p.lo]
-    span = sum(p.hi - p.lo for p in pieces)
-
-    def estimate(n_points: int) -> float:
-        num = 0.0
-        den = 0.0
-        for p in pieces:
-            k = max(2, round(n_points * (p.hi - p.lo) / span))
-            h = (p.hi - p.lo) / k
-            for j in range(k):
-                x = p.lo + (j + 0.5) * h
-                w = density_pdf(density, x) * h
-                num += w * evaluate(instance, order, x * prophet).total
-                den += w
-        return num / den
-
-    coarse = estimate(grid_points)
-    fine = estimate(2 * grid_points)
-    return QuadratureValue(fine, abs(fine - coarse))
+    positive = [p for p in density.pieces if p.kind != PIECE_ZERO]
+    lo, hi = positive[0].lo, positive[-1].hi
+    cuts = value_cuts(instance, order, policy_kind, hi * prophet)
+    edges = [lo, *(y / prophet for y in cuts if y > lo * prophet), hi]
+    cdf = [density_cdf(density, x) for x in edges]
+    weights = [b - a for a, b in zip(cdf, cdf[1:])]
+    mids = [0.5 * (a + b) * prophet for a, b in zip(edges, edges[1:])]
+    values = [evaluate(instance, order, g0).total for g0 in mids]
+    mixed = math.fsum(w * v for w, v in zip(weights, values)) / math.fsum(weights)
+    return min(max(mixed, min(values)), max(values))

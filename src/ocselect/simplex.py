@@ -55,6 +55,8 @@ class FiniteLP:
 class LPSolution(NamedTuple):
     value: float
     solution: tuple[float, ...]
+    # Largest violation of rows . z <= rhs at the returned point (>= 0).
+    residual: float
 
 
 def simplex_solve(lp: FiniteLP) -> LPSolution:
@@ -126,7 +128,7 @@ def simplex_solve(lp: FiniteLP) -> LPSolution:
     if residual > FEASIBILITY_TOL or float(np.min(solution, initial=0.0)) < -FEASIBILITY_TOL:
         raise ArithmeticError(f"solution fails post-check, residual {residual:.3e}")
     value = float(np.dot(lp.objective, solution))
-    return LPSolution(value, tuple(float(v) for v in solution))
+    return LPSolution(value, tuple(float(v) for v in solution), residual)
 
 
 def _iterate(tableau: np.ndarray, basis: list[int]) -> None:

@@ -6,11 +6,22 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ocselect import InstanceFormatError, load_instance, parse_instance
+from ocselect import (
+    InstanceFormatError,
+    build_primal_general,
+    build_primal_tvd,
+    load_instance,
+    parse_instance,
+    simplex_solve,
+    solve_c_detection,
+)
+from ocselect import cli
 from ocselect.cli import main
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
@@ -198,6 +209,15 @@ class TestEvalCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_randomized_output_is_deterministic(self, tmp_path):
+        outs = []
+        for name in ("first.csv", "second.csv"):
+            out = tmp_path / name
+            args = ["eval", "--instance", FOUR_BOX, "--policy", "tvd-rand-732"]
+            assert main(args + ["--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
 
 class TestEvalValidation:
     def test_enumeration_guard_trips(self, capsys, tmp_path):
@@ -274,6 +294,22 @@ class TestEvalValidation:
         )
         assert code == 2
 
+    def test_eval_grid_flag_is_usage_error(self):
+        args = ["eval", "--instance", FOUR_BOX, "--policy", "tvd-rand-732"]
+        assert main(args + ["--grid", "400"]) == 1
+
+    def test_value_above_optimum_is_rejected(self, monkeypatch, capsys):
+        exact = cli.tva_exact
+
+        def inflated(instance, order, g0):
+            result = exact(instance, order, g0)
+            return replace(result, per_stage=tuple(1.5 * v for v in result.per_stage))
+
+        monkeypatch.setattr(cli, "tva_exact", inflated)
+        code = main(["eval", "--instance", FOUR_BOX, "--policy", "tva", "--g0", "auto"])
+        assert code == 2
+        assert "outside [0, 1]" in capsys.readouterr().err
+
     def test_missing_required_flag_is_usage_error(self):
         assert main(["eval", "--instance", TWO_BOX]) == 1
 
@@ -307,6 +343,21 @@ class TestHardnessCommand:
         )
         for name in ("general-dual", "detection-dual"):
             assert float(by_name[name]["residual"]) <= 1e-8
+
+    def test_primal_residual_is_the_solver_residual(self, capsys):
+        assert main(["hardness"]) == 0
+        rows = read_rows(capsys.readouterr().out)
+        step = float(rows[2]["grid"])
+        programs = {
+            "general-primal": build_primal_general(step),
+            "detection-primal": build_primal_tvd(solve_c_detection(), step),
+        }
+        for row in rows[2:]:
+            lp = programs[row["bound"]]
+            z = np.array(simplex_solve(lp).solution)
+            residual = max(0.0, float(np.max(np.array(lp.rows) @ z - np.array(lp.rhs))))
+            assert float(row["residual"]) == pytest.approx(residual, rel=1e-11, abs=0.0)
+            assert 0.0 <= float(row["residual"]) <= 1e-8
 
     def test_refine_adds_monotone_rows(self, capsys):
         code = main(["hardness", "--refine"])

@@ -507,10 +507,9 @@ class TestEndToEndDetection:
         ratios = []
         for x in (xs[0], xs[len(xs) // 2], xs[-1]):
             order = detection_hard_order(hard, x)
-            estimate = randomized_value(hard.instance, order, spec, 200, policy_kind="tvd")
-            assert estimate.error_estimate <= 1e-3
+            value = randomized_value(hard.instance, order, spec, policy_kind="tvd")
             opt = opt_online(hard.instance, order).total
-            ratios.append(estimate.value / opt)
+            ratios.append(value / opt)
         assert min(ratios) >= 0.732 - 0.01
         assert max(ratios) <= 1.0 + 1e-9
         # the family keeps even this density close to the detection cap

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import all_orders, g0_grid, random_instance
 from ocselect import (
@@ -14,16 +15,20 @@ from ocselect import (
     Instance,
     PolicyError,
     PolicyState,
+    density_cdf,
+    density_pdf,
     opt_online,
     point_density,
     prophet_value,
     randomized_value,
+    rho_656,
     rho_732,
     run_policy_sampled,
     tva_exact,
     tva_step,
     tvd_exact,
     tvd_step,
+    value_cuts,
 )
 from ocselect.densities import PHI
 from ocselect.policies import CONSERVATIVE, TARGETED, TERMINATED
@@ -249,28 +254,100 @@ class TestRunPolicySampled:
             run_policy_sampled("nope", 1.0, AB, ("A", "B"), rng)
 
 
+def small_instances():
+    """1-4 boxes of 1-3 atoms each; values often include 0."""
+    value = st.one_of(
+        st.just(0.0), st.floats(0.0, 10.0, allow_nan=False, allow_subnormal=False)
+    )
+
+    def box(i, values, weights):
+        values = sorted(set(values))
+        total = sum(weights[: len(values)])
+        atoms = tuple((v, w / total) for v, w in zip(values, weights))
+        return Box(f"b{i}", DiscreteDistribution(atoms))
+
+    boxes = st.lists(
+        st.tuples(
+            st.lists(value, min_size=1, max_size=3),
+            st.lists(st.floats(0.05, 1.0), min_size=3, max_size=3),
+        ),
+        min_size=1,
+        max_size=4,
+    )
+    return boxes.map(lambda bs: Instance(tuple(box(i, *b) for i, b in enumerate(bs))))
+
+
+# Rounding in the pulled-back cuts leaves slivers a couple of ulps wide.
+CUT_MARGIN_ULPS = 8
+
+
+class TestValueProfile:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        small_instances(),
+        st.sampled_from(("tva", "tvd")),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+    )
+    def test_value_is_constant_between_cuts(self, inst, kind, fractions):
+        evaluate = tva_exact if kind == "tva" else tvd_exact
+        order = inst.ids
+        top = prophet_value(inst)
+        edges = [0.0, *value_cuts(inst, order, kind, top), top]
+        for a, b in zip(edges, edges[1:]):
+            lo = a + CUT_MARGIN_ULPS * math.ulp(a)
+            hi = b - CUT_MARGIN_ULPS * math.ulp(b)
+            if lo >= hi:
+                continue
+            piece = evaluate(inst, order, 0.5 * (a + b)).total
+            # Both ends catch any single missing cut; the fractions probe between.
+            for f in (0.0, 1.0, *fractions):
+                assert evaluate(inst, order, lo + f * (hi - lo)).total == piece
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            value_cuts(AB, ("A", "B"), "sta", 2.0)
+
+
 class TestRandomizedValue:
     def test_point_mass_equals_exact(self):
         spec = point_density(1.0 / PHI)
-        got = randomized_value(AB, ("B", "A"), spec, grid_points=100, policy_kind="tva")
+        got = randomized_value(AB, ("B", "A"), spec, policy_kind="tva")
         want = tva_exact(AB, ("B", "A"), prophet_value(AB) / PHI).total
-        assert got.value == want
-        assert got.error_estimate == 0.0
+        assert got == want
 
     def test_rho_732_beats_gamma_on_both_orders(self):
         for order in (("A", "B"), ("B", "A")):
             opt = opt_online(AB, order).total
-            got = randomized_value(AB, order, rho_732(), grid_points=400)
-            assert got.value >= 0.732 * opt - got.error_estimate - 1e-6
+            got = randomized_value(AB, order, rho_732())
+            assert got >= 0.732 * opt - 1e-6
 
-    def test_refinement_consistency(self):
+    @pytest.mark.parametrize("spec,kind", [(rho_656(), "tva"), (rho_732(), "tvd")])
+    def test_midpoint_sum_agrees_within_its_error_bound(self, spec, kind):
+        # A midpoint sum with exact cell masses errs only in cells holding a
+        # cut, each by at most (cuts in it) * largest jump * cell mass; 1e-12
+        # covers rounding in the sums.
         rng = np.random.default_rng(101)
         inst = random_instance(rng, 3, max_atoms=3)
         order = tuple(sorted(inst.ids))
-        coarse = randomized_value(inst, order, rho_732(), grid_points=10_000)
-        fine = randomized_value(inst, order, rho_732(), grid_points=20_000)
-        assert abs(coarse.value - fine.value) <= 1e-4
+        evaluate = tva_exact if kind == "tva" else tvd_exact
+        prophet = prophet_value(inst)
+        positive = [p for p in spec.pieces if p.kind != "zero"]
+        lo, hi = positive[0].lo, positive[-1].hi
+        cells = 4000
+        xs = np.linspace(lo, hi, cells + 1).tolist()
+        cdf = [density_cdf(spec, x) for x in xs]
+        mass = cdf[-1] - cdf[0]
+        reference = math.fsum(
+            (cdf[j + 1] - cdf[j]) * evaluate(inst, order, 0.5 * (xs[j] + xs[j + 1]) * prophet).total
+            for j in range(cells)
+        ) / mass
 
-    def test_grid_floor_enforced(self):
-        with pytest.raises(ValueError):
-            randomized_value(AB, ("A", "B"), rho_732(), grid_points=50)
+        cuts = [y for y in value_cuts(inst, order, kind, hi * prophet) if y > lo * prophet]
+        edges = [lo * prophet, *cuts, hi * prophet]
+        pieces = [evaluate(inst, order, 0.5 * (a + b)).total for a, b in zip(edges, edges[1:])]
+        jump = max((abs(b - a) for a, b in zip(pieces, pieces[1:])), default=0.0)
+        sup_pdf = max(density_pdf(spec, p.lo) for p in positive)  # both kernels decrease
+        bound = len(cuts) * jump * (hi - lo) / cells * sup_pdf / mass
+        assert len(cuts) >= 1 and jump > 0.0
+        got = randomized_value(inst, order, spec, policy_kind=kind)
+        assert abs(got - reference) <= bound + 1e-12
