@@ -63,9 +63,10 @@ from .hardness import (
 )
 from .io import InstanceFormatError, load_instance
 from .policies import (
+    EXACT_POLICIES,
     PolicyError,
     randomized_value,
-    run_policy_sampled,
+    sample_runs,
     tva_exact,
     tvd_exact,
 )
@@ -76,9 +77,8 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_CERTIFICATE = 3
 
-EXACT_POLICY_KINDS = ("sta", "tva", "tvd")
 RANDOMIZED_POLICY_KINDS = ("tva-rand-656", "tvd-rand-732")
-POLICY_KINDS = EXACT_POLICY_KINDS + RANDOMIZED_POLICY_KINDS
+POLICY_KINDS = EXACT_POLICIES + RANDOMIZED_POLICY_KINDS
 
 ENUMERATION_LIMIT = 9
 SIMULATION_CHUNK = 10_000
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo check of the exact evaluator")
     p_sim.add_argument("--instance", required=True)
-    p_sim.add_argument("--policy", required=True, choices=EXACT_POLICY_KINDS)
+    p_sim.add_argument("--policy", required=True, choices=EXACT_POLICIES)
     p_sim.add_argument("--g0", default=None)
     p_sim.add_argument("--tau", type=float, default=None)
     p_sim.add_argument(
@@ -451,8 +451,10 @@ def cmd_simulate(config: ExperimentConfig) -> tuple[list[str], int]:
     assert config.seed is not None
     for start in range(0, config.runs, SIMULATION_CHUNK):
         rng = _stream(config.seed, start // SIMULATION_CHUNK)
-        for i in range(start, min(start + SIMULATION_CHUNK, config.runs)):
-            samples[i] = run_policy_sampled(config.policy, g0, instance, order, rng)  # type: ignore[arg-type]
+        stop = min(start + SIMULATION_CHUNK, config.runs)
+        samples[start:stop] = sample_runs(
+            config.policy, g0, instance, order, rng, stop - start  # type: ignore[arg-type]
+        )
     if samples.min() == samples.max():
         mean = float(samples[0])
         std_error = 0.0

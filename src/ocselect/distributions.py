@@ -9,7 +9,7 @@ linear function.  No quadrature, no iteration.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -220,10 +220,12 @@ def max_distribution(dists: Sequence[DiscreteDistribution]) -> DiscreteDistribut
     return DiscreteDistribution(atoms)
 
 
+def inverse_cdf(dist: DiscreteDistribution, u: np.ndarray) -> np.ndarray:
+    """Value at each uniform variate: the first atom whose CDF exceeds it."""
+    idx = np.searchsorted(dist._cdf_norm_arr, u, side="right")
+    return dist._values_arr[np.minimum(idx, len(dist.values) - 1)]
+
+
 def sample(dist: DiscreteDistribution, rng: np.random.Generator) -> float:
     """Draw one value by inverting the CDF at a uniform variate."""
-    u = rng.random()
-    idx = bisect_right(dist._cdf_norm_list, u)
-    if idx >= len(dist.values):
-        idx = len(dist.values) - 1
-    return dist.values[idx]
+    return float(inverse_cdf(dist, rng.random()))

@@ -36,8 +36,8 @@ from .distributions import (
     TARGET_SLACK,
     DiscreteDistribution,
     expected_max_with,
+    inverse_cdf,
     inverse_target,
-    sample,
 )
 
 TARGETED = "targeted"
@@ -326,6 +326,38 @@ def _accept_at(d: DiscreteDistribution, threshold: float, continuation: float) -
 # Sampled runs and the randomized mixture value.
 
 
+def sample_runs(
+    policy_kind: str,
+    g0: float,
+    instance: Instance,
+    order: ArrivalOrder,
+    rng: np.random.Generator,
+    runs: int,
+) -> np.ndarray:
+    """Value taken by each of ``runs`` sampled runs; 0.0 where nothing is taken.
+
+    Each run samples every box once, in arrival order, and the rows of draws
+    come from ``rng`` in the same order as a box-by-box replay would take
+    them.  Every policy here fixes its stage thresholds from g0, the
+    distributions and the order alone, so a run takes the first value at or
+    above its stage's threshold.  For ``sta`` the parameter ``g0`` is the
+    fixed acceptance threshold.
+    """
+    if policy_kind not in EXACT_POLICIES:
+        raise PolicyError(f"unknown policy kind: {policy_kind!r}")
+    dists = ordered_dists(instance, order)
+    thresholds = _stage_thresholds(policy_kind, g0, dists)
+    u = rng.random((runs, len(dists)))
+    taken = np.zeros(runs)
+    open_rows = np.arange(runs)
+    for t, (d, threshold) in enumerate(zip(dists, thresholds)):
+        values = inverse_cdf(d, u[open_rows, t])
+        accept = values >= threshold
+        taken[open_rows[accept]] = values[accept]
+        open_rows = open_rows[~accept]
+    return taken
+
+
 def run_policy_sampled(
     policy_kind: str,
     g0: float,
@@ -333,30 +365,27 @@ def run_policy_sampled(
     order: ArrivalOrder,
     rng: np.random.Generator,
 ) -> float:
-    """Sample every box once and run the named policy; 0.0 if nothing taken.
+    """One sampled run of the named policy (see ``sample_runs``)."""
+    return float(sample_runs(policy_kind, g0, instance, order, rng, 1)[0])
 
-    For ``sta`` the parameter ``g0`` is the fixed acceptance threshold.
-    """
-    if policy_kind not in EXACT_POLICIES:
-        raise PolicyError(f"unknown policy kind: {policy_kind!r}")
-    dists = ordered_dists(instance, order)
-    values = [sample(d, rng) for d in dists]
+
+def _stage_thresholds(
+    policy_kind: str, g0: float, dists: Sequence[DiscreteDistribution]
+) -> list[float]:
+    """Acceptance threshold of each stage, from a step-machine run that never accepts."""
     if policy_kind == "sta":
         if not (g0 >= 0.0):
             raise ValueError(f"threshold must be >= 0: {g0!r}")
-        for v in values:
-            if v >= g0:
-                return v
-        return 0.0
+        return [g0] * len(dists)
     state = PolicyState.initial(g0)
-    for i, (d, v) in enumerate(zip(dists, values)):
+    out = []
+    for i, d in enumerate(dists):
         if policy_kind == "tva":
-            state, decision = tva_step(state, d, v)
+            state, _ = tva_step(state, d, -math.inf)
         else:
-            state, decision = tvd_step(state, d, list(dists[i + 1 :]), v)
-        if decision.accept:
-            return v
-    return 0.0
+            state, _ = tvd_step(state, d, dists[i + 1 :], -math.inf)
+        out.append(state.threshold if state.mode == CONSERVATIVE else state.target)
+    return out
 
 
 def value_cuts(
@@ -369,7 +398,9 @@ def value_cuts(
     the stage's atoms and emax_after[t].  Up to rounding, inverse_target(d, g)
     > y exactly when g > E[max(v, y)] + TARGET_SLACK, so each such level is
     carried back to g0 stage by stage.  Levels only grow on the way, so one
-    reaching ``top`` is dropped at once.
+    reaching ``top`` is dropped at once.  For ``tvd`` a target above
+    emax_after[t] switches the walk at stage t, after which no target from
+    stage t on is used, so only levels up to emax_after[t] are kept there.
     """
     if policy_kind not in ("tva", "tvd"):
         raise ValueError(f"value profile needs tva or tvd, got {policy_kind!r}")
@@ -379,7 +410,9 @@ def value_cuts(
         d = ctx.dists[t]
         levels.update(d.values)
         if policy_kind == "tvd":
-            levels.add(ctx.emax_after()[t])
+            switch_level = ctx.emax_after()[t]
+            levels = {y for y in levels if y <= switch_level}
+            levels.add(switch_level)
         pulled = (expected_max_with(d, y) + TARGET_SLACK for y in levels if y < top)
         levels = {y for y in pulled if y < top}
     return sorted(levels)

@@ -57,6 +57,8 @@ class LPSolution(NamedTuple):
     solution: tuple[float, ...]
     # Largest violation of rows . z <= rhs at the returned point (>= 0).
     residual: float
+    # Bland pivots taken in phase 1 and phase 2 (0 in phase 1 without artificials).
+    pivots: tuple[int, int]
 
 
 def simplex_solve(lp: FiniteLP) -> LPSolution:
@@ -97,11 +99,12 @@ def simplex_solve(lp: FiniteLP) -> LPSolution:
                 reduced[: n + m + n_art] -= tableau[i, :-1]
                 obj -= tableau[i, -1]
         tableau = np.vstack([tableau, np.append(reduced, obj)])
-        _iterate(tableau, basis)
+        phase1 = _iterate(tableau, basis)
         if tableau[-1, -1] < -PHASE1_TOL:
             raise InfeasibleError(f"phase-1 infeasibility {-tableau[-1, -1]:.3e}")
         tableau = _drop_artificials(tableau, basis, n + m)
     else:
+        phase1 = 0
         tableau = np.vstack([tableau, np.zeros(tableau.shape[1])])
 
     # Phase 2: minimize -objective.
@@ -117,7 +120,7 @@ def simplex_solve(lp: FiniteLP) -> LPSolution:
             obj -= coef * tableau[i, -1]
     tableau[-1, :-1] = reduced
     tableau[-1, -1] = obj
-    _iterate(tableau, basis)
+    phase2 = _iterate(tableau, basis)
 
     z = np.zeros(tableau.shape[1] - 1)
     for i in range(rows_total):
@@ -128,17 +131,18 @@ def simplex_solve(lp: FiniteLP) -> LPSolution:
     if residual > FEASIBILITY_TOL or float(np.min(solution, initial=0.0)) < -FEASIBILITY_TOL:
         raise ArithmeticError(f"solution fails post-check, residual {residual:.3e}")
     value = float(np.dot(lp.objective, solution))
-    return LPSolution(value, tuple(float(v) for v in solution), residual)
+    return LPSolution(value, tuple(float(v) for v in solution), residual, (phase1, phase2))
 
 
-def _iterate(tableau: np.ndarray, basis: list[int]) -> None:
+def _iterate(tableau: np.ndarray, basis: list[int]) -> int:
+    """Pivot until no reduced cost is negative; returns the number of pivots."""
     m = tableau.shape[0] - 1
     limit = 200 * (tableau.shape[0] + tableau.shape[1])
-    for _ in range(limit):
+    for pivots in range(limit):
         reduced = tableau[-1, :-1]
         candidates = np.nonzero(reduced < -PIVOT_TOL)[0]
         if candidates.size == 0:
-            return
+            return pivots
         col = int(candidates[0])  # Bland: lowest eligible index enters
         column = tableau[:m, col]
         positive = np.nonzero(column > PIVOT_TOL)[0]

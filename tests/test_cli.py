@@ -488,6 +488,17 @@ class TestSimulateCommand:
             blobs.append(out.read_bytes())
         assert blobs[0] != blobs[1]
 
+    def test_four_box_tvd_row_is_pinned(self, tmp_path):
+        # The row the box-by-box replay printed for this command; the
+        # vectorized sampler draws and resolves the same runs.
+        out = tmp_path / "tvd.csv"
+        argv = ["simulate", "--instance", str(DATA_DIR / "four_box.json"), "--policy", "tvd"]
+        argv += ["--g0", "auto", "--runs", "100000", "--seed", "7", "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_text().splitlines()[1] == (
+            "100000,2.40002,2.4,0.0012832211277,0.015585778295"
+        )
+
     def test_seed_required_at_parser_level(self):
         code = main(["simulate", "--instance", TWO_BOX, "--policy", "tva", "--g0", "0"])
         assert code == 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ocselect import (
     PolicyState,
     density_cdf,
     density_pdf,
+    load_instance,
     opt_online,
     point_density,
     prophet_value,
@@ -24,6 +26,7 @@ from ocselect import (
     rho_656,
     rho_732,
     run_policy_sampled,
+    sample_runs,
     tva_exact,
     tva_step,
     tvd_exact,
@@ -31,7 +34,10 @@ from ocselect import (
     value_cuts,
 )
 from ocselect.densities import PHI
+from ocselect.distributions import sample
 from ocselect.policies import CONSERVATIVE, TARGETED, TERMINATED
+
+DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
 RISKY = DiscreteDistribution(((0.0, 0.5), (2.0, 0.5)))
 UNIT = DiscreteDistribution(((1.0, 1.0),))
@@ -307,6 +313,19 @@ class TestValueProfile:
         with pytest.raises(ValueError):
             value_cuts(AB, ("A", "B"), "sta", 2.0)
 
+    def test_four_box_tvd_piece_count(self):
+        # tvd levels above emax_after[t] are dropped at stage t: 148 pieces
+        # over the 24 orders when every stage kept all of its levels.
+        inst = load_instance(DATA_DIR / "four_box.json")
+        spec = rho_732()
+        positive = [p for p in spec.pieces if p.kind != "zero"]
+        lo, hi = positive[0].lo * prophet_value(inst), positive[-1].hi * prophet_value(inst)
+        pieces = sum(
+            1 + sum(y > lo for y in value_cuts(inst, order, "tvd", hi))
+            for order in all_orders(inst)
+        )
+        assert pieces == 103
+
 
 class TestRandomizedValue:
     def test_point_mass_equals_exact(self):
@@ -351,3 +370,54 @@ class TestRandomizedValue:
         assert len(cuts) >= 1 and jump > 0.0
         got = randomized_value(inst, order, spec, policy_kind=kind)
         assert abs(got - reference) <= bound + 1e-12
+
+
+def replay_run(kind, g0, inst, order, rng):
+    """One run the slow way: sample every box, then step the policy box by box."""
+    dists = [inst.by_id[box_id].dist for box_id in order]
+    values = [sample(d, rng) for d in dists]
+    if kind == "sta":
+        return next((v for v in values if v >= g0), 0.0)
+    state = PolicyState.initial(g0)
+    for i, (d, v) in enumerate(zip(dists, values)):
+        if kind == "tva":
+            state, decision = tva_step(state, d, v)
+        else:
+            state, decision = tvd_step(state, d, dists[i + 1 :], v)
+        if decision.accept:
+            return v
+    return 0.0
+
+
+class TestSampleRuns:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        small_instances().flatmap(lambda inst: st.tuples(st.just(inst), st.permutations(inst.ids))),
+        st.sampled_from(("sta", "tva", "tvd")),
+        st.floats(0.0, 1.5),
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_box_by_box_replay_bitwise(self, inst_order, kind, fraction, runs, seed):
+        inst, order = inst_order
+        order = tuple(order)
+        g0 = fraction * prophet_value(inst)
+        replay_rng = np.random.default_rng(seed)
+        want = np.array([replay_run(kind, g0, inst, order, replay_rng) for _ in range(runs)])
+        rng = np.random.default_rng(seed)
+        got = sample_runs(kind, g0, inst, order, rng, runs)
+        assert got.tobytes() == want.tobytes()
+        # Both consumed the stream up to the same point.
+        assert rng.random() == replay_rng.random()
+
+    @pytest.mark.parametrize("kind", ["sta", "tva", "tvd"])
+    def test_four_box_orders_match_replay_bitwise(self, kind):
+        # At the prophet value every order is overestimated, so tvd switches
+        # and the runs that reach the switch meet its single threshold.
+        inst = load_instance(DATA_DIR / "four_box.json")
+        for order in all_orders(inst):
+            for g0 in (0.5 * opt_online(inst, order).total, prophet_value(inst)):
+                replay_rng = np.random.default_rng(31)
+                want = np.array([replay_run(kind, g0, inst, order, replay_rng) for _ in range(50)])
+                got = sample_runs(kind, g0, inst, order, np.random.default_rng(31), 50)
+                assert got.tobytes() == want.tobytes()

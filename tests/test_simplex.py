@@ -128,3 +128,23 @@ class TestSolutionContract:
             assert (rows @ z <= rhs + 1e-9).all()
             assert sol.value == pytest.approx(float(obj @ z), abs=1e-9)
             assert isinstance(sol, LPSolution)
+
+
+class TestPivotCounts:
+    def test_no_artificials_means_no_phase_one_pivots(self):
+        # max 3x + 2y s.t. x + y <= 4, x <= 2: Bland enters x, then y.
+        lp = FiniteLP((3.0, 2.0), ((1.0, 1.0), (1.0, 0.0)), (4.0, 2.0))
+        assert simplex_solve(lp).pivots == (0, 2)
+
+    def test_negative_rhs_pivots_in_phase_one(self):
+        # max -x s.t. -x <= -2, x <= 5: one pivot drives the artificial out.
+        lp = FiniteLP((-1.0,), ((-1.0,), (1.0,)), (-2.0, 5.0))
+        assert simplex_solve(lp).pivots == (1, 0)
+
+    def test_counts_repeat_exactly_across_reruns(self):
+        from ocselect import build_primal_general
+
+        lp = build_primal_general(0.02)
+        first = simplex_solve(lp).pivots
+        assert first[0] == 0 and first[1] > 0
+        assert all(simplex_solve(lp).pivots == first for _ in range(3))
