@@ -70,10 +70,9 @@ class Instance:
         return len(self.boxes)
 
     @cached_property
-    def _memo(self) -> dict:
-        # Internal scratch space for per-order tables; keyed by descriptive
-        # tuples.  Safe because the instance itself is immutable.
-        return {}
+    def max_dist(self) -> DiscreteDistribution:
+        """Distribution of the maximum over all boxes."""
+        return max_distribution(self.dists)
 
 
 # An arrival order is a permutation of the instance's box ids.
@@ -84,17 +83,11 @@ def ordered_dists(
     instance: Instance, order: ArrivalOrder
 ) -> tuple[DiscreteDistribution, ...]:
     """Distributions in arrival order, validating the order is a bijection."""
-    key = ("dists", order)
-    hit = instance._memo.get(key)
-    if hit is not None:
-        return hit
     if len(order) != instance.n or set(order) != set(instance.ids):
         raise OrderError(
             f"order {order!r} is not a permutation of instance ids {instance.ids!r}"
         )
-    out = tuple(instance.by_id[box_id].dist for box_id in order)
-    instance._memo[key] = out
-    return out
+    return tuple(instance.by_id[box_id].dist for box_id in order)
 
 
 @dataclass(frozen=True)
@@ -134,38 +127,38 @@ def opt_online(instance: Instance, order: ArrivalOrder) -> EvaluationResult:
     the last box.  Accepting at equality is optimal and is the convention
     used by every evaluator in this package.
     """
-    key = ("opt", order)
-    hit = instance._memo.get(key)
-    if hit is not None:
-        return hit
-    dists = ordered_dists(instance, order)
     stages = [0.0]
     acc = 0.0
-    for d in reversed(dists):
+    for d in reversed(ordered_dists(instance, order)):
         acc = expected_max_with(d, acc)
         stages.append(acc)
-    result = EvaluationResult("opt", tuple(reversed(stages)))
-    instance._memo[key] = result
-    return result
+    return EvaluationResult("opt", tuple(reversed(stages)))
 
 
 def prophet_value(instance: Instance) -> float:
     """E[max over all boxes], the order-free offline benchmark."""
-    hit = instance._memo.get("prophet")
-    if hit is not None:
-        return hit
-    value = instance_max_distribution(instance).mean
-    instance._memo["prophet"] = value
-    return value
+    return instance.max_dist.mean
 
 
 def instance_max_distribution(instance: Instance) -> DiscreteDistribution:
-    """Distribution of the maximum over all boxes (cached)."""
-    hit = instance._memo.get("maxdist")
-    if hit is None:
-        hit = max_distribution(instance.dists)
-        instance._memo["maxdist"] = hit
-    return hit
+    """Distribution of the maximum over all boxes (cached on the instance)."""
+    return instance.max_dist
+
+
+def threshold_run_values(
+    dists: Sequence[DiscreteDistribution], thresholds: Sequence[float]
+) -> tuple[float, ...]:
+    """Per-stage values of taking the first v_t >= thresholds[t], by backward induction.
+
+    The one backward pass behind every threshold policy's exact value.
+    """
+    stages = [0.0]
+    acc = 0.0
+    for d, threshold in zip(reversed(dists), reversed(thresholds)):
+        idx = bisect_left(d.values, threshold)
+        acc = d.tail_mean[idx] + d.head_mass[idx] * acc
+        stages.append(acc)
+    return tuple(reversed(stages))
 
 
 def sta_exact(instance: Instance, order: ArrivalOrder, tau: float) -> EvaluationResult:
@@ -173,13 +166,8 @@ def sta_exact(instance: Instance, order: ArrivalOrder, tau: float) -> Evaluation
     if not (tau >= 0.0):
         raise ValueError(f"threshold must be >= 0: {tau!r}")
     dists = ordered_dists(instance, order)
-    stages = [0.0]
-    acc = 0.0
-    for d in reversed(dists):
-        idx = bisect_left(d.values, tau)
-        acc = d.tail_mean[idx] + d.head_mass[idx] * acc
-        stages.append(acc)
-    return EvaluationResult("sta", tuple(reversed(stages)), threshold=tau)
+    per_stage = threshold_run_values(dists, [tau] * len(dists))
+    return EvaluationResult("sta", per_stage, threshold=tau)
 
 
 def sta_lower_bound(instance: Instance, tau: float) -> float:
@@ -191,12 +179,7 @@ def sta_lower_bound(instance: Instance, tau: float) -> float:
     """
     if not (tau >= 0.0):
         raise ValueError(f"threshold must be >= 0: {tau!r}")
-    md = instance_max_distribution(instance)
-    idx = bisect_left(md.values, tau)
-    p_ge = as_probability(md.tail_mass[idx])
-    p_lt = as_probability(md.head_mass[idx])
-    plus = max(0.0, md.tail_mean[idx] - tau * md.tail_mass[idx])
-    return p_ge * tau + p_lt * plus
+    return _threshold_bound(instance.max_dist, tau)
 
 
 class ThresholdChoice(NamedTuple):
@@ -226,8 +209,9 @@ def best_single_threshold(
 
 
 def _threshold_bound(md: DiscreteDistribution, tau: float) -> float:
+    """P[M >= tau] * tau + P[M < tau] * E[(M - tau)^+] for M ~ md."""
     idx = bisect_left(md.values, tau)
-    p_ge = md.tail_mass[idx]
-    p_lt = md.head_mass[idx]
+    p_ge = as_probability(md.tail_mass[idx])
+    p_lt = as_probability(md.head_mass[idx])
     plus = max(0.0, md.tail_mean[idx] - tau * md.tail_mass[idx])
     return p_ge * tau + p_lt * plus

@@ -12,7 +12,9 @@ Subcommands:
                       starting-target densities.
 
 Exit codes: 0 success, 1 usage error, 2 validation error (bad file, bad
-combination of flags, refused enumeration), 3 certificate violation.
+combination of flags, refused enumeration), 3 certificate violation,
+4 internal numerical failure (a solution failing the simplex post-check, the
+pivot limit).
 
 All CSV output uses LF newlines and ``%.12g`` floats, so a rerun with the
 same flags is byte-identical.  Randomness is split per worker index from a
@@ -37,7 +39,6 @@ import numpy as np
 from .benchmarks import (
     ArrivalOrder,
     Instance,
-    OrderError,
     opt_online,
     prophet_value,
     sta_exact,
@@ -61,10 +62,9 @@ from .hardness import (
     verify_dual_general,
     verify_dual_tvd,
 )
-from .io import InstanceFormatError, load_instance
+from .io import load_instance
 from .policies import (
     EXACT_POLICIES,
-    PolicyError,
     randomized_value,
     sample_runs,
     tva_exact,
@@ -76,6 +76,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_CERTIFICATE = 3
+EXIT_NUMERICAL = 4
 
 RANDOMIZED_POLICY_KINDS = ("tva-rand-656", "tvd-rand-732")
 POLICY_KINDS = EXACT_POLICIES + RANDOMIZED_POLICY_KINDS
@@ -575,12 +576,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if code == EXIT_CERTIFICATE:
             print("density guarantee violation detected", file=sys.stderr)
         return code
-    except (CliValidationError, InstanceFormatError, OrderError, PolicyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ValueError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -67,11 +67,6 @@ class DiscreteDistribution:
         if abs(total - 1.0) > EXACT_TOL:
             raise ValueError(f"atom probabilities sum to {total!r}, not 1")
 
-    @staticmethod
-    def from_pairs(pairs) -> "DiscreteDistribution":
-        """Build from unsorted (value, probability) pairs."""
-        return DiscreteDistribution(tuple(sorted((float(v), float(p)) for v, p in pairs)))
-
     @cached_property
     def values(self) -> tuple[float, ...]:
         return tuple(v for v, _ in self.atoms)
@@ -125,10 +120,6 @@ class DiscreteDistribution:
     @cached_property
     def mean(self) -> float:
         return self.tail_mean[0]
-
-    @cached_property
-    def support_max(self) -> float:
-        return self.values[-1]
 
     @cached_property
     def _values_arr(self) -> np.ndarray:
@@ -199,25 +190,85 @@ def inverse_target(dist: DiscreteDistribution, g_prev: float) -> float:
 def max_distribution(dists: Sequence[DiscreteDistribution]) -> DiscreteDistribution:
     """Distribution of the maximum of independent draws, one per input.
 
-    Computed by multiplying CDFs over the union support.  Each input CDF is
-    normalised so its last entry is exactly 1.0, which keeps the product's
+    The CDFs are merged in list order (see ``_merge_max``).  Each input CDF
+    is normalised so its last entry is exactly 1.0, which keeps the product's
     final entry exactly 1.0 regardless of how many inputs there are.
     """
     if not dists:
         raise ValueError("max of an empty collection is undefined")
     if len(dists) == 1:
         return dists[0]
-    union = np.unique(np.concatenate([d._values_arr for d in dists]))
-    prod = np.ones(union.shape[0], dtype=np.float64)
+    values: list[float] = []
+    cdf: list[float] = []
     for d in dists:
-        idx = np.searchsorted(d._values_arr, union, side="right")
-        cdf = np.concatenate(([0.0], d._cdf_norm_arr))[idx]
-        prod *= cdf
-    pmf = np.diff(prod, prepend=0.0)
-    atoms = tuple(
-        (float(v), float(p)) for v, p in zip(union.tolist(), pmf.tolist()) if p > 0.0
-    )
-    return DiscreteDistribution(atoms)
+        values, cdf = _merge_max(values, cdf, d)
+    atoms = []
+    prev = 0.0
+    for v, c in zip(values, cdf):
+        if c - prev > 0.0:
+            atoms.append((v, c - prev))
+        prev = c
+    return DiscreteDistribution(tuple(atoms))
+
+
+def suffix_expected_max(dists: Sequence[DiscreteDistribution]) -> list[float]:
+    """E[max(dists[t:])] for every t, with 0.0 for the empty suffix at the end.
+
+    One back-to-front fold of ``_merge_max`` yields every suffix at once.
+    """
+    out = [0.0] * (len(dists) + 1)
+    values: list[float] = []
+    cdf: list[float] = []
+    for t in range(len(dists) - 1, -1, -1):
+        values, cdf = _merge_max(values, cdf, dists[t])
+        out[t] = _mean_from_cdf(values, cdf)
+    return out
+
+
+def _merge_max(
+    values: list[float], cdf: list[float], d: DiscreteDistribution
+) -> tuple[list[float], list[float]]:
+    """CDF of max(current, a fresh draw from d) on the union of both supports.
+
+    ``values``/``cdf`` are parallel lists, empty before the first draw.  The
+    zero-probability lower tail is dropped to keep supports small.  Both CDFs
+    end at exactly 1.0, so past the end of one support the product is the
+    other CDF itself.
+    """
+    if not values:
+        return list(d.values), list(d._cdf_norm_list)
+    dv, dc = d.values, d._cdf_norm_list
+    out_v: list[float] = []
+    out_c: list[float] = []
+    a = b = 0.0
+    i = j = 0
+    na, nb = len(values), len(dv)
+    while i < na and j < nb:
+        v, y = values[i], dv[j]
+        if v <= y:
+            a = cdf[i]
+            i += 1
+        if y <= v:
+            v = y
+            b = dc[j]
+            j += 1
+        p = a * b
+        if p > 0.0 or out_c:
+            out_v.append(v)
+            out_c.append(p)
+    out_v += values[i:] or dv[j:]
+    out_c += cdf[i:] or dc[j:]
+    return out_v, out_c
+
+
+def _mean_from_cdf(values: list[float], cdf: list[float]) -> float:
+    """Mean of the distribution whose CDF at each of ``values`` is ``cdf``."""
+    acc = 0.0
+    prev = 0.0
+    for v, c in zip(values, cdf):
+        acc += v * (c - prev)
+        prev = c
+    return acc
 
 
 def inverse_cdf(dist: DiscreteDistribution, u: np.ndarray) -> np.ndarray:

@@ -16,8 +16,8 @@ and distributions only, so expected values are finite backward recursions.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -26,10 +26,10 @@ from .benchmarks import (
     ArrivalOrder,
     EvaluationResult,
     Instance,
-    ThresholdChoice,
     best_single_threshold,
-    prophet_value,
     ordered_dists,
+    prophet_value,
+    threshold_run_values,
 )
 from .densities import PIECE_ZERO, DensitySpec, density_cdf
 from .distributions import (
@@ -38,6 +38,7 @@ from .distributions import (
     expected_max_with,
     inverse_cdf,
     inverse_target,
+    suffix_expected_max,
 )
 
 TARGETED = "targeted"
@@ -121,7 +122,7 @@ def tvd_step(
         )
         return new, Decision(accept)
     g = inverse_target(box_dist, state.target)
-    future = _expected_max(remaining_dists)
+    future = suffix_expected_max(remaining_dists)[0]
     if g <= future:
         accept = realized_value >= g
         new = replace(
@@ -144,119 +145,102 @@ def tvd_step(
     return new, Decision(accept)
 
 
-def _expected_max(dists: Sequence[DiscreteDistribution]) -> float:
-    if not dists:
-        return 0.0
-    values: list[float] = []
-    cdf: list[float] = []
-    for d in dists:
-        values, cdf = _merge_max(values, cdf, d)
-    return _mean_from_cdf(values, cdf)
-
-
 # ---------------------------------------------------------------------------
-# Per-(instance, order) cached tables.
+# Per-order tables and the stage thresholds of each policy.
 
 
-class _OrderContext:
-    __slots__ = ("dists", "_emax_after", "_switch_taus", "instance", "order")
+class _OrderTables:
+    """Arrival-order tables shared by every evaluation on one (instance, order)."""
 
     def __init__(self, instance: Instance, order: ArrivalOrder):
         self.instance = instance
         self.order = order
         self.dists = ordered_dists(instance, order)
-        self._emax_after: tuple[float, ...] | None = None
-        self._switch_taus: dict[int, ThresholdChoice] = {}
+        self._switch_taus: dict[int, float] = {}
 
-    def emax_after(self) -> tuple[float, ...]:
+    @cached_property
+    def emax_after(self) -> list[float]:
         """emax_after[t] = E[max of boxes strictly after stage t]."""
-        if self._emax_after is None:
-            n = len(self.dists)
-            values: list[float] = []
-            cdf: list[float] = []
-            acc = [0.0] * (n + 1)
-            for t in range(n - 1, 0, -1):
-                values, cdf = _merge_max(values, cdf, self.dists[t])
-                acc[t - 1] = _mean_from_cdf(values, cdf)
-            self._emax_after = tuple(acc)
-        return self._emax_after
+        return suffix_expected_max(self.dists[1:])
 
-    def switch_tau(self, s: int) -> ThresholdChoice:
-        hit = self._switch_taus.get(s)
-        if hit is None:
-            hit = best_single_threshold(self.dists[s:])
-            self._switch_taus[s] = hit
-        return hit
+    def switch_tau(self, s: int) -> float:
+        """Best single threshold over the boxes from stage s on."""
+        tau = self._switch_taus.get(s)
+        if tau is None:
+            tau = self._switch_taus[s] = best_single_threshold(self.dists[s:]).tau
+        return tau
 
 
-def _order_context(instance: Instance, order: ArrivalOrder) -> _OrderContext:
-    key = ("ctx", order)
-    ctx = instance._memo.get(key)
-    if ctx is None:
-        ctx = _OrderContext(instance, order)
-        instance._memo[key] = ctx
-    return ctx
+# Only the most recent (instance, order) is kept: callers run every
+# evaluation of one order before moving to the next, so memory stays bounded
+# however many orders a run enumerates.  The tables are a function of the
+# immutable instance and order alone, so callers sharing the slot can only
+# change whether it hits, never a value.
+_recent: _OrderTables | None = None
 
 
-def _merge_max(
-    values: list[float], cdf: list[float], d: DiscreteDistribution
-) -> tuple[list[float], list[float]]:
-    """CDF of max(current, fresh draw from d); inputs are parallel lists."""
-    if not values:
-        return list(d.values), list(d._cdf_norm_list)
-    dv, dc = d.values, d._cdf_norm_list
-    out_v: list[float] = []
-    out_a: list[float] = []
-    out_b: list[float] = []
-    i = j = 0
-    na, nb = len(values), len(dv)
-    while i < na or j < nb:
-        if j >= nb or (i < na and values[i] < dv[j]):
-            v = values[i]
-        elif i >= na or dv[j] < values[i]:
-            v = dv[j]
-        else:
-            v = values[i]
-        if i < na and values[i] == v:
-            i += 1
-        if j < nb and dv[j] == v:
-            j += 1
-        out_v.append(v)
-        out_a.append(cdf[i - 1] if i > 0 else 0.0)
-        out_b.append(dc[j - 1] if j > 0 else 0.0)
-    merged = [a * b for a, b in zip(out_a, out_b)]
-    # Drop zero-probability lower tail to keep suffix supports small.
-    keep = 0
-    while keep + 1 < len(merged) and merged[keep] == 0.0:
-        keep += 1
-    return out_v[keep:], merged[keep:]
+def _order_tables(instance: Instance, order: ArrivalOrder) -> _OrderTables:
+    global _recent
+    tables = _recent
+    if tables is None or tables.instance is not instance or tables.order != order:
+        tables = _recent = _OrderTables(instance, order)
+    return tables
 
 
-def _mean_from_cdf(values: list[float], cdf: list[float]) -> float:
-    acc = 0.0
-    prev = 0.0
-    for v, c in zip(values, cdf):
-        acc += v * (c - prev)
-        prev = c
-    return acc
+class _Thresholds(NamedTuple):
+    per_stage: list[float]
+    targets: list[float]
+    switch_stage: int | None
+
+
+def _stage_thresholds(policy_kind: str, g0: float, tables: _OrderTables) -> _Thresholds:
+    """Acceptance threshold of each stage, with the targets walked to get there.
+
+    ``sta`` accepts at g0 at every stage.  ``tva`` accepts at each target of
+    the walk g_t = inverse_target(d_t, g_{t-1}).  ``tvd`` walks the same
+    targets until the first g_t above emax_after[t]; from that switch stage on
+    it accepts at the best single threshold over the remaining boxes.
+    """
+    if policy_kind not in EXACT_POLICIES:
+        raise PolicyError(f"unknown policy kind: {policy_kind!r}")
+    if not (g0 >= 0.0):
+        what = "threshold" if policy_kind == "sta" else "initial target"
+        raise ValueError(f"{what} must be >= 0: {g0!r}")
+    n = len(tables.dists)
+    if policy_kind == "sta":
+        return _Thresholds([g0] * n, [], None)
+    targets: list[float] = []
+    g = g0
+    for t, d in enumerate(tables.dists):
+        g = inverse_target(d, g)
+        targets.append(g)
+        if policy_kind == "tvd" and g > tables.emax_after[t]:
+            return _Thresholds(targets[:t] + [tables.switch_tau(t)] * (n - t), targets, t)
+    return _Thresholds(targets, targets, None)
 
 
 # ---------------------------------------------------------------------------
 # Exact policy values.
 
 
+def _exact(
+    policy_kind: str, instance: Instance, order: ArrivalOrder, g0: float
+) -> EvaluationResult:
+    tables = _order_tables(instance, order)
+    plan = _stage_thresholds(policy_kind, g0, tables)
+    switch = plan.switch_stage
+    return EvaluationResult(
+        policy_kind,
+        threshold_run_values(tables.dists, plan.per_stage),
+        targets=tuple(plan.targets),
+        switch_stage=switch,
+        threshold=None if switch is None else plan.per_stage[switch],
+    )
+
+
 def tva_exact(instance: Instance, order: ArrivalOrder, g0: float) -> EvaluationResult:
     """Exact expected value of the targeted policy started at target g0."""
-    if not (g0 >= 0.0):
-        raise ValueError(f"initial target must be >= 0: {g0!r}")
-    ctx = _order_context(instance, order)
-    targets = _target_walk(ctx.dists, g0)
-    stages = [0.0]
-    acc = 0.0
-    for t in range(len(ctx.dists) - 1, -1, -1):
-        acc = _accept_at(ctx.dists[t], targets[t], acc)
-        stages.append(acc)
-    return EvaluationResult("tva", tuple(reversed(stages)), targets=tuple(targets))
+    return _exact("tva", instance, order, g0)
 
 
 def tvd_exact(instance: Instance, order: ArrivalOrder, g0: float) -> EvaluationResult:
@@ -267,59 +251,7 @@ def tvd_exact(instance: Instance, order: ArrivalOrder, g0: float) -> EvaluationR
     switch stage depends only on the target walk and the distributions, so
     the whole evaluation stays an exact backward recursion.
     """
-    if not (g0 >= 0.0):
-        raise ValueError(f"initial target must be >= 0: {g0!r}")
-    ctx = _order_context(instance, order)
-    dists = ctx.dists
-    n = len(dists)
-    emax_after = ctx.emax_after()
-    targets: list[float] = []
-    g = g0
-    switch: int | None = None
-    for t in range(n):
-        g = inverse_target(dists[t], g)
-        targets.append(g)
-        if g > emax_after[t]:
-            switch = t
-            break
-    if switch is None:
-        stages = [0.0]
-        acc = 0.0
-        for t in range(n - 1, -1, -1):
-            acc = _accept_at(dists[t], targets[t], acc)
-            stages.append(acc)
-        return EvaluationResult("tvd", tuple(reversed(stages)), targets=tuple(targets))
-    choice = ctx.switch_tau(switch)
-    stages = [0.0]
-    acc = 0.0
-    for t in range(n - 1, switch - 1, -1):
-        acc = _accept_at(dists[t], choice.tau, acc)
-        stages.append(acc)
-    for t in range(switch - 1, -1, -1):
-        acc = _accept_at(dists[t], targets[t], acc)
-        stages.append(acc)
-    return EvaluationResult(
-        "tvd",
-        tuple(reversed(stages)),
-        targets=tuple(targets),
-        switch_stage=switch,
-        threshold=choice.tau,
-    )
-
-
-def _target_walk(dists: Sequence[DiscreteDistribution], g0: float) -> list[float]:
-    out = []
-    g = g0
-    for d in dists:
-        g = inverse_target(d, g)
-        out.append(g)
-    return out
-
-
-def _accept_at(d: DiscreteDistribution, threshold: float, continuation: float) -> float:
-    """One backward step: accept v >= threshold, else keep the continuation."""
-    idx = bisect_left(d.values, threshold)
-    return d.tail_mean[idx] + d.head_mass[idx] * continuation
+    return _exact("tvd", instance, order, g0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +275,12 @@ def sample_runs(
     above its stage's threshold.  For ``sta`` the parameter ``g0`` is the
     fixed acceptance threshold.
     """
-    if policy_kind not in EXACT_POLICIES:
-        raise PolicyError(f"unknown policy kind: {policy_kind!r}")
-    dists = ordered_dists(instance, order)
-    thresholds = _stage_thresholds(policy_kind, g0, dists)
-    u = rng.random((runs, len(dists)))
+    tables = _order_tables(instance, order)
+    thresholds = _stage_thresholds(policy_kind, g0, tables).per_stage
+    u = rng.random((runs, len(tables.dists)))
     taken = np.zeros(runs)
     open_rows = np.arange(runs)
-    for t, (d, threshold) in enumerate(zip(dists, thresholds)):
+    for t, (d, threshold) in enumerate(zip(tables.dists, thresholds)):
         values = inverse_cdf(d, u[open_rows, t])
         accept = values >= threshold
         taken[open_rows[accept]] = values[accept]
@@ -369,25 +299,6 @@ def run_policy_sampled(
     return float(sample_runs(policy_kind, g0, instance, order, rng, 1)[0])
 
 
-def _stage_thresholds(
-    policy_kind: str, g0: float, dists: Sequence[DiscreteDistribution]
-) -> list[float]:
-    """Acceptance threshold of each stage, from a step-machine run that never accepts."""
-    if policy_kind == "sta":
-        if not (g0 >= 0.0):
-            raise ValueError(f"threshold must be >= 0: {g0!r}")
-        return [g0] * len(dists)
-    state = PolicyState.initial(g0)
-    out = []
-    for i, d in enumerate(dists):
-        if policy_kind == "tva":
-            state, _ = tva_step(state, d, -math.inf)
-        else:
-            state, _ = tvd_step(state, d, dists[i + 1 :], -math.inf)
-        out.append(state.threshold if state.mode == CONSERVATIVE else state.target)
-    return out
-
-
 def value_cuts(
     instance: Instance, order: ArrivalOrder, policy_kind: str, top: float
 ) -> list[float]:
@@ -404,13 +315,13 @@ def value_cuts(
     """
     if policy_kind not in ("tva", "tvd"):
         raise ValueError(f"value profile needs tva or tvd, got {policy_kind!r}")
-    ctx = _order_context(instance, order)
+    tables = _order_tables(instance, order)
     levels: set[float] = set()
-    for t in range(len(ctx.dists) - 1, -1, -1):
-        d = ctx.dists[t]
+    for t in range(len(tables.dists) - 1, -1, -1):
+        d = tables.dists[t]
         levels.update(d.values)
         if policy_kind == "tvd":
-            switch_level = ctx.emax_after()[t]
+            switch_level = tables.emax_after[t]
             levels = {y for y in levels if y <= switch_level}
             levels.add(switch_level)
         pulled = (expected_max_with(d, y) + TARGET_SLACK for y in levels if y < top)

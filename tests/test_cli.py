@@ -375,6 +375,14 @@ class TestHardnessCommand:
         assert code == 3
         assert "violation" in capsys.readouterr().err
 
+    def test_numerical_failure_exits_4(self, monkeypatch, capsys):
+        def failing(lp):
+            raise ArithmeticError("solution fails post-check, residual 1e-03")
+
+        monkeypatch.setattr(cli, "simplex_solve", failing)
+        assert main(["hardness"]) == 4
+        assert "post-check" in capsys.readouterr().err
+
     def test_rejects_bad_lp_step(self):
         assert main(["hardness", "--lp-step", "0.2"]) == 2
         assert main(["hardness", "--lp-step", "0"]) == 2

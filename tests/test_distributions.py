@@ -183,6 +183,43 @@ class TestMaxDistribution:
         assert math.fsum(md.probs) == pytest.approx(1.0, abs=1e-12)
 
 
+def cdf_product_atoms(dists):
+    """Atoms of the max from the product of normalised CDFs over the union support."""
+    union = np.unique(np.concatenate([np.asarray(d.values) for d in dists]))
+    prod = np.ones(len(union))
+    for d in dists:
+        cum = np.cumsum(np.asarray(d.probs))
+        idx = np.searchsorted(np.asarray(d.values), union, side="right")
+        prod *= np.concatenate(([0.0], cum / cum[-1]))[idx]
+    pmf = np.diff(prod, prepend=0.0)
+    return tuple((float(v), float(p)) for v, p in zip(union.tolist(), pmf.tolist()) if p > 0.0)
+
+
+def dist_with_zero(max_atoms: int = 4):
+    """Like dist_strategy, but atoms at 0 are common."""
+    value = st.one_of(
+        st.just(0.0), st.floats(0.0, 10.0, allow_nan=False, allow_subnormal=False)
+    )
+
+    def build(values, weights):
+        values = sorted(set(values))
+        total = sum(weights[: len(values)])
+        return DiscreteDistribution(tuple((v, w / total) for v, w in zip(values, weights)))
+
+    return st.builds(
+        build,
+        st.lists(value, min_size=1, max_size=max_atoms),
+        st.lists(st.floats(0.05, 1.0), min_size=max_atoms, max_size=max_atoms),
+    )
+
+
+class TestMaxDistributionFold:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(dist_with_zero(), min_size=2, max_size=6))
+    def test_equals_cdf_product_exactly(self, dists):
+        assert max_distribution(dists).atoms == cdf_product_atoms(dists)
+
+
 class TestSample:
     def test_degenerate(self):
         seven = DiscreteDistribution(((7.0, 1.0),))

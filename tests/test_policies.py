@@ -33,8 +33,9 @@ from ocselect import (
     tvd_step,
     value_cuts,
 )
+from ocselect import policies
 from ocselect.densities import PHI
-from ocselect.distributions import sample
+from ocselect.distributions import TARGET_SLACK, inverse_target, sample
 from ocselect.policies import CONSERVATIVE, TARGETED, TERMINATED
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
@@ -42,6 +43,7 @@ DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 RISKY = DiscreteDistribution(((0.0, 0.5), (2.0, 0.5)))
 UNIT = DiscreteDistribution(((1.0, 1.0),))
 COIN = DiscreteDistribution(((0.0, 0.5), (1.0, 0.5)))
+ZERO = DiscreteDistribution(((0.0, 1.0),))
 A = Box("A", UNIT)
 B = Box("B", RISKY)
 AB = Instance((A, B))
@@ -99,6 +101,43 @@ class TestTvdStep:
         assert follow.mode == CONSERVATIVE
         assert follow.threshold == state.threshold
         assert not decision.accept
+
+
+def through_zero_box(level: float) -> float:
+    """A target that inverse_target on a point mass at 0 lowers to exactly ``level``."""
+    g = level + TARGET_SLACK
+    while inverse_target(ZERO, g) < level:
+        g = math.nextafter(g, math.inf)
+    while inverse_target(ZERO, g) > level:
+        g = math.nextafter(g, -math.inf)
+    assert inverse_target(ZERO, g) == level
+    return g
+
+
+class TestStepAgreesWithEvaluator:
+    def test_tvd_step_switches_exactly_above_emax_after(self):
+        # tvd_step must compare its target against the same E[max of the
+        # boxes still to come] as tvd_exact, bit for bit; otherwise a target
+        # between the two switches at different stages when sampled.  A point
+        # mass at 0 in front of the remaining boxes lowers a target to any
+        # chosen level, so the step is probed at emax_after[t] itself (a tie
+        # stays targeted) and at the next level above it (which switches).
+        rng = np.random.default_rng(3)
+        stages = 0
+        for _ in range(300):
+            inst = random_instance(rng, int(rng.integers(2, 7)))
+            dists = inst.dists
+            emax_after = policies._order_tables(inst, inst.ids).emax_after
+            for t, level in enumerate(emax_after):
+                stages += 1
+                g = through_zero_box(level)
+                above = math.nextafter(g, math.inf)
+                while inverse_target(ZERO, above) == level:
+                    above = math.nextafter(above, math.inf)
+                for g0, switches in ((g, False), (above, True)):
+                    state, _ = tvd_step(PolicyState.initial(g0), ZERO, dists[t + 1 :], -math.inf)
+                    assert (state.mode == CONSERVATIVE) == switches, (t, level)
+        assert stages == 1206
 
 
 class TestTvaExact:
