@@ -140,11 +140,6 @@ def prophet_value(instance: Instance) -> float:
     return instance.max_dist.mean
 
 
-def instance_max_distribution(instance: Instance) -> DiscreteDistribution:
-    """Distribution of the maximum over all boxes (cached on the instance)."""
-    return instance.max_dist
-
-
 def threshold_run_values(
     dists: Sequence[DiscreteDistribution], thresholds: Sequence[float]
 ) -> tuple[float, ...]:

@@ -109,6 +109,20 @@ class TestEvalCommand:
             assert float(row["ratio"]) >= 1.0 - 1e-9
             assert float(row["ratio"]) <= 1.0 + 1e-9
 
+    def test_opt_target_computes_each_optimum_once(self, monkeypatch, capsys):
+        calls = []
+        exact = cli.opt_online
+
+        def counted(instance, order):
+            calls.append(order)
+            return exact(instance, order)
+
+        monkeypatch.setattr(cli, "opt_online", counted)
+        code = main(["eval", "--instance", FOUR_BOX, "--policy", "tva", "--g0", "opt"])
+        assert code == 0
+        assert len(read_rows(capsys.readouterr().out)) == 24
+        assert len(calls) == 24
+
     def test_single_box_is_trivial(self, capsys, tmp_path):
         path = write_instance(tmp_path, "one.json", [{"id": "only", "atoms": [[1.0, 1.0]]}])
         code = main(["eval", "--instance", path, "--policy", "tva", "--g0", "0"])
@@ -310,6 +324,19 @@ class TestEvalValidation:
         assert code == 2
         assert "outside [0, 1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--instance", TWO_BOX, "--policy", "tva", "--g0", "auto"],
+            ["hardness"],
+        ],
+    )
+    def test_unwritable_out_is_validation_error(self, argv, capsys, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_required_flag_is_usage_error(self):
         assert main(["eval", "--instance", TWO_BOX]) == 1
 
@@ -374,6 +401,13 @@ class TestHardnessCommand:
         code = main(["hardness", "--inject-certificate-error", "1e-3"])
         assert code == 3
         assert "violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", ["nan", "inf"])
+    def test_non_finite_injected_error_rejected(self, error, capsys):
+        assert main(["hardness", "--inject-certificate-error", error]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
 
     def test_numerical_failure_exits_4(self, monkeypatch, capsys):
         def failing(lp):
@@ -506,6 +540,12 @@ class TestSimulateCommand:
         assert out.read_text().splitlines()[1] == (
             "100000,2.40002,2.4,0.0012832211277,0.015585778295"
         )
+
+    @pytest.mark.parametrize("runs", ["1", "0"])
+    def test_runs_below_two_rejected(self, runs, capsys):
+        argv = ["simulate", "--instance", TWO_BOX, "--policy", "tva", "--g0", "0"]
+        assert main(argv + ["--runs", runs, "--seed", "3"]) == 2
+        assert "--runs" in capsys.readouterr().err
 
     def test_seed_required_at_parser_level(self):
         code = main(["simulate", "--instance", TWO_BOX, "--policy", "tva", "--g0", "0"])
