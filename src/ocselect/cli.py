@@ -8,8 +8,8 @@ Subcommands:
                       analytic upper-bound certificates.
 * ``simulate``        Monte Carlo replay of a policy on one order, with a
                       z-score against the exact evaluator.
-* ``verify-density``  normalization and guarantee scan for the built-in
-                      starting-target densities.
+* ``verify-density``  normalization and certified guarantee ratio of the
+                      built-in starting-target densities.
 
 Exit codes: 0 success, 1 usage error, 2 validation error (bad file, bad
 combination of flags, refused enumeration), 3 certificate violation,
@@ -44,10 +44,8 @@ from .benchmarks import (
     sta_exact,
 )
 from .densities import (
-    DensitySpec,
     ENVELOPE_TVA,
     ENVELOPE_TVD,
-    MIN_VERIFY_GRID,
     PHI,
     rho_656,
     rho_732,
@@ -55,9 +53,9 @@ from .densities import (
     integrate_weighted,
 )
 from .hardness import (
-    MIN_DUAL_GRID,
     build_primal_general,
     build_primal_tvd,
+    primal_tableau_mb,
     solve_c_detection,
     verify_dual_general,
     verify_dual_tvd,
@@ -86,8 +84,9 @@ SIMULATION_CHUNK = 10_000
 CERTIFICATE_TOL = 1e-8
 RATIO_SLACK = 1e-9
 
-DEFAULT_DENSITY_GRID = 2001
 DEFAULT_LP_STEP = 0.02
+# --refine --lp-step 0.001 needs 93.5 MB at its finest step.
+MAX_TABLEAU_MB = 128.0
 
 
 class CliValidationError(ValueError):
@@ -132,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_hard = sub.add_parser("hardness", help="finite programs and dual certificates")
     p_hard.set_defaults(run=cmd_hardness)
     p_hard.add_argument("--lp-step", type=float, default=DEFAULT_LP_STEP)
-    p_hard.add_argument("--dual-grid", type=int, default=MIN_DUAL_GRID)
     p_hard.add_argument(
         "--refine",
         action="store_true",
@@ -164,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dens = sub.add_parser("verify-density", help="check the built-in densities")
     p_dens.set_defaults(run=cmd_verify_density)
     p_dens.add_argument("--density", choices=("656", "732", "both"), default="both")
-    p_dens.add_argument("--grid", type=int, default=DEFAULT_DENSITY_GRID)
     p_dens.add_argument("--out", default=None)
 
     return parser
@@ -289,33 +286,28 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_hardness(args: argparse.Namespace) -> int:
-    if args.dual_grid < MIN_DUAL_GRID:
-        raise CliValidationError(f"--dual-grid must be at least {MIN_DUAL_GRID}")
     if not (0.0 < args.lp_step <= 0.1):
         raise CliValidationError("--lp-step must be in (0, 0.1]")
+    steps = [args.lp_step / k for k in ((1, 2, 4) if args.refine else (1,))]
+    tableau_mb = primal_tableau_mb(steps[-1])
+    if not tableau_mb <= MAX_TABLEAU_MB:
+        raise CliValidationError(
+            f"--lp-step needs a {tableau_mb:.4g} MB tableau, over the {MAX_TABLEAU_MB:g} MB cap"
+        )
     inject = args.inject_certificate_error
     if not math.isfinite(inject):
         raise CliValidationError("--inject-certificate-error must be finite")
     rows: list[list[str]] = []
     exit_code = EXIT_OK
 
-    general = verify_dual_general(args.dual_grid, inject_error=inject)
-    rows.append(
-        ["general-dual", str(args.dual_grid)]
-        + [_fmt(general.objective), _fmt(general.max_violation)]
-    )
-    detection = verify_dual_tvd(args.dual_grid, inject_error=inject)
-    rows.append(
-        ["detection-dual", str(args.dual_grid)]
-        + [_fmt(detection.objective), _fmt(detection.max_violation)]
-    )
-    for report in (general.max_violation, detection.max_violation):
-        if report > CERTIFICATE_TOL:
+    for name, report in (
+        ("general-dual", verify_dual_general(inject_error=inject)),
+        ("detection-dual", verify_dual_tvd(inject_error=inject)),
+    ):
+        rows.append([name, "", _fmt(report.objective), _fmt(report.max_violation)])
+        if not (report.max_violation <= CERTIFICATE_TOL):
             exit_code = EXIT_CERTIFICATE
 
-    steps = [args.lp_step]
-    if args.refine:
-        steps += [args.lp_step / 2.0, args.lp_step / 4.0]
     c_det = solve_c_detection()
     for step in steps:
         general = simplex_solve(build_primal_general(step))
@@ -327,10 +319,8 @@ def cmd_hardness(args: argparse.Namespace) -> int:
 
     _write_csv(args.out, ("bound", "grid", "value", "residual"), rows)
     for row in rows:
-        print(
-            f"{row[0]} (grid {row[1]}): value {row[2]}, residual {row[3]}",
-            file=_summary_stream(args.out),
-        )
+        grid = f" (grid {row[1]})" if row[1] else ""
+        print(f"{row[0]}{grid}: value {row[2]}, residual {row[3]}", file=_summary_stream(args.out))
     if exit_code == EXIT_CERTIFICATE:
         print("certificate violation detected", file=sys.stderr)
     return exit_code
@@ -380,41 +370,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_density(args: argparse.Namespace) -> int:
-    if args.grid < MIN_VERIFY_GRID:
-        raise CliValidationError(f"--grid must be at least {MIN_VERIFY_GRID}")
-    picks: list[tuple[str, DensitySpec, str]] = []
-    if args.density in ("656", "both"):
-        picks.append(("rho-656", rho_656(), ENVELOPE_TVA))
-    if args.density in ("732", "both"):
-        picks.append(("rho-732", rho_732(), ENVELOPE_TVD))
+    picks = {"656": (rho_656(), ENVELOPE_TVA), "732": (rho_732(), ENVELOPE_TVD)}
+    keys = picks if args.density == "both" else [args.density]
     rows: list[list[str]] = []
     exit_code = EXIT_OK
-    for name, spec, envelope in picks:
+    for spec, envelope in (picks[key] for key in keys):
         mass_residual = integrate_weighted(spec, "one", 0.5, 1.0) - 1.0
-        check = verify_guarantee(spec, envelope, y_grid=args.grid)
+        check = verify_guarantee(spec, envelope)
         assert spec.gamma is not None and spec.c is not None
-        if check.min_ratio < spec.gamma - 1e-6 or abs(mass_residual) > CERTIFICATE_TOL:
+        # Written as "not within bounds" so that a NaN reads as a violation.
+        if not (check.min_ratio >= spec.gamma - 1e-6 and abs(mass_residual) <= CERTIFICATE_TOL):
             exit_code = EXIT_CERTIFICATE
-        rows.append(
-            [
-                name,
-                _fmt(spec.c),
-                _fmt(spec.gamma),
-                str(args.grid),
-                _fmt(check.min_ratio),
-                _fmt(check.argmin_y),
-                _fmt(mass_residual),
-            ]
-        )
+        values = (spec.c, spec.gamma, check.min_ratio, check.argmin_y, mass_residual)
+        rows.append([spec.name] + [_fmt(v) for v in values])
 
     _write_csv(
-        args.out,
-        ("density", "c", "gamma", "grid", "min_ratio", "argmin_y", "mass_residual"),
-        rows,
+        args.out, ("density", "c", "gamma", "min_ratio", "argmin_y", "mass_residual"), rows
     )
     for row in rows:
         print(
-            f"{row[0]}: gamma {row[2]}, scanned min ratio {row[4]} at y={row[5]}",
+            f"{row[0]}: gamma {row[2]}, min ratio {row[3]} at y={row[4]}",
             file=_summary_stream(args.out),
         )
     if exit_code == EXIT_CERTIFICATE:

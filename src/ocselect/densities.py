@@ -7,7 +7,8 @@ which makes every integral used in verification available analytically.
 
 The constants c (left edge of the positive part) and gamma (the ratio the
 density certifies) come from one-dimensional root finding; the defining
-residual equations are monotone on the documented brackets.
+residual equations are monotone on the documented brackets.  The guarantee
+check takes its minimum at a handful of breakpoints, with no grid.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 ROOT_TOL = 1e-12
 NORMALIZATION_TOL = 1e-8
 EDGE_TOL = 1e-12
-MIN_VERIFY_GRID = 1000
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -37,7 +37,13 @@ WEIGHT_X = "x"
 WEIGHT_ONE_MINUS_X = "one_minus_x"
 WEIGHT_HALF_X = "half_x"
 
-_WEIGHTS = (WEIGHT_ONE, WEIGHT_X, WEIGHT_ONE_MINUS_X, WEIGHT_HALF_X)
+# Each weight's value at x, which is also its integral against a point mass at x.
+_WEIGHTS = {
+    WEIGHT_ONE: lambda x: 1.0,
+    WEIGHT_X: lambda x: x,
+    WEIGHT_ONE_MINUS_X: lambda x: 1.0 - x,
+    WEIGHT_HALF_X: lambda x: x / 2.0,
+}
 
 ENVELOPE_TVA = "tva"
 ENVELOPE_TVD = "tvd"
@@ -224,19 +230,9 @@ def integrate_weighted(spec: DensitySpec, weight: str, lo: float, hi: float) -> 
         raise ValueError(f"unknown weight: {weight!r}")
     if spec.point_mass is not None:
         if lo <= spec.point_mass <= hi:
-            return _weight_value(weight, spec.point_mass)
+            return _WEIGHTS[weight](spec.point_mass)
         return 0.0
     return sum(_piece_integral(p, weight, lo, hi) for p in spec.pieces)
-
-
-def _weight_value(weight: str, x: float) -> float:
-    if weight == WEIGHT_ONE:
-        return 1.0
-    if weight == WEIGHT_X:
-        return x
-    if weight == WEIGHT_ONE_MINUS_X:
-        return 1.0 - x
-    return x / 2.0
 
 
 def density_pdf(spec: DensitySpec, x: float) -> float:
@@ -292,13 +288,16 @@ def sample_density(spec: DensitySpec, rng: np.random.Generator) -> float:
     return density_ppf(spec, rng.random())
 
 
+def _floor(envelope: str, x: float) -> float:
+    """What an overestimated target x still delivers, as a fraction of the optimum."""
+    return 1.0 - x if envelope == ENVELOPE_TVA else max(1.0 - x, x / 2.0)
+
+
 def _envelope_integral(spec: DensitySpec, envelope: str, y: float) -> float:
     """∫ over x ≤ y of x ρ plus ∫ over x > y of the overestimation floor."""
     if spec.point_mass is not None:
         x = spec.point_mass
-        if x <= y:
-            return x
-        return 1.0 - x if envelope == ENVELOPE_TVA else max(1.0 - x, x / 2.0)
+        return x if x <= y else _floor(envelope, x)
     taken = integrate_weighted(spec, WEIGHT_X, 0.5, y)
     if envelope == ENVELOPE_TVA:
         return taken + integrate_weighted(spec, WEIGHT_ONE_MINUS_X, y, 1.0)
@@ -310,23 +309,39 @@ def _envelope_integral(spec: DensitySpec, envelope: str, y: float) -> float:
     )
 
 
-def verify_guarantee(spec: DensitySpec, lower_envelope: str, y_grid: int) -> GuaranteeCheck:
-    """Minimum over y of (certified lower bound at y) / y.
+def verify_guarantee(spec: DensitySpec, lower_envelope: str) -> GuaranteeCheck:
+    """Infimum over y in [1/2, 1] of (certified lower bound at y) / y.
 
-    y ranges over [1/2, 1] (the scaled online optimum).  For x ≤ y the run
-    is consistent and delivers x; beyond y the overestimation floor applies:
-    1-x for the plain targeted policy, max(x/2, 1-x) for the detecting one.
-    All integrals are closed-form; the grid only scans the ratio.
+    y is the scaled online optimum.  A draw x ≤ y delivers x; beyond y the
+    overestimation floor applies: 1-x under tva, max(1-x, x/2) under tvd.
+    With F(y) that bound, F' = (2y-1)ρ, or (y/2)ρ above 2/3 under tvd, and
+    (F/y)' has the sign of G = yF' - F, where G' = yF''.  Per piece, cut at
+    2/3 under tvd: a zero piece keeps F constant, so F/y falls; coef/(2y-1)
+    below the cut and coef/y above it make F affine, so F/y is monotone;
+    coef/(2y-1) above 2/3 has F'' < 0, so F/y rises, then falls; coef/y
+    below the cut has F'' > 0, so F/y falls, then rises, bottoming out at
+    yF' = F, y* = lo exp(F(lo)/coef - 2 lo + 1).  F is continuous, so the
+    minimum is at 1/2, 1, a piece edge, 2/3 (tvd) or a y* inside its piece.
+    A point mass p makes F/y fall on [1/2, p) and on [p, 1]: the infimum is
+    at 1/2, at 1, or the left limit floor(p)/p at y = p, never attained.
     """
     if lower_envelope not in (ENVELOPE_TVA, ENVELOPE_TVD):
         raise ValueError(f"unknown envelope: {lower_envelope!r}")
-    if y_grid < MIN_VERIFY_GRID:
-        raise ValueError(f"need at least {MIN_VERIFY_GRID} grid points")
-    best = math.inf
-    best_y = 0.5
-    for y in np.linspace(0.5, 1.0, y_grid):
-        ratio = _envelope_integral(spec, lower_envelope, float(y)) / float(y)
-        if ratio < best:
-            best = ratio
-            best_y = float(y)
-    return GuaranteeCheck(best, best_y)
+    cut = 2.0 / 3.0 if lower_envelope == ENVELOPE_TVD else 1.0
+    ys = {0.5, 1.0, cut}
+    for piece in spec.pieces:
+        ys.update((piece.lo, piece.hi))
+        if piece.kind == PIECE_INV and piece.lo < cut:
+            f_lo = _envelope_integral(spec, lower_envelope, piece.lo)
+            y_star = piece.lo * math.exp(f_lo / piece.coefficient - 2.0 * piece.lo + 1.0)
+            if piece.lo < y_star < min(piece.hi, cut):
+                ys.add(y_star)
+    candidates = [
+        (_envelope_integral(spec, lower_envelope, y) / y, y)
+        for y in sorted(min(max(y, 0.5), 1.0) for y in ys)
+    ]
+    p = spec.point_mass
+    if p is not None and p > 0.5:
+        candidates.append((_floor(lower_envelope, p) / p, p))
+    # argmin of an array holding a NaN is the NaN, so a NaN ratio is reported.
+    return GuaranteeCheck(*candidates[int(np.argmin([ratio for ratio, _ in candidates]))])

@@ -10,7 +10,7 @@ caps the detecting targeted policy near 0.7582.
 Each family ships three things: instance/order builders for end-to-end
 policy evaluation, a finite LP whose optimum upper-bounds the achievable
 ratio on the family, and an analytic dual certificate whose feasibility is
-re-verified numerically rather than trusted.
+re-checked, not trusted, at the breakpoints of its piecewise linear constraints.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .benchmarks import ArrivalOrder, Box, Instance
 from .densities import PHI, bisect_decreasing
 from .distributions import DiscreteDistribution
@@ -26,7 +28,6 @@ from .policies import tvd_exact
 from .simplex import FiniteLP
 
 GRID_MATCH_TOL = 1e-9
-MIN_DUAL_GRID = 10**4
 
 SQRT5 = math.sqrt(5.0)
 
@@ -123,6 +124,24 @@ def general_opt_prediction(hard: GeneralHardInstance, x: float) -> float:
     return 1.0 + (1.0 - hard.delta) * hard.grid[j + 1]
 
 
+def _general_cells(grid_step: float) -> int:
+    cells = (PHI - 1.0) / grid_step if 0.0 < grid_step < PHI - 1.0 else math.nan
+    if not math.isfinite(cells):
+        raise HardnessParameterError(f"grid_step must be in (0, phi-1): {grid_step!r}")
+    return max(1, round(cells))
+
+
+def primal_tableau_mb(grid_step: float) -> float:
+    """MB of simplex_solve's tableau for build_primal_general(grid_step).
+
+    cells+3 rows, each with a slack, over cells+2 variables, plus the cost row
+    and the rhs column; no rhs is negative, so there is no artificial column.
+    The detection program has fewer cells at any step, since 1-c < phi-1.
+    """
+    cells = float(_general_cells(grid_step))
+    return (cells + 4.0) * (2.0 * cells + 6.0) * 8.0 / 2**20
+
+
 def build_primal_general(grid_step: float) -> FiniteLP:
     """Finite acceptance-probability program for the general family.
 
@@ -130,9 +149,7 @@ def build_primal_general(grid_step: float) -> FiniteLP:
     free-last order; each ladder x adds the free-after-x order; the final
     row caps total acceptance probability at one.
     """
-    if not (0.0 < grid_step < PHI - 1.0):
-        raise HardnessParameterError(f"grid_step must be in (0, phi-1): {grid_step!r}")
-    cells = max(1, round((PHI - 1.0) / grid_step))
+    cells = _general_cells(grid_step)
     step = (PHI - 1.0) / cells
     grid = [PHI - j * step for j in range(cells + 1)]
     grid[-1] = 1.0
@@ -171,30 +188,26 @@ class GeneralDualReport(NamedTuple):
     certificate: DualCertificate
 
 
-def verify_dual_general(grid: int, inject_error: float = 0.0) -> GeneralDualReport:
+def verify_dual_general(inject_error: float = 0.0) -> GeneralDualReport:
     """Check the exponential dual certificate for the general family.
 
     The certificate is mu = K e and lam(y) = K e^y on [1, phi] with
-    K = (sqrt(5)-1) / (3e - sqrt(5) e + 2 e^phi).  Both constraint families
-    are evaluated with analytic antiderivatives on a grid of [1, phi]:
-    the normalization row phi mu + int lam(y)(y+1) dy >= 1 and, for each x,
-    mu (x-1) + int_1^x lam(y)(x-y-1) dy <= 0.  ``inject_error`` shifts mu
-    upward; it exists so negative tests can watch verification fail.
+    K = (sqrt(5)-1) / (3e - sqrt(5) e + 2 e^phi).  By analytic antiderivatives
+    it must satisfy phi mu + int lam(y)(y+1) dy >= 1 and, for each x in
+    [1, phi], mu (x-1) + int_1^x lam(y)(x-y-1) dy = (mu - K e)(x-1) <= 0,
+    which is linear in x and so checked at x = 1 and x = phi.
+    ``inject_error`` shifts mu upward so negative tests can watch it fail.
     """
-    if grid < MIN_DUAL_GRID:
-        raise ValueError(f"need at least {MIN_DUAL_GRID} grid points")
     k_const = (SQRT5 - 1.0) / (3.0 * math.e - SQRT5 * math.e + 2.0 * math.exp(PHI))
     mu = k_const * math.e + inject_error
     # int_1^phi e^y (y+1) dy = [y e^y] = phi e^phi - e
     weighted_tail = k_const * (PHI * math.exp(PHI) - math.e)
     objective = mu + weighted_tail
     normalization = PHI * mu + weighted_tail
-    worst = max(0.0, 1.0 - normalization)
-    for i in range(grid):
-        x = 1.0 + (PHI - 1.0) * i / (grid - 1)
-        # int_1^x e^y (x-y-1) dy = [e^y (x-y)] = -e (x-1)
-        lhs = mu * (x - 1.0) - k_const * math.e * (x - 1.0)
-        worst = max(worst, lhs)
+    # int_1^x e^y (x-y-1) dy = [e^y (x-y)] = -e (x-1)
+    ladder = [mu * (x - 1.0) - k_const * math.e * (x - 1.0) for x in (1.0, PHI)]
+    # np.max propagates a NaN, so a NaN constraint reads as a violation.
+    worst = float(np.max([1.0 - normalization] + ladder))
     certificate = DualCertificate(
         mu=mu,
         bound=objective,
@@ -351,19 +364,20 @@ class TvdDualReport(NamedTuple):
     certificate: DualCertificate
 
 
-def verify_dual_tvd(grid: int, inject_error: float = 0.0) -> TvdDualReport:
+def verify_dual_tvd(inject_error: float = 0.0) -> TvdDualReport:
     """Re-derive and check the two-piece dual certificate for detection.
 
     lam is a/x^2 on [2c-1, 1-c) and b/(1-c) on [1-c, c].  (a, b) solve the
-    2x2 linear system: total lam mass equals b, and the (1-c+x)-weighted
+    2x2 linear system: total lam mass T equals b, and the (1-c+x)-weighted
     mass equals one; both coefficient rows are analytic integrals.  The
-    certificate is then checked on a y-grid of [c, 1]: for every y,
-    y * (lam mass above y-(1-c)) + max(1-c, y-(1-c)) * (lam mass below)
-    must stay at or below mu = c * (total lam mass).  ``inject_error``
-    lowers mu so negative tests can watch verification fail.
+    certificate must then satisfy, for every y in [c, 1] with z = y-(1-c),
+    y * (lam mass above z) + max(1-c, z) * (lam mass below z) <= mu =
+    c * T.  With B(z) the mass below z, the left side is (z+1-c) T - z B(z)
+    on [2c-1, 1-c], where z B(z) = a z/(2c-1) - a, and (z+1-c) T - (1-c) B(z)
+    on [1-c, c], where B is affine.  Both are linear in z, so the maximum
+    is at y = c, 2-2c or 1.  ``inject_error`` lowers mu so negative tests
+    can watch it fail.
     """
-    if grid < MIN_DUAL_GRID:
-        raise ValueError(f"need at least {MIN_DUAL_GRID} grid points")
     c = solve_c_detection()
     lo = 2.0 * c - 1.0
     mid = 1.0 - c
@@ -380,24 +394,18 @@ def verify_dual_tvd(grid: int, inject_error: float = 0.0) -> TvdDualReport:
     total_mass = a * a11 + b * (2.0 * c - 1.0) / mid
     mu = c * total_mass - inject_error
 
-    def mass_below(z: float) -> float:
-        """integral of lam over [2c-1, z]."""
-        if z <= lo:
-            return 0.0
-        if z < mid:
-            return a * (1.0 / lo - 1.0 / z)
-        return a * a11 + b * (min(z, c) - mid) / mid
-
-    worst = 0.0
-    for i in range(grid):
-        y = c + (1.0 - c) * i / (grid - 1)
+    def violation(y: float) -> float:
         z = y - (1.0 - c)
-        below = mass_below(z)
-        above = total_mass - below
-        lhs = y * above + max(1.0 - c, z) * below
-        worst = max(worst, lhs - mu)
+        below = 0.0  # integral of lam over [2c-1, z]
+        if lo < z < mid:
+            below = a * (1.0 / lo - 1.0 / z)
+        elif z >= mid:
+            below = a * a11 + b * (min(z, c) - mid) / mid
+        return y * (total_mass - below) + max(1.0 - c, z) * below - mu
+
     normalization = a * a21 + b * a22
-    worst = max(worst, 1.0 - normalization)
+    # np.max propagates a NaN, so a NaN constraint reads as a violation.
+    worst = float(np.max([violation(y) for y in (c, 2.0 - 2.0 * c, 1.0)] + [1.0 - normalization]))
 
     def lam(x: float) -> float:
         if x < mid:

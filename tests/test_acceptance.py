@@ -175,7 +175,7 @@ class TestCriterion4RandomizedGuarantees:
             assert spec.gamma is not None
             assert worst[spec.name] >= spec.gamma - 1e-3
         analytic = {
-            spec.name: verify_guarantee(spec, kind, y_grid=4001).min_ratio
+            spec.name: verify_guarantee(spec, kind).min_ratio
             for spec, kind in picks
         }
         for spec, _ in picks:
@@ -221,7 +221,7 @@ class TestCriterion6StageMonotonicity:
 class TestCriterion7GeneralHardness:
     def test_dual_certificate_and_fine_primal(self):
         start = time.perf_counter()
-        report = verify_dual_general(10_000)
+        report = verify_dual_general()
         assert abs(report.objective - 0.8293) <= 1e-3
         assert report.max_violation <= 1e-8
         primal = simplex_solve(build_primal_general(1e-3)).value
@@ -236,7 +236,7 @@ class TestCriterion7GeneralHardness:
 
 class TestCriterion8DetectionHardness:
     def test_dual_certificate_constants(self):
-        report = verify_dual_tvd(10_000)
+        report = verify_dual_tvd()
         assert report.c == pytest.approx(0.583027, abs=1e-5)
         assert report.a == pytest.approx(0.215941, abs=1e-5)
         assert report.b == pytest.approx(1.300426, abs=1e-5)

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from ocselect import (
+    GuaranteeCheck,
     InstanceFormatError,
+    LPSolution,
     build_primal_general,
     build_primal_tvd,
     load_instance,
@@ -312,6 +314,12 @@ class TestEvalValidation:
         args = ["eval", "--instance", FOUR_BOX, "--policy", "tvd-rand-732"]
         assert main(args + ["--grid", "400"]) == 1
 
+    def test_verify_density_grid_flag_is_usage_error(self):
+        assert main(["verify-density", "--grid", "4001"]) == 1
+
+    def test_hardness_dual_grid_flag_is_usage_error(self):
+        assert main(["hardness", "--dual-grid", "10000"]) == 1
+
     def test_value_above_optimum_is_rejected(self, monkeypatch, capsys):
         exact = cli.tva_exact
 
@@ -421,8 +429,21 @@ class TestHardnessCommand:
         assert main(["hardness", "--lp-step", "0.2"]) == 2
         assert main(["hardness", "--lp-step", "0"]) == 2
 
-    def test_rejects_small_dual_grid(self):
-        assert main(["hardness", "--dual-grid", "100"]) == 2
+    def test_rejects_an_lp_step_whose_tableau_is_too_large(self, capsys):
+        assert main(["hardness", "--lp-step", "1e-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv", [[], ["--lp-step", "0.001"], ["--refine", "--lp-step", "0.001"]]
+    )
+    def test_tableau_cap_accepts_the_shipped_steps(self, argv, monkeypatch):
+        # Only the flag check is under test, so no program is solved.
+        monkeypatch.setattr(cli, "build_primal_general", lambda step: step)
+        monkeypatch.setattr(cli, "build_primal_tvd", lambda c, step: step)
+        monkeypatch.setattr(cli, "simplex_solve", lambda lp: LPSolution(0.5, (), 0.0, (0, 0)))
+        assert main(["hardness"] + argv) == 0
 
 
 class TestSimulateCommand:
@@ -569,5 +590,7 @@ class TestVerifyDensityCommand:
         assert [r["density"] for r in rows] == ["rho-656"]
         assert float(rows[0]["gamma"]) == pytest.approx(0.6562802677328851, abs=1e-9)
 
-    def test_small_grid_rejected(self):
-        assert main(["verify-density", "--grid", "500"]) == 2
+    def test_nan_ratio_is_a_violation(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "verify_guarantee", lambda *a, **k: GuaranteeCheck(math.nan, 1.0))
+        assert main(["verify-density"]) == 3
+        assert "violation" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from ocselect import (
     solve_c_732,
     verify_guarantee,
 )
-from ocselect.densities import ENVELOPE_TVA, ENVELOPE_TVD
+from ocselect.densities import ENVELOPE_TVA, ENVELOPE_TVD, _envelope_integral
 
 
 class TestConstants656:
@@ -118,31 +119,100 @@ class TestNormalization:
 class TestVerifyGuarantee:
     def test_732_meets_its_envelope(self):
         spec = rho_732()
-        check = verify_guarantee(spec, ENVELOPE_TVD, y_grid=4001)
+        check = verify_guarantee(spec, ENVELOPE_TVD)
         assert check.min_ratio >= spec.gamma - 1e-6
 
     def test_656_meets_its_envelope_with_equality_band(self):
         spec = rho_656()
-        check = verify_guarantee(spec, ENVELOPE_TVA, y_grid=4001)
+        check = verify_guarantee(spec, ENVELOPE_TVA)
         assert check.min_ratio >= spec.gamma - 1e-6
         assert check.min_ratio - spec.gamma <= 1e-4
         assert check.argmin_y >= spec.c - 1e-3
 
     def test_656_under_dominating_envelope(self):
         spec = rho_656()
-        check = verify_guarantee(spec, ENVELOPE_TVD, y_grid=2001)
+        check = verify_guarantee(spec, ENVELOPE_TVD)
         assert check.min_ratio >= 0.656
 
-    def test_grid_floor_enforced(self):
-        with pytest.raises(ValueError):
-            verify_guarantee(rho_656(), ENVELOPE_TVA, y_grid=100)
-
     def test_point_mass_guarantee_is_its_consistency_value(self):
-        # All mass at y0: for y <= y0 the LHS is the envelope floor; the
-        # binding ratio comes out of the scan rather than a closed form, so
-        # just require the scan to run and stay in (0, 1].
-        check = verify_guarantee(point_density(0.8), ENVELOPE_TVD, y_grid=1001)
+        # All mass at y0: for y < y0 the LHS is the envelope floor; the
+        # exact infimum is pinned in TestGuaranteeAgainstDenseScan, so just
+        # require the check to run and stay in (0, 1].
+        check = verify_guarantee(point_density(0.8), ENVELOPE_TVD)
         assert 0.0 < check.min_ratio <= 1.0
+
+
+def dense_scan(spec, envelope, points=200_001):
+    """The grid scan verify_guarantee once ran, kept as an oracle."""
+    best, best_y = math.inf, 0.5
+    for y in np.linspace(0.5, 1.0, points):
+        ratio = _envelope_integral(spec, envelope, float(y)) / float(y)
+        if ratio < best:
+            best, best_y = ratio, float(y)
+    return best, best_y
+
+
+def reciprocal_tail(lo):
+    """Zero on [1/2, lo), coef/x on [lo, 1]: under tva, F/y has an interior minimum."""
+    coefficient = 1.0 / math.log(1.0 / lo)
+    return DensitySpec(
+        name=f"reciprocal-from-{lo}",
+        pieces=(
+            DensityPiece("zero", 0.5, lo),
+            DensityPiece("reciprocal_x", lo, 1.0, coefficient=coefficient),
+        ),
+    )
+
+
+class TestGuaranteeAgainstDenseScan:
+    @pytest.mark.parametrize(
+        "spec_factory, envelope",
+        [
+            (rho_656, ENVELOPE_TVA),
+            (rho_732, ENVELOPE_TVD),
+            (rho_656, ENVELOPE_TVD),
+            (functools.partial(reciprocal_tail, 0.55), ENVELOPE_TVA),
+            (functools.partial(reciprocal_tail, 0.55), ENVELOPE_TVD),
+        ],
+        ids=["656-tva", "732-tvd", "656-tvd", "reciprocal-tva", "reciprocal-tvd"],
+    )
+    def test_density_minimum_is_a_breakpoint_value(self, spec_factory, envelope):
+        spec = spec_factory()
+        check = verify_guarantee(spec, envelope)
+        grid_min, _ = dense_scan(spec, envelope)
+        assert check.min_ratio <= grid_min + 4 * math.ulp(grid_min)
+        y = check.argmin_y
+        assert check.min_ratio == _envelope_integral(spec, envelope, y) / y
+
+    def test_interior_stationary_point_is_found(self):
+        # F(0.55) = 1 - 0.45 k, so y* = 0.55 exp(1/k - 0.55) = exp(-0.55).
+        check = verify_guarantee(reciprocal_tail(0.55), ENVELOPE_TVA)
+        assert check.argmin_y == pytest.approx(math.exp(-0.55), abs=1e-12)
+        assert check.argmin_y == pytest.approx(0.5769, abs=1e-4)
+
+    @pytest.mark.parametrize(
+        "p, envelope, expected",
+        [
+            # F/y falls on [p, 1], so at or below 1/2 the minimum is p/1.
+            (0.5, ENVELOPE_TVA, (0.5, 1.0)),
+            (0.5, ENVELOPE_TVD, (0.5, 1.0)),
+            (0.6, ENVELOPE_TVA, (0.6, 1.0)),
+            (0.6, ENVELOPE_TVD, (0.6, 1.0)),
+            # The left limit floor(p)/p at y = p.  The stored 0.8 lies just
+            # above 4/5, so (1-p)/p is the float just under 0.25.
+            (0.8, ENVELOPE_TVA, ((1.0 - 0.8) / 0.8, 0.8)),
+            (0.8, ENVELOPE_TVD, (0.5, 0.8)),
+            # tva's floor 1-p is 0 at p = 1, attained already at y = 1/2.
+            (1.0, ENVELOPE_TVA, (0.0, 0.5)),
+            (1.0, ENVELOPE_TVD, (0.5, 1.0)),
+        ],
+    )
+    def test_point_mass_infimum(self, p, envelope, expected):
+        spec = point_density(p)
+        check = verify_guarantee(spec, envelope)
+        assert check == expected
+        grid_min, _ = dense_scan(spec, envelope)
+        assert check.min_ratio <= grid_min + 4 * math.ulp(grid_min)
 
 
 class TestCdfPpfSampling:

@@ -40,7 +40,7 @@ from ocselect import (
     verify_dual_tvd,
 )
 from ocselect.distributions import inverse_target
-from ocselect.hardness import MIN_DUAL_GRID
+from ocselect.hardness import primal_tableau_mb
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -399,36 +399,103 @@ class TestDensityPlugIn:
         assert worst >= -1e-4
 
 
-class TestGeneralDual:
-    def test_requires_a_dense_grid(self):
-        with pytest.raises(ValueError):
-            verify_dual_general(MIN_DUAL_GRID - 1)
+def general_constraint(report, x):
+    """mu (x-1) + int_1^x lam(y)(x-y-1) dy for the certificate lam = K e^y."""
+    cert = report.certificate
+    return cert.mu * (x - 1.0) - cert.lam(0.0) * math.e * (x - 1.0)
 
+
+def detection_constraint(report, y):
+    """The detection certificate's constraint at y, minus mu, as once scanned."""
+    c, a, b, mu = report.c, report.a, report.b, report.certificate.mu
+    lo, mid = 2.0 * c - 1.0, 1.0 - c
+    total = a * (1.0 / lo - 1.0 / mid) + b * (2.0 * c - 1.0) / mid
+    z = y - (1.0 - c)
+    if z <= lo:
+        below = 0.0
+    elif z < mid:
+        below = a * (1.0 / lo - 1.0 / z)
+    else:
+        below = a * (1.0 / lo - 1.0 / mid) + b * (min(z, c) - mid) / mid
+    return y * (total - below) + max(1.0 - c, z) * below - mu
+
+
+class TestDualsAgainstDenseScan:
+    """The breakpoint maxima, checked against the 10^4-point scans they replace."""
+
+    @pytest.mark.parametrize("inject", [0.0, 1e-3])
+    def test_general_maximum_is_a_breakpoint_value(self, inject):
+        report = verify_dual_general(inject_error=inject)
+        breakpoints = [general_constraint(report, x) for x in (1.0, PHI)]
+        assert report.max_violation == max([-report.normalization_slack] + breakpoints)
+        scan = [general_constraint(report, 1.0 + (PHI - 1.0) * i / 9999) for i in range(10_000)]
+        assert max(scan) <= report.max_violation + 4 * math.ulp(report.certificate.mu)
+
+    @pytest.mark.parametrize("inject", [0.0, 1e-3])
+    def test_detection_maximum_is_a_breakpoint_value(self, inject):
+        report = verify_dual_tvd(inject_error=inject)
+        c = report.c
+        breakpoints = [detection_constraint(report, y) for y in (c, 2.0 - 2.0 * c, 1.0)]
+        assert report.max_violation == max([-report.normalization_residual] + breakpoints)
+        scan = [detection_constraint(report, c + (1.0 - c) * i / 9999) for i in range(10_000)]
+        assert max(scan) <= report.max_violation + 4 * math.ulp(report.certificate.mu)
+
+    def test_detection_constraint_is_tight_on_the_whole_range(self):
+        report = verify_dual_tvd()
+        c = report.c
+        for i in range(101):
+            y = c + (1.0 - c) * i / 100
+            assert abs(detection_constraint(report, y)) <= 4 * math.ulp(report.certificate.mu)
+
+    @pytest.mark.parametrize("verify", [verify_dual_general, verify_dual_tvd])
+    def test_nan_certificate_is_a_violation(self, verify):
+        report = verify(inject_error=float("nan"))
+        assert not (report.max_violation <= 1e-8)
+
+
+def solver_tableau_mb(lp):
+    """simplex_solve's phase-1 tableau: (rows + 1) x (variables + slacks +
+    artificials + 1) float64 entries."""
+    rows = len(lp.rhs)
+    artificials = sum(1 for b in lp.rhs if b < 0.0)
+    return (rows + 1) * (lp.n_vars + rows + artificials + 1) * 8 / 2**20
+
+
+class TestPrimalTableauSize:
+    @pytest.mark.parametrize("step", [0.02, 0.005, 0.001])
+    def test_is_the_larger_solver_tableau(self, step):
+        general = solver_tableau_mb(build_primal_general(step))
+        detection = solver_tableau_mb(build_primal_tvd(DETECTION_C, step))
+        assert primal_tableau_mb(step) == general > detection
+
+    @pytest.mark.parametrize("step", [0.0, 5e-324, PHI - 1.0, math.nan])
+    def test_rejects_steps_outside_the_ladder(self, step):
+        with pytest.raises(HardnessParameterError):
+            primal_tableau_mb(step)
+
+
+class TestGeneralDual:
     def test_certificate_is_feasible(self):
-        report = verify_dual_general(MIN_DUAL_GRID)
+        report = verify_dual_general()
         assert report.objective == pytest.approx(GENERAL_DUAL_BOUND, abs=1e-12)
         assert abs(report.objective - 0.8293) <= 1e-3
         assert report.max_violation <= 1e-8
         assert report.normalization_slack == pytest.approx(0.0, abs=1e-12)
 
     def test_certificate_density_matches_multiplier_at_the_foot(self):
-        report = verify_dual_general(MIN_DUAL_GRID)
+        report = verify_dual_general()
         cert = report.certificate
         assert (cert.lo, cert.hi) == (1.0, PHI)
         assert cert.lam(1.0) == pytest.approx(cert.mu, abs=1e-15)
 
     def test_perturbed_certificate_fails(self):
-        report = verify_dual_general(MIN_DUAL_GRID, inject_error=1e-3)
+        report = verify_dual_general(inject_error=1e-3)
         assert report.max_violation > 1e-8
 
 
 class TestDetectionDual:
-    def test_requires_a_dense_grid(self):
-        with pytest.raises(ValueError):
-            verify_dual_tvd(MIN_DUAL_GRID - 1)
-
     def test_certificate_is_feasible(self):
-        report = verify_dual_tvd(MIN_DUAL_GRID)
+        report = verify_dual_tvd()
         assert report.c == pytest.approx(DETECTION_C, abs=1e-12)
         assert report.a == pytest.approx(0.2159418197954235, abs=1e-9)
         assert report.b == pytest.approx(1.300425226112278, abs=1e-9)
@@ -438,7 +505,7 @@ class TestDetectionDual:
         assert report.normalization_residual == pytest.approx(0.0, abs=1e-12)
 
     def test_perturbed_certificate_fails(self):
-        report = verify_dual_tvd(MIN_DUAL_GRID, inject_error=1e-3)
+        report = verify_dual_tvd(inject_error=1e-3)
         assert report.max_violation > 1e-8
 
 
