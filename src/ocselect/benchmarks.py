@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .distributions import (
     DiscreteDistribution,
     as_probability,
@@ -74,6 +76,14 @@ class Instance:
         """Distribution of the maximum over all boxes."""
         return max_distribution(self.dists)
 
+    @cached_property
+    def index(self) -> dict[str, int]:
+        return {box_id: i for i, box_id in enumerate(self.ids)}
+
+    @cached_property
+    def box_tables(self) -> "BoxTables":
+        return BoxTables.build(self.dists)
+
 
 # An arrival order is a permutation of the instance's box ids.
 ArrivalOrder = tuple[str, ...]
@@ -88,6 +98,84 @@ def ordered_dists(
             f"order {order!r} is not a permutation of instance ids {instance.ids!r}"
         )
     return tuple(instance.by_id[box_id].dist for box_id in order)
+
+
+def order_indices(instance: Instance, order: ArrivalOrder) -> list[int]:
+    """Positions in ``instance.boxes`` in arrival order, validating as ``ordered_dists``."""
+    if len(order) != instance.n or set(order) != set(instance.ids):
+        raise OrderError(
+            f"order {order!r} is not a permutation of instance ids {instance.ids!r}"
+        )
+    return [instance.index[box_id] for box_id in order]
+
+
+class BoxTables(NamedTuple):
+    """Every box's lookup tables as rows of a common width, for lane-batched passes.
+
+    A lane is one (order, g0) pair; a chunk of lanes is a box-index array
+    ``perm`` of shape (lanes, n), and stage t gathers rows ``perm[:, t]``.
+    Row b holds box b's tables: ``values`` and ``emax_at_values`` end in at
+    least one +inf pad, so counting a row's entries below x is ``bisect_left``
+    over the real entries, and ``head_mass``/``tail_mean`` keep their
+    one-past-the-end entry.  ``cdf`` is each box's normalised CDF on
+    ``grid``, the sorted union of every atom value, so a product of rows is
+    the CDF ``max_distribution`` builds, carried flat between its own atoms.
+    ``alone_tau`` is each box's best single threshold on its own.
+    """
+
+    values: np.ndarray
+    head_mass: np.ndarray
+    tail_mean: np.ndarray
+    emax_at_values: np.ndarray
+    mean: np.ndarray
+    total_mass: np.ndarray
+    grid: np.ndarray
+    cdf: np.ndarray
+    alone_tau: np.ndarray
+
+    @staticmethod
+    def build(dists: Sequence[DiscreteDistribution]) -> "BoxTables":
+        width = max(len(d.atoms) for d in dists) + 1
+
+        def rows(pick, pad: float) -> np.ndarray:
+            out = np.full((len(dists), width), pad)
+            for b, d in enumerate(dists):
+                row = pick(d)
+                out[b, : len(row)] = row
+            return out
+
+        # sorted(set()) rather than np.unique, which imports numpy.ma.
+        grid = np.array(sorted({v for d in dists for v in d.values}))
+        cdf = np.zeros((len(dists), len(grid)))
+        for b, d in enumerate(dists):
+            at = np.searchsorted(d._values_arr, grid, side="right")
+            cdf[b] = np.concatenate(([0.0], d._cdf_norm_arr))[at]
+        return BoxTables(
+            values=rows(lambda d: d.values, math.inf),
+            head_mass=rows(lambda d: d.head_mass, 0.0),
+            tail_mean=rows(lambda d: d.tail_mean, 0.0),
+            emax_at_values=rows(lambda d: d.emax_at_values, math.inf),
+            mean=np.array([d.mean for d in dists]),
+            total_mass=np.array([d.total_mass for d in dists]),
+            grid=grid,
+            cdf=cdf,
+            alone_tau=np.array([best_single_threshold([d]).tau for d in dists]),
+        )
+
+    def below(self, table: np.ndarray, boxes: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Per lane, how many entries of ``table[boxes]`` lie below ``x``."""
+        return np.count_nonzero(table[boxes] < x[:, None], axis=1)
+
+
+def check_lane_stages(kind: str, stages: np.ndarray) -> None:
+    """Apply ``EvaluationResult``'s per-stage check to every lane's row of stage values.
+
+    The first lane failing it is rebuilt as an ``EvaluationResult``, which
+    raises the scalar evaluators' error for it.
+    """
+    bad = ~np.all(np.isfinite(stages) & (stages >= -VALUE_TOL), axis=1)
+    if bad.any():
+        EvaluationResult(kind, tuple(stages[np.argmax(bad)].tolist()))
 
 
 @dataclass(frozen=True)
@@ -133,6 +221,24 @@ def opt_online(instance: Instance, order: ArrivalOrder) -> EvaluationResult:
         acc = expected_max_with(d, acc)
         stages.append(acc)
     return EvaluationResult("opt", tuple(reversed(stages)))
+
+
+def lane_optima(instance: Instance, perm: np.ndarray) -> np.ndarray:
+    """``opt_online(...).total`` of every row of box indices ``perm``, bit for bit.
+
+    The same backward induction, one numpy pass per stage over all lanes.
+    """
+    tables = instance.box_tables
+    lanes, n = perm.shape
+    stages = np.zeros((lanes, n + 1))
+    acc = stages[:, n]
+    for t in range(n - 1, -1, -1):
+        boxes = perm[:, t]
+        idx = tables.below(tables.values, boxes, acc)
+        acc = acc * tables.head_mass[boxes, idx] + tables.tail_mean[boxes, idx]
+        stages[:, t] = acc
+    check_lane_stages("opt", stages)
+    return stages[:, 0]
 
 
 def prophet_value(instance: Instance) -> float:

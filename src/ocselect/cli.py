@@ -32,14 +32,17 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .benchmarks import (
     ArrivalOrder,
     Instance,
+    OrderError,
+    lane_optima,
     opt_online,
+    order_indices,
     prophet_value,
     sta_exact,
 )
@@ -63,6 +66,7 @@ from .hardness import (
 from .io import load_instance
 from .policies import (
     EXACT_POLICIES,
+    lane_values,
     randomized_value,
     sample_runs,
     tva_exact,
@@ -80,6 +84,9 @@ RANDOMIZED_POLICY_KINDS = ("tva-rand-656", "tvd-rand-732")
 POLICY_KINDS = EXACT_POLICIES + RANDOMIZED_POLICY_KINDS
 
 ENUMERATION_LIMIT = 9
+# Orders per lane-evaluator pass of ``eval``; chunk temporaries stay well
+# under the CSV text of a full 8-box enumeration.
+LANE_CHUNK = 512
 SIMULATION_CHUNK = 10_000
 CERTIFICATE_TOL = 1e-8
 RATIO_SLACK = 1e-9
@@ -206,7 +213,8 @@ def _starting_target(mode: str | None, instance: Instance, opt: float) -> float:
     return g0
 
 
-def _enumerate_orders(args: argparse.Namespace, instance: Instance) -> list[ArrivalOrder]:
+def _enumerate_orders(args: argparse.Namespace, instance: Instance) -> Iterator[ArrivalOrder]:
+    """The ``--orders`` list, generated lazily; every flag is checked on the call."""
     spec = args.orders
     base = sorted(instance.ids)
     if spec == "all":
@@ -215,7 +223,7 @@ def _enumerate_orders(args: argparse.Namespace, instance: Instance) -> list[Arri
                 f"{instance.n} boxes means {math.factorial(instance.n)} orders; "
                 "pass --force-enumeration to run anyway"
             )
-        return [tuple(order) for order in itertools.permutations(base)]
+        return itertools.permutations(base)
     if spec.startswith("random:"):
         if args.seed is None:
             raise CliValidationError("a --seed is required for any sampled mode")
@@ -225,10 +233,10 @@ def _enumerate_orders(args: argparse.Namespace, instance: Instance) -> list[Arri
             raise CliValidationError("--orders random:K needs an integer K") from None
         if count < 1:
             raise CliValidationError("--orders random:K needs K >= 1")
-        return [
+        return (
             tuple(base[j] for j in _stream(args.seed, i).permutation(len(base)))
             for i in range(count)
-        ]
+        )
     if not spec.startswith("file:"):
         raise CliValidationError(
             f"--orders must be 'all', 'random:K', or 'file:PATH', got {spec!r}"
@@ -245,41 +253,75 @@ def _enumerate_orders(args: argparse.Namespace, instance: Instance) -> list[Arri
         if not isinstance(entry, list) or not all(isinstance(x, str) for x in entry):
             raise CliValidationError(f"orders file entry {entry!r} is not a list of ids")
         orders.append(tuple(entry))
-    return orders
+    return iter(orders)
 
 
-def _policy_value(
-    args: argparse.Namespace, instance: Instance, order: ArrivalOrder, opt: float
-) -> float:
+def _order_values(
+    args: argparse.Namespace, instance: Instance, orders: Iterator[ArrivalOrder]
+) -> Iterator[tuple[ArrivalOrder, float, float]]:
+    """(order, online optimum, policy value) for each order, in order.
+
+    Exact policies run LANE_CHUNK orders at a time through the lane
+    evaluator; the randomized mixtures value one order at a time.
+    """
     policy = args.policy
-    if policy == "sta":
-        return sta_exact(instance, order, args.tau).total
-    if policy in ("tva", "tvd"):
-        evaluator = tva_exact if policy == "tva" else tvd_exact
-        return evaluator(instance, order, _starting_target(args.g0, instance, opt)).total
-    if policy == "tva-rand-656":
-        return randomized_value(instance, order, rho_656(), policy_kind="tva")
-    return randomized_value(instance, order, rho_732(), policy_kind="tvd")
+    if policy in RANDOMIZED_POLICY_KINDS:
+        density, kind = (rho_656(), "tva") if policy == "tva-rand-656" else (rho_732(), "tvd")
+        for order in orders:
+            opt = opt_online(instance, order).total
+            yield order, opt, randomized_value(instance, order, density, policy_kind=kind)
+        return
+    for chunk, perm in _lane_chunks(instance, orders):
+        opt = lane_optima(instance, perm)
+        g0 = args.tau if policy == "sta" else _starting_target(args.g0, instance, opt)
+        value = lane_values(policy, instance, perm, np.broadcast_to(g0, opt.shape)).value
+        yield from zip(chunk, opt.tolist(), value.tolist())
+
+
+def _lane_chunks(
+    instance: Instance, orders: Iterator[ArrivalOrder]
+) -> Iterator[tuple[list[ArrivalOrder], np.ndarray]]:
+    """Up to LANE_CHUNK orders at a time, with their rows of box indices.
+
+    An order that is not a permutation ends the stream after the orders
+    before it are yielded, so any error they raise comes first, as it would
+    order by order.
+    """
+    chunk: list[ArrivalOrder] = []
+    rows: list[list[int]] = []
+    for order in orders:
+        try:
+            rows.append(order_indices(instance, order))
+        except OrderError:
+            if chunk:
+                yield chunk, np.array(rows)
+            raise
+        chunk.append(order)
+        if len(chunk) == LANE_CHUNK:
+            yield chunk, np.array(rows)
+            chunk, rows = [], []
+    if chunk:
+        yield chunk, np.array(rows)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     _check_policy_flags(args)
-    rows = []
-    min_ratio, argmin = math.inf, ""
-    for order in _enumerate_orders(args, instance):
+    orders = _enumerate_orders(args, instance)
+    buffer, writer = _csv_buffer(("order_id", "opt", "value", "ratio"))
+    count, min_ratio, argmin = 0, math.inf, ""
+    for order, opt, value in _order_values(args, instance, orders):
         order_id = "|".join(order)
-        opt = opt_online(instance, order).total
-        value = _policy_value(args, instance, order, opt)
         ratio = 1.0 if opt <= 0.0 else value / opt
         if not (-RATIO_SLACK <= ratio <= 1.0 + RATIO_SLACK):
             raise ValueError(f"ratio {ratio!r} for order {order_id!r} is outside [0, 1]")
         if ratio < min_ratio:
             min_ratio, argmin = ratio, order_id
-        rows.append([order_id, _fmt(opt), _fmt(value), _fmt(ratio)])
-    _write_csv(args.out, ("order_id", "opt", "value", "ratio"), rows)
+        writer.writerow((order_id, _fmt(opt), _fmt(value), _fmt(ratio)))
+        count += 1
+    _write_text(args.out, buffer.getvalue())
     print(
-        f"orders={len(rows)} min_ratio={_fmt(min_ratio)} argmin={argmin}",
+        f"orders={count} min_ratio={_fmt(min_ratio)} argmin={argmin}",
         file=_summary_stream(args.out),
     )
     return EXIT_OK
@@ -401,12 +443,21 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _write_csv(out: str | None, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
+def _csv_buffer(header: Sequence[str]):
     buffer = _io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
+    return buffer, writer
+
+
+def _write_csv(out: str | None, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
+    buffer, writer = _csv_buffer(header)
     writer.writerows(rows)
-    text = buffer.getvalue()
+    _write_text(out, buffer.getvalue())
+
+
+def _write_text(out: str | None, text: str) -> None:
+    """Write the whole CSV at once, so a run that fails leaves no --out file."""
     if out is None:
         sys.stdout.write(text)
         return

@@ -24,15 +24,18 @@ import numpy as np
 
 from .benchmarks import (
     ArrivalOrder,
+    BoxTables,
     EvaluationResult,
     Instance,
     best_single_threshold,
+    check_lane_stages,
     ordered_dists,
     prophet_value,
     threshold_run_values,
 )
 from .densities import PIECE_ZERO, DensitySpec, density_cdf
 from .distributions import (
+    PROB_TOL,
     TARGET_SLACK,
     DiscreteDistribution,
     expected_max_with,
@@ -252,6 +255,128 @@ def tvd_exact(instance: Instance, order: ArrivalOrder, g0: float) -> EvaluationR
     the whole evaluation stays an exact backward recursion.
     """
     return _exact("tvd", instance, order, g0)
+
+
+# ---------------------------------------------------------------------------
+# Exact policy values of many lanes at once.
+
+
+class LaneValues(NamedTuple):
+    value: np.ndarray
+    switch_stage: np.ndarray  # tvd's switch stage per lane, -1 where none
+
+
+def lane_values(
+    policy_kind: str, instance: Instance, perm: np.ndarray, g0: np.ndarray
+) -> LaneValues:
+    """Exact value of the named policy on every lane, bit for bit.
+
+    A lane is one (order, g0) pair: row i of ``perm`` holds the order's
+    indices into ``instance.boxes`` and ``g0[i]`` its starting target (for
+    ``sta``, its threshold).  Each stage is one numpy pass over all lanes
+    that repeats the scalar path's IEEE operations in the same order, so
+    every value equals ``sta_exact``/``tva_exact``/``tvd_exact(...).total``
+    and every switch stage that of ``tvd_exact``.
+    """
+    if policy_kind not in EXACT_POLICIES:
+        raise PolicyError(f"unknown policy kind: {policy_kind!r}")
+    negative = ~(g0 >= 0.0)
+    if negative.any():
+        what = "threshold" if policy_kind == "sta" else "initial target"
+        raise ValueError(f"{what} must be >= 0: {float(g0[np.argmax(negative)])!r}")
+    tables = instance.box_tables
+    lanes, n = perm.shape
+    switch = np.full(lanes, -1)
+    thresholds = np.empty((lanes, n))
+    if policy_kind == "sta":
+        thresholds[:] = g0[:, None]
+    else:
+        emax_after = _lane_emax_after(tables, perm) if policy_kind == "tvd" else None
+        g = g0
+        for t in range(n):
+            g = _lane_inverse_target(tables, perm[:, t], g)
+            thresholds[:, t] = g
+            if emax_after is not None:
+                switch[(switch < 0) & (g > emax_after[:, t])] = t
+        for s in sorted(set(switch[switch >= 0].tolist())):
+            at = np.flatnonzero(switch == s)
+            thresholds[at, s:] = _lane_switch_tau(tables, perm[at, s:])[:, None]
+    stages = np.zeros((lanes, n + 1))
+    acc = stages[:, n]
+    for t in range(n - 1, -1, -1):
+        boxes = perm[:, t]
+        idx = tables.below(tables.values, boxes, thresholds[:, t])
+        acc = tables.tail_mean[boxes, idx] + tables.head_mass[boxes, idx] * acc
+        stages[:, t] = acc
+    check_lane_stages(policy_kind, stages)
+    return LaneValues(stages[:, 0], switch)
+
+
+def _lane_inverse_target(tables: BoxTables, boxes: np.ndarray, g_prev: np.ndarray) -> np.ndarray:
+    """``inverse_target`` of each lane's box at its target, same expressions in the same order."""
+    target = g_prev - TARGET_SLACK
+    i = tables.below(tables.emax_at_values, boxes, target)
+    # Past the last mark; i is the row's first pad there, and i >= 1 wherever
+    # the mean is below the target.
+    above_support = tables.values[boxes, i] == math.inf
+    i = np.maximum(i, 1)
+    segment = (target - tables.tail_mean[boxes, i]) / tables.head_mass[boxes, i]
+    segment = np.minimum(np.maximum(segment, tables.values[boxes, i - 1]), tables.values[boxes, i])
+    x = np.where(above_support, target / tables.total_mass[boxes], segment)
+    x = np.minimum(np.maximum(x, 0.0), g_prev)
+    return np.where(tables.mean[boxes] >= target, 0.0, x)
+
+
+def _lane_emax_after(tables: BoxTables, perm: np.ndarray) -> np.ndarray:
+    """``emax_after`` of every lane: E[max of the boxes after stage t].
+
+    Folds back to front as ``suffix_expected_max`` does.  Each mean is a
+    sequential sum (``cumsum``) over the grid, where points outside the
+    suffix's supports add an exact 0.0.
+    """
+    lanes, n = perm.shape
+    out = np.zeros((lanes, n))
+    running = tables.cdf[perm[:, n - 1]]
+    for t in range(n - 2, -1, -1):
+        mass = np.diff(running, axis=1, prepend=0.0)
+        out[:, t] = np.cumsum(tables.grid * mass, axis=1)[:, -1]
+        if t:
+            running = running * tables.cdf[perm[:, t]]
+    return out
+
+
+def _lane_switch_tau(tables: BoxTables, suffix: np.ndarray) -> np.ndarray:
+    """``best_single_threshold(dists).tau`` over each row's boxes, bit for bit.
+
+    The masses are those of ``max_distribution``'s atoms, with an exact 0.0
+    at grid points outside the suffix's supports, and every tail and head sum
+    is sequential in the scalar order.  A one-box suffix keeps the box's raw
+    probabilities, as ``max_distribution`` returns its single input unchanged.
+    """
+    if suffix.shape[1] == 1:
+        return tables.alone_tau[suffix[:, 0]]
+    running = tables.cdf[suffix[:, 0]]
+    for t in range(1, suffix.shape[1]):
+        running = running * tables.cdf[suffix[:, t]]
+    mass = np.diff(running, axis=1, prepend=0.0)
+    tau = tables.grid
+    tail_mass = np.cumsum(mass[:, ::-1], axis=1)[:, ::-1]
+    tail_mean = np.cumsum((mass * tau)[:, ::-1], axis=1)[:, ::-1]
+    head_mass = np.zeros_like(mass)
+    np.cumsum(mass[:, :-1], axis=1, out=head_mass[:, 1:])
+    atom = mass > 0.0
+    # tau = 0 reads tail_mass[0] as P[M >= 0]; its bound is exactly 0.0.
+    for p in (tail_mass[:, 0], tail_mass[atom], head_mass[atom]):
+        out = ~((-PROB_TOL <= p) & (p <= 1.0 + PROB_TOL))
+        if out.any():
+            raise ValueError(f"not a probability within tolerance: {float(p[out][0])!r}")
+    p_ge = np.minimum(1.0, np.maximum(0.0, tail_mass))
+    p_lt = np.minimum(1.0, np.maximum(0.0, head_mass))
+    plus = np.maximum(0.0, tail_mean - tau * tail_mass)
+    bound = np.where(atom, p_ge * tau + p_lt * plus, -math.inf)
+    # The first maximum wins, with tau = 0 (bound 0.0) ahead of every atom.
+    pick = np.argmax(np.concatenate((np.zeros((len(mass), 1)), bound), axis=1), axis=1)
+    return np.where(pick == 0, 0.0, tau[pick - 1])
 
 
 # ---------------------------------------------------------------------------

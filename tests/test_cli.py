@@ -6,7 +6,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import replace
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +21,11 @@ from ocselect import (
     build_primal_general,
     build_primal_tvd,
     load_instance,
+    opt_online,
     parse_instance,
     simplex_solve,
     solve_c_detection,
+    tvd_exact,
 )
 from ocselect import cli
 from ocselect.cli import main
@@ -112,18 +116,25 @@ class TestEvalCommand:
             assert float(row["ratio"]) <= 1.0 + 1e-9
 
     def test_opt_target_computes_each_optimum_once(self, monkeypatch, capsys):
-        calls = []
-        exact = cli.opt_online
+        optima, starts = [], []
+        lane_optima, lane_values = cli.lane_optima, cli.lane_values
 
-        def counted(instance, order):
-            calls.append(order)
-            return exact(instance, order)
+        def counted(instance, perm):
+            opt = lane_optima(instance, perm)
+            optima.extend(opt.tolist())
+            return opt
 
-        monkeypatch.setattr(cli, "opt_online", counted)
+        def recorded(policy_kind, instance, perm, g0):
+            starts.extend(g0.tolist())
+            return lane_values(policy_kind, instance, perm, g0)
+
+        monkeypatch.setattr(cli, "lane_optima", counted)
+        monkeypatch.setattr(cli, "lane_values", recorded)
         code = main(["eval", "--instance", FOUR_BOX, "--policy", "tva", "--g0", "opt"])
         assert code == 0
         assert len(read_rows(capsys.readouterr().out)) == 24
-        assert len(calls) == 24
+        assert len(optima) == 24
+        assert starts == optima
 
     def test_single_box_is_trivial(self, capsys, tmp_path):
         path = write_instance(tmp_path, "one.json", [{"id": "only", "atoms": [[1.0, 1.0]]}])
@@ -234,6 +245,44 @@ class TestEvalCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_chunked_orders_match_scalar_evaluators(self, capsys):
+        count, seed, g0 = cli.LANE_CHUNK + 1, 11, 2.8
+        argv = ["eval", "--instance", FOUR_BOX, "--policy", "tvd", "--g0", repr(g0)]
+        assert main(argv + ["--orders", f"random:{count}", "--seed", str(seed)]) == 0
+        instance = load_instance(FOUR_BOX)
+        base = sorted(instance.ids)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["order_id", "opt", "value", "ratio"])
+        switched = 0
+        for i in range(count):
+            order = tuple(base[j] for j in cli._stream(seed, i).permutation(len(base)))
+            opt = opt_online(instance, order).total
+            result = tvd_exact(instance, order, g0)
+            switched += result.switch_stage is not None
+            cells = (opt, result.total, result.total / opt)
+            writer.writerow(["|".join(order), *(format(v, ".12g") for v in cells)])
+        assert 0 < switched < count
+        assert capsys.readouterr().out == expected.getvalue()
+
+    def test_cli_paths_leave_numpy_ma_unimported(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = (
+            "import sys\n"
+            "from ocselect.cli import main\n"
+            f"assert main(['eval', '--instance', {FOUR_BOX!r}, '--policy', 'tvd']) == 0\n"
+            f"assert main(['simulate', '--instance', {FOUR_BOX!r}, '--policy', 'tvd',"
+            " '--runs', '1000', '--seed', '1']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
 
 class TestEvalValidation:
     def test_enumeration_guard_trips(self, capsys, tmp_path):
@@ -310,6 +359,23 @@ class TestEvalValidation:
         )
         assert code == 2
 
+    def test_bad_third_order_in_file_is_validation_error(self, capsys, tmp_path):
+        orders_path = tmp_path / "orders.json"
+        good = ["a", "b", "c", "d"]
+        orders_path.write_text(json.dumps([good, good[::-1], ["a", "b", "c"], good]))
+        argv = ["eval", "--instance", FOUR_BOX, "--policy", "tvd", "--g0", "opt"]
+        assert main(argv + ["--orders", f"file:{orders_path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: order ('a', 'b', 'c') is not a permutation of instance ids "
+            "('a', 'b', 'c', 'd')\n"
+        )
+        # The orders before it are valued first, so a bad --g0 is reported instead.
+        argv[-1] = "abc"
+        assert main(argv + ["--orders", f"file:{orders_path}"]) == 2
+        assert "--g0 must be a float" in capsys.readouterr().err
+
     def test_eval_grid_flag_is_usage_error(self):
         args = ["eval", "--instance", FOUR_BOX, "--policy", "tvd-rand-732"]
         assert main(args + ["--grid", "400"]) == 1
@@ -320,17 +386,29 @@ class TestEvalValidation:
     def test_hardness_dual_grid_flag_is_usage_error(self):
         assert main(["hardness", "--dual-grid", "10000"]) == 1
 
+    @staticmethod
+    def inflate_lane_values(monkeypatch):
+        exact = cli.lane_values
+
+        def inflated(policy_kind, instance, perm, g0):
+            result = exact(policy_kind, instance, perm, g0)
+            return result._replace(value=1.5 * result.value)
+
+        monkeypatch.setattr(cli, "lane_values", inflated)
+
     def test_value_above_optimum_is_rejected(self, monkeypatch, capsys):
-        exact = cli.tva_exact
-
-        def inflated(instance, order, g0):
-            result = exact(instance, order, g0)
-            return replace(result, per_stage=tuple(1.5 * v for v in result.per_stage))
-
-        monkeypatch.setattr(cli, "tva_exact", inflated)
+        self.inflate_lane_values(monkeypatch)
         code = main(["eval", "--instance", FOUR_BOX, "--policy", "tva", "--g0", "auto"])
         assert code == 2
         assert "outside [0, 1]" in capsys.readouterr().err
+
+    def test_failed_ratio_check_writes_no_out_file(self, monkeypatch, capsys, tmp_path):
+        self.inflate_lane_values(monkeypatch)
+        out = tmp_path / "report.csv"
+        argv = ["eval", "--instance", FOUR_BOX, "--policy", "tva", "--g0", "auto"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "outside [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",

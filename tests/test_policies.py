@@ -16,6 +16,7 @@ from ocselect import (
     Instance,
     PolicyError,
     PolicyState,
+    best_single_threshold,
     density_cdf,
     density_pdf,
     load_instance,
@@ -27,6 +28,7 @@ from ocselect import (
     rho_732,
     run_policy_sampled,
     sample_runs,
+    sta_exact,
     tva_exact,
     tva_step,
     tvd_exact,
@@ -34,9 +36,10 @@ from ocselect import (
     value_cuts,
 )
 from ocselect import policies
+from ocselect.benchmarks import lane_optima, order_indices
 from ocselect.densities import PHI
 from ocselect.distributions import TARGET_SLACK, inverse_target, sample
-from ocselect.policies import CONSERVATIVE, TARGETED, TERMINATED
+from ocselect.policies import CONSERVATIVE, TARGETED, TERMINATED, lane_values
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
@@ -460,3 +463,80 @@ class TestSampleRuns:
                 want = np.array([replay_run(kind, g0, inst, order, replay_rng) for _ in range(50)])
                 got = sample_runs(kind, g0, inst, order, np.random.default_rng(31), 50)
                 assert got.tobytes() == want.tobytes()
+
+
+def lane_instances() -> list[Instance]:
+    """Conftest instances of 1-5 boxes, all-one-atom ones, and hand-made edge cases."""
+    rng = np.random.default_rng(3)
+    out = [random_instance(rng, int(rng.integers(1, 6))) for _ in range(30)]
+    out += [random_instance(rng, n, max_atoms=1) for n in (1, 3, 4)]
+    out.append(Instance((Box("solo", COIN),)))
+    out.append(Instance((A, Box("zero", ZERO), B, Box("coin", COIN))))
+    return out
+
+
+SCALAR = {"sta": sta_exact, "tva": tva_exact, "tvd": tvd_exact}
+
+
+def assert_lanes_match_scalar(inst: Instance, orders, fractions) -> set[int]:
+    """Every lane of every kind equals the scalar evaluator under ==.
+
+    Returns the lengths of the suffixes that tvd switched on.
+    """
+    perm = np.array([order_indices(inst, order) for order in orders])
+    opt = lane_optima(inst, perm)
+    assert opt.tolist() == [opt_online(inst, order).total for order in orders]
+    prophet = prophet_value(inst)
+    starts = [np.zeros(len(orders)), opt, 1.25 * prophet + np.zeros(len(orders))]
+    starts += [f * opt for f in fractions]
+    suffixes: set[int] = set()
+    for kind, scalar in SCALAR.items():
+        for g0 in starts:
+            got = lane_values(kind, inst, perm, g0)
+            results = [scalar(inst, order, x) for order, x in zip(orders, g0.tolist())]
+            assert got.value.tolist() == [r.total for r in results]
+            stages = [-1 if r.switch_stage is None else r.switch_stage for r in results]
+            assert got.switch_stage.tolist() == (stages if kind == "tvd" else [-1] * len(orders))
+            suffixes.update(inst.n - s for s in stages if s >= 0)
+    return suffixes
+
+
+class TestLaneValues:
+    def test_conftest_instances_match_scalar_bitwise(self):
+        suffixes = set()
+        for inst in lane_instances():
+            suffixes |= assert_lanes_match_scalar(inst, all_orders(inst), (0.5, 0.9, 1.1))
+        # Both switch-threshold paths ran: the last box alone and longer suffixes.
+        assert {1, 2, 3, 4} <= suffixes
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_instances(), st.floats(0.0, 2.0))
+    def test_small_instances_match_scalar_bitwise(self, inst, fraction):
+        assert_lanes_match_scalar(inst, all_orders(inst), (fraction,))
+
+    def test_suffix_tables_match_scalar_bitwise(self):
+        # Grids of up to 36 points, where a pairwise sum would round differently.
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            inst = random_instance(rng, 6, max_atoms=6)
+            orders = all_orders(inst)[::7]
+            perm = np.array([order_indices(inst, order) for order in orders])
+            tables = inst.box_tables
+            emax_after = policies._lane_emax_after(tables, perm)
+            for row, order in zip(emax_after.tolist(), orders):
+                assert row == policies._order_tables(inst, order).emax_after
+            for s in range(inst.n):
+                taus = policies._lane_switch_tau(tables, perm[:, s:]).tolist()
+                assert taus == [
+                    best_single_threshold([inst.dists[i] for i in row[s:]]).tau
+                    for row in perm.tolist()
+                ]
+
+    def test_negative_start_is_rejected_like_the_scalar_path(self):
+        perm = np.array([[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="initial target must be >= 0: -1.0"):
+            lane_values("tva", AB, perm, np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="threshold must be >= 0: nan"):
+            lane_values("sta", AB, perm, np.array([math.nan, 1.0]))
+        with pytest.raises(PolicyError):
+            lane_values("nope", AB, perm, np.zeros(2))
