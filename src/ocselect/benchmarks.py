@@ -60,6 +60,10 @@ class Instance:
         return tuple(b.box_id for b in self.boxes)
 
     @cached_property
+    def id_set(self) -> frozenset[str]:
+        return frozenset(self.ids)
+
+    @cached_property
     def by_id(self) -> dict[str, Box]:
         return {b.box_id: b for b in self.boxes}
 
@@ -93,7 +97,7 @@ def ordered_dists(
     instance: Instance, order: ArrivalOrder
 ) -> tuple[DiscreteDistribution, ...]:
     """Distributions in arrival order, validating the order is a bijection."""
-    if len(order) != instance.n or set(order) != set(instance.ids):
+    if len(order) != instance.n or set(order) != instance.id_set:
         raise OrderError(
             f"order {order!r} is not a permutation of instance ids {instance.ids!r}"
         )
@@ -102,7 +106,7 @@ def ordered_dists(
 
 def order_indices(instance: Instance, order: ArrivalOrder) -> list[int]:
     """Positions in ``instance.boxes`` in arrival order, validating as ``ordered_dists``."""
-    if len(order) != instance.n or set(order) != set(instance.ids):
+    if len(order) != instance.n or set(order) != instance.id_set:
         raise OrderError(
             f"order {order!r} is not a permutation of instance ids {instance.ids!r}"
         )

@@ -151,23 +151,20 @@ def build_primal_general(grid_step: float) -> FiniteLP:
     """
     cells = _general_cells(grid_step)
     step = (PHI - 1.0) / cells
-    grid = [PHI - j * step for j in range(cells + 1)]
+    grid = PHI - np.arange(cells + 1) * step
     grid[-1] = 1.0
-    n = len(grid)
-    rows = []
-    rhs = []
-    rows.append((PHI,) + tuple(1.0 - x for x in grid))
-    rhs.append(1.0)
-    for i, x in enumerate(grid):
-        row = [x + 1.0]
-        for j, y in enumerate(grid):
-            row.append(x + 1.0 - y if j <= i else 0.0)
-        rows.append(tuple(row))
-        rhs.append(x + 1.0)
-    rows.append((0.0,) + (1.0,) * n)
-    rhs.append(1.0)
-    objective = (1.0,) + (0.0,) * n
-    return FiniteLP(objective=objective, rows=tuple(rows), rhs=tuple(rhs))
+    n = grid.size
+    rows = np.zeros((n + 2, n + 1))
+    rows[0, 0] = PHI
+    rows[0, 1:] = 1.0 - grid
+    rows[1:-1, 0] = grid + 1.0
+    # Row of ladder x_i: x_i + 1 - y_j for j <= i, zero above the diagonal.
+    rows[1:-1, 1:] = np.tril((grid + 1.0)[:, None] - grid[None, :])
+    rows[-1, 1:] = 1.0
+    rhs = np.concatenate(([1.0], grid + 1.0, [1.0]))
+    objective = np.zeros(n + 1)
+    objective[0] = 1.0
+    return FiniteLP(objective=objective, rows=rows, rhs=rhs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,23 +318,21 @@ def build_primal_tvd(c: float, grid_step: float) -> FiniteLP:
         raise HardnessParameterError(f"grid_step must be in (0, 1-c]: {grid_step!r}")
     cells = max(2, round((1.0 - c) / grid_step))
     h = (1.0 - c) / cells
-    mids = [c + (i + 0.5) * h for i in range(cells)]
-    xs = [2.0 * c - 1.0 + (j + 1) * h for j in range(cells)]
+    mids = c + (np.arange(cells) + 0.5) * h
+    xs = 2.0 * c - 1.0 + np.arange(1, cells + 1) * h
     xs[-1] = c
-    rows = []
-    rhs = []
-    for x in xs:
-        opt_x = 1.0 - c + x
-        row = [opt_x]
-        for y in mids:
-            value = y if y <= opt_x else max(1.0 - c, y - (1.0 - c))
-            row.append(-value)
-        rows.append(tuple(row))
-        rhs.append(0.0)
-    rows.append((0.0,) + (1.0,) * cells)
-    rhs.append(1.0)
-    objective = (1.0,) + (0.0,) * cells
-    return FiniteLP(objective=objective, rows=tuple(rows), rhs=tuple(rhs))
+    opt_x = 1.0 - c + xs
+    rows = np.zeros((cells + 1, cells + 1))
+    rows[:-1, 0] = opt_x
+    switched = np.maximum(1.0 - c, mids - (1.0 - c))
+    # Row of x, cell y: y below the switch level 1-c+x, the switched value above.
+    rows[:-1, 1:] = -np.where(mids <= opt_x[:, None], mids, switched)
+    rows[-1, 1:] = 1.0
+    rhs = np.zeros(cells + 1)
+    rhs[-1] = 1.0
+    objective = np.zeros(cells + 1)
+    objective[0] = 1.0
+    return FiniteLP(objective=objective, rows=rows, rhs=rhs)
 
 
 def solve_c_detection() -> float:

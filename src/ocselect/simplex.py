@@ -1,9 +1,10 @@
 """Small dense simplex solver for the certification programs.
 
-The linear programs here have at most a few hundred variables, so a plain
+The linear programs here have at most a few thousand variables, so a plain
 dense tableau with Bland's anti-cycling rule is both sufficient and easy
 to audit.  Problems are stated as: maximize objective . z subject to
-rows . z <= rhs and z >= 0.
+rows . z <= rhs and z >= 0.  The tableau is column-major, and a pivot
+updates only the columns where its pivot row is nonzero.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import numpy as np
 FEASIBILITY_TOL = 1e-9
 PIVOT_TOL = 1e-10
 PHASE1_TOL = 1e-8
+# Columns per multiply/subtract pass of a pivot.
+PIVOT_BLOCK = 64
 
 
 class InfeasibleError(ValueError):
@@ -26,30 +29,44 @@ class UnboundedError(ValueError):
     """The objective is unbounded above on the feasible set."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteLP:
-    """maximize objective . z  subject to  rows . z <= rhs,  z >= 0."""
+    """maximize objective . z  subject to  rows . z <= rhs,  z >= 0.
 
-    objective: tuple[float, ...]
-    rows: tuple[tuple[float, ...], ...]
-    rhs: tuple[float, ...]
+    The fields accept any nested sequences and hold read-only float64
+    arrays: objective (n), rows (m x n) and rhs (m).
+    """
+
+    objective: np.ndarray
+    rows: np.ndarray
+    rhs: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.objective)
-        if n == 0:
+        objective, rows, rhs = map(_frozen_array, (self.objective, self.rows, self.rhs))
+        n = objective.size
+        if objective.ndim != 1 or n == 0:
             raise ValueError("LP needs at least one variable")
-        if len(self.rows) != len(self.rhs):
+        if rhs.ndim != 1 or len(rows) != rhs.size:
             raise ValueError("row/rhs count mismatch")
-        for row in self.rows:
-            if len(row) != n:
-                raise ValueError("row width does not match variable count")
-        flat = list(self.objective) + list(self.rhs) + [v for r in self.rows for v in r]
-        if not all(np.isfinite(flat)):
+        if rows.size == 0:
+            rows = rows.reshape(0, n)
+        if rows.shape != (rhs.size, n):
+            raise ValueError("row width does not match variable count")
+        if not all(np.isfinite(array).all() for array in (objective, rows, rhs)):
             raise ValueError("LP data must be finite")
+        object.__setattr__(self, "objective", objective)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "rhs", rhs)
 
     @property
     def n_vars(self) -> int:
-        return len(self.objective)
+        return self.objective.size
+
+
+def _frozen_array(data) -> np.ndarray:
+    array = np.array(data, dtype=float)
+    array.flags.writeable = False
+    return array
 
 
 class LPSolution(NamedTuple):
@@ -68,117 +85,117 @@ def simplex_solve(lp: FiniteLP) -> LPSolution:
     returned point fails the independent feasibility post-check.
     """
     n = lp.n_vars
-    m = len(lp.rows)
-    a = np.array(lp.rows, dtype=float).reshape(m, n)
-    b = np.array(lp.rhs, dtype=float)
-    c = np.array(lp.objective, dtype=float)
+    m = lp.rhs.size
 
     # Ax + s = b with slacks; flip rows with negative rhs and add artificials.
-    flip = b < 0.0
-    a = np.where(flip[:, None], -a, a)
-    b = np.where(flip, -b, b)
-    slack = np.diag(np.where(flip, -1.0, 1.0))
-    art_rows = np.nonzero(flip)[0]
-    n_art = len(art_rows)
-    art = np.zeros((m, n_art))
-    for k, i in enumerate(art_rows):
-        art[i, k] = 1.0
-
-    tableau = np.hstack([a, slack, art, b[:, None]])
-    basis = [n + i for i in range(m)]
-    for k, i in enumerate(art_rows):
-        basis[i] = n + m + k
+    # One column-major tableau holds [A | slacks | artificials | b] over the
+    # cost row, so each column a pivot updates is contiguous.
+    flip = lp.rhs < 0.0
+    art_rows = np.flatnonzero(flip)
+    n_art = art_rows.size
+    tableau = np.zeros((m + 1, n + m + n_art + 1), order="F")
+    tableau[:m, :n] = lp.rows
+    tableau[art_rows, :n] = -lp.rows[art_rows]
+    tableau[np.arange(m), n + np.arange(m)] = np.where(flip, -1.0, 1.0)
+    tableau[art_rows, n + m + np.arange(n_art)] = 1.0
+    tableau[:m, -1] = np.where(flip, -lp.rhs, lp.rhs)
+    basis = n + np.arange(m)
+    basis[art_rows] = n + m + np.arange(n_art)
 
     if n_art:
-        cost1 = np.zeros(n + m + n_art)
-        cost1[n + m :] = 1.0
-        reduced = cost1.copy()
-        obj = 0.0
-        for i in range(m):
-            if basis[i] >= n + m:
-                reduced[: n + m + n_art] -= tableau[i, :-1]
-                obj -= tableau[i, -1]
-        tableau = np.vstack([tableau, np.append(reduced, obj)])
+        cost = tableau[m]
+        cost[n + m : -1] = 1.0
+        for i in art_rows:
+            cost -= tableau[i]
         phase1 = _iterate(tableau, basis)
         if tableau[-1, -1] < -PHASE1_TOL:
             raise InfeasibleError(f"phase-1 infeasibility {-tableau[-1, -1]:.3e}")
-        tableau = _drop_artificials(tableau, basis, n + m)
+        tableau, basis = _drop_artificials(tableau, basis, n + m)
     else:
         phase1 = 0
-        tableau = np.vstack([tableau, np.zeros(tableau.shape[1])])
 
     # Phase 2: minimize -objective.
-    cost2 = np.zeros(tableau.shape[1] - 1)
-    cost2[:n] = -c
-    reduced = cost2.copy()
-    obj = 0.0
-    rows_total = tableau.shape[0] - 1
-    for i in range(rows_total):
-        coef = cost2[basis[i]]
+    cost = tableau[-1]
+    cost[:] = 0.0
+    cost[:n] = -lp.objective
+    for i in np.flatnonzero(basis < n):
+        coef = -lp.objective[basis[i]]
         if coef != 0.0:
-            reduced -= coef * tableau[i, :-1]
-            obj -= coef * tableau[i, -1]
-    tableau[-1, :-1] = reduced
-    tableau[-1, -1] = obj
+            cost -= coef * tableau[i]
     phase2 = _iterate(tableau, basis)
 
     z = np.zeros(tableau.shape[1] - 1)
-    for i in range(rows_total):
-        z[basis[i]] = tableau[i, -1]
+    z[basis] = tableau[:-1, -1]
     solution = z[:n]
 
-    residual = float(np.max(np.array(lp.rows) @ solution - np.array(lp.rhs), initial=0.0))
+    residual = float(np.max(lp.rows @ solution - lp.rhs, initial=0.0))
     if residual > FEASIBILITY_TOL or float(np.min(solution, initial=0.0)) < -FEASIBILITY_TOL:
         raise ArithmeticError(f"solution fails post-check, residual {residual:.3e}")
     value = float(np.dot(lp.objective, solution))
     return LPSolution(value, tuple(float(v) for v in solution), residual, (phase1, phase2))
 
 
-def _iterate(tableau: np.ndarray, basis: list[int]) -> int:
+def _iterate(tableau: np.ndarray, basis: np.ndarray) -> int:
     """Pivot until no reduced cost is negative; returns the number of pivots."""
     m = tableau.shape[0] - 1
     limit = 200 * (tableau.shape[0] + tableau.shape[1])
     for pivots in range(limit):
-        reduced = tableau[-1, :-1]
-        candidates = np.nonzero(reduced < -PIVOT_TOL)[0]
-        if candidates.size == 0:
+        entering = tableau[-1, :-1] < -PIVOT_TOL
+        col = int(entering.argmax())  # Bland: lowest eligible index enters
+        if not entering[col]:
             return pivots
-        col = int(candidates[0])  # Bland: lowest eligible index enters
         column = tableau[:m, col]
-        positive = np.nonzero(column > PIVOT_TOL)[0]
+        positive = np.flatnonzero(column > PIVOT_TOL)
         if positive.size == 0:
             raise UnboundedError(f"column {col} unbounded")
         ratios = tableau[positive, -1] / column[positive]
         best = ratios.min()
-        ties = positive[np.nonzero(ratios <= best + 1e-15)[0]]
-        row = int(min(ties, key=lambda i: basis[i]))  # Bland: lowest basis leaves
+        ties = positive[ratios <= best + 1e-15]
+        row = int(ties[basis[ties].argmin()])  # Bland: lowest basis leaves
         _pivot(tableau, basis, row, col)
     raise ArithmeticError("pivot limit exceeded")
 
 
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    """Eliminate column ``col`` with pivot row ``row`` of a column-major tableau.
+
+    Each updated entry gets t - f * p, rounded as the dense rank-1 update
+    rounds it.  Columns where the pivot row is exactly zero would only have
+    zero subtracted, so they are skipped; the nonzero runs are updated
+    PIVOT_BLOCK columns at a time through one scratch buffer.
+    """
     tableau[row] /= tableau[row, col]
+    pivot_row = tableau[row].copy()
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= factors[:, None] * tableau[row]
+    scratch = np.empty((factors.size, PIVOT_BLOCK), order="F")
+    nonzero = np.zeros(pivot_row.size + 2, dtype=bool)
+    nonzero[1:-1] = pivot_row != 0.0
+    edges = np.flatnonzero(nonzero[1:] != nonzero[:-1]).tolist()
+    for start, stop in zip(edges[::2], edges[1::2]):
+        for a in range(start, stop, PIVOT_BLOCK):
+            b = min(a + PIVOT_BLOCK, stop)
+            block = scratch[:, : b - a]
+            np.multiply(factors[:, None], pivot_row[a:b], out=block)
+            tableau[:, a:b] -= block
     basis[row] = col
 
 
-def _drop_artificials(tableau: np.ndarray, basis: list[int], first_art: int) -> np.ndarray:
+def _drop_artificials(
+    tableau: np.ndarray, basis: np.ndarray, first_art: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Pivot zero-level artificials out of the basis, then cut their columns."""
-    m = tableau.shape[0] - 1
-    drop_rows = []
-    for i in range(m):
-        if basis[i] < first_art:
-            continue
-        pivots = np.nonzero(np.abs(tableau[i, :first_art]) > PIVOT_TOL)[0]
+    keep = np.ones(tableau.shape[0], dtype=bool)
+    for i in np.flatnonzero(basis >= first_art):
+        pivots = np.flatnonzero(np.abs(tableau[i, :first_art]) > PIVOT_TOL)
         if pivots.size:
             _pivot(tableau, basis, i, int(pivots[0]))
         else:
-            drop_rows.append(i)  # redundant row
-    if drop_rows:
-        keep = [i for i in range(m) if i not in drop_rows] + [m]
-        tableau = tableau[keep]
-        for i in sorted(drop_rows, reverse=True):
-            del basis[i]
-    return np.hstack([tableau[:, :first_art], tableau[:, -1:]])
+            keep[i] = False  # redundant row
+    # Move b next to the last kept column; the slice stays column-major.
+    tableau[:, first_art] = tableau[:, -1]
+    tableau = tableau[:, : first_art + 1]
+    if not keep.all():
+        tableau = np.asfortranarray(tableau[keep])
+        basis = basis[keep[:-1]]
+    return tableau, basis

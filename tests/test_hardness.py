@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import functools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from ocselect import (
@@ -472,6 +474,64 @@ class TestPrimalTableauSize:
     def test_rejects_steps_outside_the_ladder(self, step):
         with pytest.raises(HardnessParameterError):
             primal_tableau_mb(step)
+
+
+def loop_primal_general(grid_step):
+    """The general program built entry by entry in Python floats."""
+    cells = max(1, round((PHI - 1.0) / grid_step))
+    step = (PHI - 1.0) / cells
+    grid = [PHI - j * step for j in range(cells + 1)]
+    grid[-1] = 1.0
+    rows = [[PHI] + [1.0 - x for x in grid]]
+    rhs = [1.0]
+    for i, x in enumerate(grid):
+        rows.append([x + 1.0] + [x + 1.0 - y if j <= i else 0.0 for j, y in enumerate(grid)])
+        rhs.append(x + 1.0)
+    rows.append([0.0] + [1.0] * len(grid))
+    rhs.append(1.0)
+    return [1.0] + [0.0] * len(grid), rows, rhs
+
+
+def loop_primal_tvd(c, grid_step):
+    """The detection program built entry by entry in Python floats."""
+    cells = max(2, round((1.0 - c) / grid_step))
+    h = (1.0 - c) / cells
+    mids = [c + (i + 0.5) * h for i in range(cells)]
+    xs = [2.0 * c - 1.0 + (j + 1) * h for j in range(cells)]
+    xs[-1] = c
+    rows = []
+    for x in xs:
+        opt_x = 1.0 - c + x
+        values = [y if y <= opt_x else max(1.0 - c, y - (1.0 - c)) for y in mids]
+        rows.append([opt_x] + [-v for v in values])
+    rows.append([0.0] + [1.0] * cells)
+    return [1.0] + [0.0] * cells, rows, [0.0] * cells + [1.0]
+
+
+class TestPrimalBuilders:
+    @pytest.mark.parametrize("step", [0.1, 0.02, 0.0123, 0.005, 0.001])
+    def test_match_the_loop_builders_bit_for_bit(self, step):
+        for lp, loop in (
+            (build_primal_general(step), loop_primal_general(step)),
+            (build_primal_tvd(DETECTION_C, step), loop_primal_tvd(DETECTION_C, step)),
+        ):
+            for field, reference in zip((lp.objective, lp.rows, lp.rhs), loop):
+                expected = np.array(reference, dtype=float)
+                assert field.shape == expected.shape
+                assert field.tobytes() == expected.tobytes()
+
+    def test_pivot_counts(self):
+        assert simplex_solve(build_primal_general(0.005)).pivots == (0, 125)
+        assert simplex_solve(build_primal_tvd(DETECTION_C, 0.005)).pivots == (0, 84)
+
+    def test_build_and_solve_peak_at_most_twice_the_tableau(self):
+        tracemalloc.start()
+        try:
+            simplex_solve(build_primal_general(0.001))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 <= 2.0 * primal_tableau_mb(0.001)
 
 
 class TestGeneralDual:

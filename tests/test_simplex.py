@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from ocselect import FiniteLP, InfeasibleError, LPSolution, UnboundedError, simplex_solve
+from ocselect import FiniteLP, InfeasibleError, LPSolution, UnboundedError, simplex, simplex_solve
+from ocselect.simplex import PIVOT_BLOCK
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -24,6 +25,29 @@ class TestValidation:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             FiniteLP((), (), ())
+
+    @pytest.mark.parametrize(
+        "rows, rhs",
+        [(((1.0, 0.0), (1.0,)), (1.0, 1.0)), (((1.0, 0.0),), (1.0, 1.0)), (((1.0, 0.0),), ())],
+    )
+    def test_rejects_ragged_rows_and_rhs_mismatch(self, rows, rhs):
+        with pytest.raises(ValueError):
+            FiniteLP((1.0, 0.0), rows, rhs)
+
+    def test_fields_are_read_only_float64_arrays(self):
+        lp = FiniteLP((1, 0), ((1, 2), (3, 4), (5, 6)), (7, 8, 9))
+        for field, shape in ((lp.objective, (2,)), (lp.rows, (3, 2)), (lp.rhs, (3,))):
+            assert isinstance(field, np.ndarray)
+            assert field.dtype == np.float64 and field.shape == shape
+            with pytest.raises(ValueError):
+                field[0] = 1.0
+        assert lp.n_vars == 2
+
+    def test_caller_arrays_are_copied(self):
+        rows = np.ones((2, 2))
+        lp = FiniteLP(np.ones(2), rows, np.ones(2))
+        rows[0, 0] = 5.0
+        assert rows.flags.writeable and lp.rows[0, 0] == 1.0
 
 
 class TestBasics:
@@ -148,3 +172,95 @@ class TestPivotCounts:
         first = simplex_solve(lp).pivots
         assert first[0] == 0 and first[1] > 0
         assert all(simplex_solve(lp).pivots == first for _ in range(3))
+
+
+def dense_pivot(tableau, basis, row, col):
+    """Rank-1 update over every column: the reference ``simplex._pivot`` must match."""
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= factors[:, None] * tableau[row]
+    basis[row] = col
+
+
+def row_with_zero_runs(rng, width, col):
+    """Nonzero entries with zero runs between random cut points; nonzero at ``col``."""
+    cuts = np.sort(rng.choice(np.arange(1, width), size=min(width - 1, 6), replace=False))
+    row = rng.uniform(0.5, 2.0, size=width) * rng.choice([-1.0, 1.0], size=width)
+    first_zero = bool(rng.integers(2))
+    for k, (a, b) in enumerate(zip(np.r_[0, cuts], np.r_[cuts, width])):
+        if (k % 2 == 0) == first_zero:
+            row[a:b] = 0.0
+    row[col] = rng.uniform(0.5, 2.0)
+    return row
+
+
+class TestPivotKernel:
+    @pytest.mark.parametrize(
+        "width", [5, PIVOT_BLOCK - 1, PIVOT_BLOCK, PIVOT_BLOCK + 1, 3 * PIVOT_BLOCK + 7]
+    )
+    def test_matches_the_dense_update(self, width):
+        rng = np.random.default_rng(width)
+        for _ in range(20):
+            height = int(rng.integers(2, 12))
+            dense = rng.uniform(-3.0, 3.0, size=(height, width))
+            dense[rng.random((height, width)) < 0.2] = 0.0
+            row, col = int(rng.integers(height)), int(rng.integers(width - 1))
+            dense[row] = row_with_zero_runs(rng, width, col)
+            runs = np.asfortranarray(dense)
+            dense_basis, runs_basis = np.arange(height), np.arange(height)
+            dense_pivot(dense, dense_basis, row, col)
+            simplex._pivot(runs, runs_basis, row, col)
+            assert runs.flags.f_contiguous
+            assert (runs == dense).all()
+            assert (runs_basis == dense_basis).all()
+
+    @pytest.mark.parametrize(
+        "lp",
+        [
+            # x + y >= 2 twice, x + y <= 2, x <= 1.5: artificials stay basic at
+            # zero level after phase 1 and are pivoted out before phase 2.
+            FiniteLP(
+                (1.0, 2.0),
+                ((-1.0, -1.0), (-1.0, -1.0), (1.0, 1.0), (1.0, 0.0)),
+                (-2.0, -2.0, 2.0, 1.5),
+            ),
+            FiniteLP((1.0,), ((-1.0,), (-1.0,), (1.0,)), (-1.0, -1.0, 1.0)),
+        ],
+    )
+    def test_phase_one_with_redundant_rows_matches_dense_pivots(self, lp, monkeypatch):
+        drop = simplex._drop_artificials
+        basic_artificials = []
+
+        def spy(tableau, basis, first_art):
+            basic_artificials.append(int((basis >= first_art).sum()))
+            return drop(tableau, basis, first_art)
+
+        monkeypatch.setattr(simplex, "_drop_artificials", spy)
+        runs = simplex_solve(lp)
+        monkeypatch.setattr(simplex, "_pivot", dense_pivot)
+        assert simplex_solve(lp) == runs
+        assert basic_artificials[0] > 0
+
+    def test_random_programs_match_dense_pivots(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        programs = []
+        for _ in range(60):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(1, 8))
+            rows = rng.uniform(-1.0, 2.0, size=(m, n))
+            rows[rng.random((m, n)) < 0.3] = 0.0
+            programs.append(FiniteLP(rng.uniform(-1.0, 1.0, size=n), rows, rng.uniform(-1.0, 3.0, size=m)))
+
+        def outcomes():
+            results = []
+            for lp in programs:
+                try:
+                    results.append(simplex_solve(lp))
+                except (InfeasibleError, UnboundedError) as err:
+                    results.append(str(err))
+            return results
+
+        runs = outcomes()
+        monkeypatch.setattr(simplex, "_pivot", dense_pivot)
+        assert outcomes() == runs
+        assert sum(isinstance(r, LPSolution) and r.pivots[0] > 0 for r in runs) >= 5
