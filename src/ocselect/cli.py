@@ -66,8 +66,8 @@ from .hardness import (
 from .io import load_instance
 from .policies import (
     EXACT_POLICIES,
+    lane_randomized_values,
     lane_values,
-    randomized_value,
     sample_runs,
     tva_exact,
     tvd_exact,
@@ -84,8 +84,9 @@ RANDOMIZED_POLICY_KINDS = ("tva-rand-656", "tvd-rand-732")
 POLICY_KINDS = EXACT_POLICIES + RANDOMIZED_POLICY_KINDS
 
 ENUMERATION_LIMIT = 9
-# Orders per lane-evaluator pass of ``eval``; chunk temporaries stay well
-# under the CSV text of a full 8-box enumeration.
+# Orders per lane-evaluator chunk of ``eval``, and lanes per pass: one per
+# order for the exact kinds, one per piece for the mixtures.  Chunk
+# temporaries stay well under the CSV text of a full 8-box enumeration.
 LANE_CHUNK = 512
 SIMULATION_CHUNK = 10_000
 CERTIFICATE_TOL = 1e-8
@@ -261,21 +262,21 @@ def _order_values(
 ) -> Iterator[tuple[ArrivalOrder, float, float]]:
     """(order, online optimum, policy value) for each order, in order.
 
-    Exact policies run LANE_CHUNK orders at a time through the lane
-    evaluator; the randomized mixtures value one order at a time.
+    Every policy runs LANE_CHUNK orders at a time through the lane
+    evaluator.  The randomized mixtures value all of a chunk's pieces as
+    lanes, LANE_CHUNK pieces per pass.
     """
     policy = args.policy
-    if policy in RANDOMIZED_POLICY_KINDS:
-        density, kind = (rho_656(), "tva") if policy == "tva-rand-656" else (rho_732(), "tvd")
-        for order in orders:
-            opt = opt_online(instance, order).total
-            yield order, opt, randomized_value(instance, order, density, policy_kind=kind)
-        return
     for chunk, perm in _lane_chunks(instance, orders):
         opt = lane_optima(instance, perm)
-        g0 = args.tau if policy == "sta" else _starting_target(args.g0, instance, opt)
-        value = lane_values(policy, instance, perm, np.broadcast_to(g0, opt.shape)).value
-        yield from zip(chunk, opt.tolist(), value.tolist())
+        if policy in RANDOMIZED_POLICY_KINDS:
+            density, kind = (rho_656(), "tva") if policy == "tva-rand-656" else (rho_732(), "tvd")
+            value = lane_randomized_values(instance, chunk, perm, density, kind, LANE_CHUNK)
+        else:
+            g0 = args.tau if policy == "sta" else _starting_target(args.g0, instance, opt)
+            g0 = np.broadcast_to(g0, opt.shape)
+            value = lane_values(policy, instance, perm, np.arange(len(chunk)), g0).value.tolist()
+        yield from zip(chunk, opt.tolist(), value)
 
 
 def _lane_chunks(

@@ -16,9 +16,10 @@ and distributions only, so expected values are finite backward recursions.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -267,16 +268,19 @@ class LaneValues(NamedTuple):
 
 
 def lane_values(
-    policy_kind: str, instance: Instance, perm: np.ndarray, g0: np.ndarray
+    policy_kind: str, instance: Instance, perm: np.ndarray, rows: np.ndarray, g0: np.ndarray
 ) -> LaneValues:
     """Exact value of the named policy on every lane, bit for bit.
 
-    A lane is one (order, g0) pair: row i of ``perm`` holds the order's
-    indices into ``instance.boxes`` and ``g0[i]`` its starting target (for
-    ``sta``, its threshold).  Each stage is one numpy pass over all lanes
-    that repeats the scalar path's IEEE operations in the same order, so
-    every value equals ``sta_exact``/``tva_exact``/``tvd_exact(...).total``
-    and every switch stage that of ``tvd_exact``.
+    A lane is one (order, g0) pair: lane i runs the order in row ``rows[i]``
+    of ``perm``, which holds indices into ``instance.boxes``, from starting
+    target ``g0[i]`` (for ``sta``, its threshold).  Many lanes may share one
+    order: ``tvd``'s suffix E[max] table is built once per row of ``perm``
+    and its switch threshold once per (row, switch stage), then gathered per
+    lane.  Each stage is one numpy pass over all lanes that repeats the
+    scalar path's IEEE operations in the same order, so every value equals
+    ``sta_exact``/``tva_exact``/``tvd_exact(...).total`` and every switch
+    stage that of ``tvd_exact``.
     """
     if policy_kind not in EXACT_POLICIES:
         raise PolicyError(f"unknown policy kind: {policy_kind!r}")
@@ -285,26 +289,31 @@ def lane_values(
         what = "threshold" if policy_kind == "sta" else "initial target"
         raise ValueError(f"{what} must be >= 0: {float(g0[np.argmax(negative)])!r}")
     tables = instance.box_tables
-    lanes, n = perm.shape
+    lane_perm = perm[rows]
+    lanes, n = lane_perm.shape
     switch = np.full(lanes, -1)
     thresholds = np.empty((lanes, n))
     if policy_kind == "sta":
         thresholds[:] = g0[:, None]
     else:
-        emax_after = _lane_emax_after(tables, perm) if policy_kind == "tvd" else None
+        emax_after = _lane_emax_after(tables, perm)[rows] if policy_kind == "tvd" else None
         g = g0
         for t in range(n):
-            g = _lane_inverse_target(tables, perm[:, t], g)
+            g = _lane_inverse_target(tables, lane_perm[:, t], g)
             thresholds[:, t] = g
             if emax_after is not None:
                 switch[(switch < 0) & (g > emax_after[:, t])] = t
         for s in sorted(set(switch[switch >= 0].tolist())):
             at = np.flatnonzero(switch == s)
-            thresholds[at, s:] = _lane_switch_tau(tables, perm[at, s:])[:, None]
+            used = np.zeros(len(perm), dtype=bool)
+            used[rows[at]] = True
+            taus = np.empty(len(perm))
+            taus[used] = _lane_switch_tau(tables, perm[used, s:])
+            thresholds[at, s:] = taus[rows[at]][:, None]
     stages = np.zeros((lanes, n + 1))
     acc = stages[:, n]
     for t in range(n - 1, -1, -1):
-        boxes = perm[:, t]
+        boxes = lane_perm[:, t]
         idx = tables.below(tables.values, boxes, thresholds[:, t])
         acc = tables.tail_mean[boxes, idx] + tables.head_mass[boxes, idx] * acc
         stages[:, t] = acc
@@ -454,6 +463,36 @@ def value_cuts(
     return sorted(levels)
 
 
+def _mixture_pieces(
+    instance: Instance, order: ArrivalOrder, density: DensitySpec, policy_kind: str
+) -> tuple[list[float], list[float]]:
+    """Weight and midpoint starting target of each piece of the mixture.
+
+    The value is piecewise constant in g0 (see ``value_cuts``): each piece is
+    weighted by its mass under the analytic density CDF and valued at its
+    midpoint.  A point mass is one piece of weight 1.
+    """
+    if policy_kind not in ("tva", "tvd"):
+        raise ValueError(f"randomized mixture needs tva or tvd, got {policy_kind!r}")
+    prophet = prophet_value(instance)
+    if density.point_mass is not None:
+        return [1.0], [density.point_mass * prophet]
+    positive = [p for p in density.pieces if p.kind != PIECE_ZERO]
+    lo, hi = positive[0].lo, positive[-1].hi
+    cuts = value_cuts(instance, order, policy_kind, hi * prophet)
+    edges = [lo, *(y / prophet for y in cuts if y > lo * prophet), hi]
+    cdf = [density_cdf(density, x) for x in edges]
+    weights = [b - a for a, b in zip(cdf, cdf[1:])]
+    mids = [0.5 * (a + b) * prophet for a, b in zip(edges, edges[1:])]
+    return weights, mids
+
+
+def _mix(weights: list[float], values: list[float]) -> float:
+    """Normalised weighted sum of the piece values, kept within them."""
+    mixed = math.fsum(w * v for w, v in zip(weights, values)) / math.fsum(weights)
+    return min(max(mixed, min(values)), max(values))
+
+
 def randomized_value(
     instance: Instance,
     order: ArrivalOrder,
@@ -462,25 +501,49 @@ def randomized_value(
 ) -> float:
     """Exact expected policy value when g0 = x * prophet with x ~ density.
 
-    The value is piecewise constant in g0 (see ``value_cuts``): each piece is
-    valued by the exact evaluator at its midpoint and weighted by its mass
-    under the analytic density CDF.  Weights are normalised and the result is
-    kept within the piece values, so it can never exceed the optimum.
+    Each piece of the value profile (see ``_mixture_pieces``) is valued by
+    the scalar exact evaluator at its midpoint.  Weights are normalised and
+    the result is kept within the piece values, so it can never exceed the
+    optimum.  This is the one-order reference: ``lane_randomized_values``
+    gives the same float for many orders at once.
     """
-    if policy_kind not in ("tva", "tvd"):
-        raise ValueError(f"randomized mixture needs tva or tvd, got {policy_kind!r}")
+    weights, mids = _mixture_pieces(instance, order, density, policy_kind)
     evaluate = tva_exact if policy_kind == "tva" else tvd_exact
-    prophet = prophet_value(instance)
-    if density.point_mass is not None:
-        return evaluate(instance, order, density.point_mass * prophet).total
+    return _mix(weights, [evaluate(instance, order, g0).total for g0 in mids])
 
-    positive = [p for p in density.pieces if p.kind != PIECE_ZERO]
-    lo, hi = positive[0].lo, positive[-1].hi
-    cuts = value_cuts(instance, order, policy_kind, hi * prophet)
-    edges = [lo, *(y / prophet for y in cuts if y > lo * prophet), hi]
-    cdf = [density_cdf(density, x) for x in edges]
-    weights = [b - a for a, b in zip(cdf, cdf[1:])]
-    mids = [0.5 * (a + b) * prophet for a, b in zip(edges, edges[1:])]
-    values = [evaluate(instance, order, g0).total for g0 in mids]
-    mixed = math.fsum(w * v for w, v in zip(weights, values)) / math.fsum(weights)
-    return min(max(mixed, min(values)), max(values))
+
+def lane_randomized_values(
+    instance: Instance,
+    orders: Sequence[ArrivalOrder],
+    perm: np.ndarray,
+    density: DensitySpec,
+    policy_kind: str,
+    max_lanes: int,
+) -> Iterator[float]:
+    """``randomized_value`` of each order in turn, bit for bit, with its pieces as lanes.
+
+    Row i of ``perm`` holds the box indices of ``orders[i]``.  Pieces are
+    built order by order and valued by ``lane_values`` in passes of
+    ``max_lanes`` lanes (the last pass may be shorter), so one order's pieces
+    may span several passes and at most one pass of pieces waits at a time.
+    An order's piece values are mixed as ``randomized_value`` mixes them as
+    soon as the last of them is valued.
+    """
+    open_weights: deque[list[float]] = deque()  # orders not yet mixed
+    values: list[float] = []  # their pieces valued so far
+    rows: list[int] = []  # pieces not yet valued: row of perm and g0
+    starts: list[float] = []
+    for i, order in enumerate(orders):
+        weights, mids = _mixture_pieces(instance, order, density, policy_kind)
+        open_weights.append(weights)
+        rows += [i] * len(mids)
+        starts += mids
+        while len(starts) >= max_lanes or (i == len(orders) - 1 and starts):
+            at = np.array(rows[:max_lanes])
+            part, g0 = perm[at[0] : at[-1] + 1], np.array(starts[:max_lanes])
+            values += lane_values(policy_kind, instance, part, at - at[0], g0).value.tolist()
+            del rows[:max_lanes], starts[:max_lanes]
+            while open_weights and len(values) >= len(open_weights[0]):
+                weights = open_weights.popleft()
+                yield _mix(weights, values[: len(weights)])
+                del values[: len(weights)]

@@ -184,18 +184,18 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 def _drop_artificials(
     tableau: np.ndarray, basis: np.ndarray, first_art: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pivot zero-level artificials out of the basis, then cut their columns."""
-    keep = np.ones(tableau.shape[0], dtype=bool)
+    """Pivot zero-level artificials out of the basis, then cut their columns.
+
+    No row is ever redundant here.  A flipped row's slack column starts as
+    the exact negation of its artificial's column, and every pivot rounds
+    both the same way (division and t - f * p are symmetric under negation),
+    so they stay exact negations.  A basic artificial's column is the unit
+    vector of the row it is basic in, so that row holds -1 in the
+    artificial's slack column, below ``first_art``, and always has a pivot.
+    """
     for i in np.flatnonzero(basis >= first_art):
         pivots = np.flatnonzero(np.abs(tableau[i, :first_art]) > PIVOT_TOL)
-        if pivots.size:
-            _pivot(tableau, basis, i, int(pivots[0]))
-        else:
-            keep[i] = False  # redundant row
+        _pivot(tableau, basis, i, int(pivots[0]))
     # Move b next to the last kept column; the slice stays column-major.
     tableau[:, first_art] = tableau[:, -1]
-    tableau = tableau[:, : first_art + 1]
-    if not keep.all():
-        tableau = np.asfortranarray(tableau[keep])
-        basis = basis[keep[:-1]]
-    return tableau, basis
+    return tableau[:, : first_art + 1], basis

@@ -23,11 +23,13 @@ from ocselect import (
     load_instance,
     opt_online,
     parse_instance,
+    randomized_value,
+    rho_732,
     simplex_solve,
     solve_c_detection,
     tvd_exact,
 )
-from ocselect import cli
+from ocselect import cli, policies
 from ocselect.cli import main
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
@@ -124,9 +126,9 @@ class TestEvalCommand:
             optima.extend(opt.tolist())
             return opt
 
-        def recorded(policy_kind, instance, perm, g0):
+        def recorded(policy_kind, instance, perm, rows, g0):
             starts.extend(g0.tolist())
-            return lane_values(policy_kind, instance, perm, g0)
+            return lane_values(policy_kind, instance, perm, rows, g0)
 
         monkeypatch.setattr(cli, "lane_optima", counted)
         monkeypatch.setattr(cli, "lane_values", recorded)
@@ -265,6 +267,33 @@ class TestEvalCommand:
         assert 0 < switched < count
         assert capsys.readouterr().out == expected.getvalue()
 
+    def test_chunked_mixture_matches_the_scalar_mixture(self, monkeypatch, capsys):
+        # Enough orders that their pieces fill more than one LANE_CHUNK pass.
+        count, seed = 150, 5
+        passes = []
+        lane_values = policies.lane_values
+
+        def counted(policy_kind, instance, perm, rows, g0):
+            passes.append(rows.size)
+            return lane_values(policy_kind, instance, perm, rows, g0)
+
+        monkeypatch.setattr(policies, "lane_values", counted)
+        argv = ["eval", "--instance", FOUR_BOX, "--policy", "tvd-rand-732"]
+        assert main(argv + ["--orders", f"random:{count}", "--seed", str(seed)]) == 0
+        assert len(passes) > 1 and max(passes) == cli.LANE_CHUNK
+        instance = load_instance(FOUR_BOX)
+        base = sorted(instance.ids)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["order_id", "opt", "value", "ratio"])
+        for i in range(count):
+            order = tuple(base[j] for j in cli._stream(seed, i).permutation(len(base)))
+            opt = opt_online(instance, order).total
+            value = randomized_value(instance, order, rho_732(), policy_kind="tvd")
+            cells = (opt, value, value / opt)
+            writer.writerow(["|".join(order), *(format(v, ".12g") for v in cells)])
+        assert capsys.readouterr().out == expected.getvalue()
+
     def test_cli_paths_leave_numpy_ma_unimported(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
@@ -376,6 +405,32 @@ class TestEvalValidation:
         assert main(argv + ["--orders", f"file:{orders_path}"]) == 2
         assert "--g0 must be a float" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("policy", ["tva-rand-656", "tvd-rand-732"])
+    def test_bad_third_order_after_valuing_the_mixtures_before_it(
+        self, policy, monkeypatch, capsys, tmp_path
+    ):
+        orders_path = tmp_path / "orders.json"
+        good = ["a", "b", "c", "d"]
+        orders_path.write_text(json.dumps([good, good[::-1], ["a", "b", "c"], good]))
+        valued = []
+        lane_values = policies.lane_values
+
+        def recorded(policy_kind, instance, perm, rows, g0):
+            valued.extend(perm[rows].tolist())
+            return lane_values(policy_kind, instance, perm, rows, g0)
+
+        monkeypatch.setattr(policies, "lane_values", recorded)
+        out = tmp_path / "report.csv"
+        argv = ["eval", "--instance", FOUR_BOX, "--policy", policy, "--out", str(out)]
+        assert main(argv + ["--orders", f"file:{orders_path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (
+            "error: order ('a', 'b', 'c') is not a permutation of instance ids "
+            "('a', 'b', 'c', 'd')\n"
+        )
+        assert {tuple(row) for row in valued} == {(0, 1, 2, 3), (3, 2, 1, 0)}
+
     def test_eval_grid_flag_is_usage_error(self):
         args = ["eval", "--instance", FOUR_BOX, "--policy", "tvd-rand-732"]
         assert main(args + ["--grid", "400"]) == 1
@@ -390,8 +445,8 @@ class TestEvalValidation:
     def inflate_lane_values(monkeypatch):
         exact = cli.lane_values
 
-        def inflated(policy_kind, instance, perm, g0):
-            result = exact(policy_kind, instance, perm, g0)
+        def inflated(policy_kind, instance, perm, rows, g0):
+            result = exact(policy_kind, instance, perm, rows, g0)
             return result._replace(value=1.5 * result.value)
 
         monkeypatch.setattr(cli, "lane_values", inflated)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import all_orders, g0_grid, random_instance
 from ocselect import (
     Box,
+    DensitySpec,
     DiscreteDistribution,
     Instance,
     PolicyError,
@@ -37,9 +39,16 @@ from ocselect import (
 )
 from ocselect import policies
 from ocselect.benchmarks import lane_optima, order_indices
-from ocselect.densities import PHI
+from ocselect.cli import LANE_CHUNK
+from ocselect.densities import PHI, PIECE_INV, PIECE_ZERO, DensityPiece
 from ocselect.distributions import TARGET_SLACK, inverse_target, sample
-from ocselect.policies import CONSERVATIVE, TARGETED, TERMINATED, lane_values
+from ocselect.policies import (
+    CONSERVATIVE,
+    TARGETED,
+    TERMINATED,
+    lane_randomized_values,
+    lane_values,
+)
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
@@ -492,7 +501,7 @@ def assert_lanes_match_scalar(inst: Instance, orders, fractions) -> set[int]:
     suffixes: set[int] = set()
     for kind, scalar in SCALAR.items():
         for g0 in starts:
-            got = lane_values(kind, inst, perm, g0)
+            got = lane_values(kind, inst, perm, np.arange(len(orders)), g0)
             results = [scalar(inst, order, x) for order, x in zip(orders, g0.tolist())]
             assert got.value.tolist() == [r.total for r in results]
             stages = [-1 if r.switch_stage is None else r.switch_stage for r in results]
@@ -535,8 +544,117 @@ class TestLaneValues:
     def test_negative_start_is_rejected_like_the_scalar_path(self):
         perm = np.array([[0, 1], [1, 0]])
         with pytest.raises(ValueError, match="initial target must be >= 0: -1.0"):
-            lane_values("tva", AB, perm, np.array([1.0, -1.0]))
+            lane_values("tva", AB, perm, np.arange(2), np.array([1.0, -1.0]))
         with pytest.raises(ValueError, match="threshold must be >= 0: nan"):
-            lane_values("sta", AB, perm, np.array([math.nan, 1.0]))
+            lane_values("sta", AB, perm, np.arange(2), np.array([math.nan, 1.0]))
         with pytest.raises(PolicyError):
-            lane_values("nope", AB, perm, np.zeros(2))
+            lane_values("nope", AB, perm, np.arange(2), np.zeros(2))
+
+
+def high_density(lo: float = 0.9) -> DensitySpec:
+    """All mass on [lo, 1]: g0 tops the optimum of many orders, so tvd switches."""
+    zero = DensityPiece(PIECE_ZERO, 0.5, lo)
+    return DensitySpec("high", (zero, DensityPiece(PIECE_INV, lo, 1.0, -1.0 / math.log(lo))))
+
+
+MIXTURE_DENSITIES = (rho_656(), rho_732(), point_density(1.0 / PHI), high_density())
+
+
+def mixture_instances() -> list[tuple[Instance, list]]:
+    """The lane instances with all their orders, and a 6-box one with every 9th order."""
+    out = [(inst, all_orders(inst)) for inst in lane_instances()]
+    inst = random_instance(np.random.default_rng(9), 6, max_atoms=5)
+    return out + [(inst, all_orders(inst)[::9])]
+
+
+def mixture_lanes(inst: Instance, orders, density: DensitySpec, kind: str):
+    """Every order's row of box indices, each piece's row, and each piece's midpoint."""
+    perm = np.array([order_indices(inst, order) for order in orders])
+    mids = [policies._mixture_pieces(inst, order, density, kind)[1] for order in orders]
+    rows = np.repeat(np.arange(len(orders)), [len(m) for m in mids])
+    return perm, rows, np.array([g for m in mids for g in m])
+
+
+class TestLaneRandomizedValues:
+    @pytest.mark.parametrize("kind", ["tva", "tvd"])
+    def test_equals_the_scalar_mixture(self, kind):
+        widest = 0
+        for inst, orders in mixture_instances():
+            perm = np.array([order_indices(inst, order) for order in orders])
+            for density in MIXTURE_DENSITIES:
+                want = [randomized_value(inst, order, density, kind) for order in orders]
+                # Three lanes per pass, so one order's pieces often span
+                # several passes, and the CLI's pass.
+                for max_lanes in (3, LANE_CHUNK):
+                    got = lane_randomized_values(inst, orders, perm, density, kind, max_lanes)
+                    assert list(got) == want
+                rows = mixture_lanes(inst, orders, density, kind)[1]
+                widest = max(widest, np.bincount(rows).max())
+        assert widest > 3
+
+    def test_tvd_pieces_that_all_switch(self):
+        # With mass on [0.9, 1] only, every piece of an order whose optimum lies
+        # below 0.9 * prophet starts above it, and tvd switches on each.
+        density, switched = high_density(), 0
+        for inst, orders in mixture_instances():
+            perm, rows, g0 = mixture_lanes(inst, orders, density, "tvd")
+            opt = lane_optima(inst, perm)
+            over = [i for i in range(len(orders)) if g0[rows == i].min() > opt[i]]
+            lanes = lane_values("tvd", inst, perm, rows, g0)
+            assert (lanes.switch_stage[np.isin(rows, over)] >= 0).all()
+            got = lane_randomized_values(inst, orders, perm, density, "tvd", 3)
+            assert list(got) == [randomized_value(inst, order, density, "tvd") for order in orders]
+            switched += len(over)
+        assert switched >= 20
+
+    def test_rejects_a_kind_without_a_mixture(self):
+        perm = np.array([[0, 1]])
+        with pytest.raises(ValueError, match="randomized mixture needs tva or tvd"):
+            list(lane_randomized_values(AB, [("A", "B")], perm, rho_732(), "sta", 8))
+
+
+class TestSharedOrderTables:
+    @pytest.mark.parametrize("kind", ["sta", "tva", "tvd"])
+    def test_shared_rows_match_one_row_per_lane(self, kind):
+        # Pieces of many orders, in order and shuffled, against the same lanes
+        # with each order's row repeated per lane.
+        rng = np.random.default_rng(12)
+        switched = 0
+        for inst, orders in mixture_instances():
+            for density in (rho_732(), high_density()):
+                perm, rows, g0 = mixture_lanes(inst, orders, density, "tvd")
+                for pick in (np.arange(rows.size), rng.permutation(rows.size)):
+                    shared = lane_values(kind, inst, perm, rows[pick], g0[pick])
+                    one_row_each = perm[rows[pick]], np.arange(rows.size)
+                    alone = lane_values(kind, inst, *one_row_each, g0[pick])
+                    assert shared.value.tolist() == alone.value.tolist()
+                    assert shared.switch_stage.tolist() == alone.switch_stage.tolist()
+                    switched += int((shared.switch_stage >= 0).sum())
+        assert (switched > 0) == (kind == "tvd")
+
+    def test_one_pass_stays_within_eight_lane_by_stage_arrays(self):
+        # One pass of LANE_CHUNK tvd pieces on 12 boxes.  Suffix tables built
+        # once per order keep it within eight (lanes, boxes + 1) float arrays;
+        # building them once per lane, on the instance's grid, took 3.4x more.
+        rng = np.random.default_rng(8)
+        inst = random_instance(rng, 12, max_atoms=6)
+        orders = [tuple(inst.ids[j] for j in rng.permutation(inst.n)) for _ in range(60)]
+        perm, rows, g0 = mixture_lanes(inst, orders, rho_732(), "tvd")
+        rows, g0 = rows[:LANE_CHUNK], g0[:LANE_CHUNK]
+        assert rows.size == LANE_CHUNK and rows[-1] + 1 < len(orders)
+        bound = 8 * LANE_CHUNK * (inst.n + 1) * 8
+        lane_values("tvd", inst, perm, rows, g0)  # builds the instance's box tables
+        tracemalloc.start()
+        try:
+            lanes = lane_values("tvd", inst, perm[: rows[-1] + 1], rows, g0)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            streamed = list(
+                lane_randomized_values(inst, orders, perm, rho_732(), "tvd", LANE_CHUNK)
+            )
+            _, stream_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (lanes.switch_stage >= 0).any()
+        assert len(streamed) == len(orders)
+        assert peak <= bound and stream_peak <= bound

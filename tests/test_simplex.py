@@ -264,3 +264,55 @@ class TestPivotKernel:
         monkeypatch.setattr(simplex, "_pivot", dense_pivot)
         assert outcomes() == runs
         assert sum(isinstance(r, LPSolution) and r.pivots[0] > 0 for r in runs) >= 5
+
+
+class TestDropArtificials:
+    def test_duplicated_rows_pivot_below_the_artificials_and_keep_every_row(self, monkeypatch):
+        # Integer programs with one row repeated: phase 1 often ends with an
+        # artificial basic at zero level.  Its row must hold -1 in the
+        # artificial's slack column, so it pivots out there and no row goes.
+        rng = np.random.default_rng(41)
+        drop, pivot = simplex._drop_artificials, simplex._pivot
+        flipped = np.zeros(0, dtype=int)
+        basic_artificials = 0
+
+        def spy(tableau, basis, first_art):
+            nonlocal basic_artificials
+            m = basis.size
+            slack, art = first_art - m + flipped, first_art + np.arange(flipped.size)
+            assert (tableau[:m, slack] == -tableau[:m, art]).all()
+            for i in np.flatnonzero(basis >= first_art):
+                assert tableau[i, slack[basis[i] - first_art]] == -1.0
+                basic_artificials += 1
+            columns = []
+
+            def recorded(tableau, basis, row, col):
+                columns.append(col)
+                pivot(tableau, basis, row, col)
+
+            monkeypatch.setattr(simplex, "_pivot", recorded)
+            try:
+                out, kept = drop(tableau, basis, first_art)
+            finally:
+                monkeypatch.setattr(simplex, "_pivot", pivot)
+            assert all(col < first_art for col in columns)
+            assert out.shape == (m + 1, first_art + 1) and out.flags.f_contiguous
+            assert kept.size == m and (kept < first_art).all()
+            return out, kept
+
+        monkeypatch.setattr(simplex, "_drop_artificials", spy)
+        solved = 0
+        for _ in range(3000):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            rows = rng.integers(-3, 4, size=(m, n)).astype(float)
+            rhs = rng.integers(-4, 5, size=m).astype(float)
+            dup = int(rng.integers(m))
+            rows, rhs = np.vstack([rows, rows[dup]]), np.append(rhs, rhs[dup])
+            lp = FiniteLP(rng.integers(-2, 3, size=n).astype(float), rows, rhs)
+            flipped = np.flatnonzero(lp.rhs < 0.0)
+            try:
+                simplex_solve(lp)
+            except (InfeasibleError, UnboundedError):
+                continue
+            solved += 1
+        assert solved >= 500 and basic_artificials >= 20
