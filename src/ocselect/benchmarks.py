@@ -3,8 +3,9 @@
 An instance is a multiset of boxes with known value distributions.  The two
 benchmarks evaluated here are the order-aware online optimum (backward
 induction over the arrival order) and the prophet value (expectation of the
-overall maximum).  Single-threshold policies and their closed-form lower
-bound live here too, since both are stated against the max distribution.
+overall maximum).  The single-threshold lower bound and the threshold that
+maximises it live here too, since both are stated against the max
+distribution.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 from .distributions import (
     DiscreteDistribution,
     as_probability,
-    expected_max_with,
     max_distribution,
 )
 
@@ -93,19 +93,8 @@ class Instance:
 ArrivalOrder = tuple[str, ...]
 
 
-def ordered_dists(
-    instance: Instance, order: ArrivalOrder
-) -> tuple[DiscreteDistribution, ...]:
-    """Distributions in arrival order, validating the order is a bijection."""
-    if len(order) != instance.n or set(order) != instance.id_set:
-        raise OrderError(
-            f"order {order!r} is not a permutation of instance ids {instance.ids!r}"
-        )
-    return tuple(instance.by_id[box_id].dist for box_id in order)
-
-
 def order_indices(instance: Instance, order: ArrivalOrder) -> list[int]:
-    """Positions in ``instance.boxes`` in arrival order, validating as ``ordered_dists``."""
+    """Positions in ``instance.boxes`` in arrival order, validating the order is a bijection."""
     if len(order) != instance.n or set(order) != instance.id_set:
         raise OrderError(
             f"order {order!r} is not a permutation of instance ids {instance.ids!r}"
@@ -175,7 +164,7 @@ def check_lane_stages(kind: str, stages: np.ndarray) -> None:
     """Apply ``EvaluationResult``'s per-stage check to every lane's row of stage values.
 
     The first lane failing it is rebuilt as an ``EvaluationResult``, which
-    raises the scalar evaluators' error for it.
+    raises that check's error for it.
     """
     bad = ~np.all(np.isfinite(stages) & (stages >= -VALUE_TOL), axis=1)
     if bad.any():
@@ -213,24 +202,22 @@ class EvaluationResult:
 
 
 def opt_online(instance: Instance, order: ArrivalOrder) -> EvaluationResult:
-    """Order-aware online optimum by backward induction.
+    """Order-aware online optimum by backward induction: ``lane_optima`` on one order.
 
     Value-to-go from stage t is E[max(v_t, value-to-go from t+1)], zero past
     the last box.  Accepting at equality is optimal and is the convention
     used by every evaluator in this package.
     """
-    stages = [0.0]
-    acc = 0.0
-    for d in reversed(ordered_dists(instance, order)):
-        acc = expected_max_with(d, acc)
-        stages.append(acc)
-    return EvaluationResult("opt", tuple(reversed(stages)))
+    stages = lane_optima(instance, np.array([order_indices(instance, order)]))
+    return EvaluationResult("opt", tuple(stages[0].tolist()))
 
 
 def lane_optima(instance: Instance, perm: np.ndarray) -> np.ndarray:
-    """``opt_online(...).total`` of every row of box indices ``perm``, bit for bit.
+    """Per-stage online optimum of every row of box indices ``perm``, one row per lane.
 
-    The same backward induction, one numpy pass per stage over all lanes.
+    Column t is the value to go from stage t; column 0 is the optimum.  One
+    numpy pass per stage over all lanes, each E[max(v_t, value to go)] read
+    from the box's head mass and tail mean below that value.
     """
     tables = instance.box_tables
     lanes, n = perm.shape
@@ -242,37 +229,12 @@ def lane_optima(instance: Instance, perm: np.ndarray) -> np.ndarray:
         acc = acc * tables.head_mass[boxes, idx] + tables.tail_mean[boxes, idx]
         stages[:, t] = acc
     check_lane_stages("opt", stages)
-    return stages[:, 0]
+    return stages
 
 
 def prophet_value(instance: Instance) -> float:
     """E[max over all boxes], the order-free offline benchmark."""
     return instance.max_dist.mean
-
-
-def threshold_run_values(
-    dists: Sequence[DiscreteDistribution], thresholds: Sequence[float]
-) -> tuple[float, ...]:
-    """Per-stage values of taking the first v_t >= thresholds[t], by backward induction.
-
-    The one backward pass behind every threshold policy's exact value.
-    """
-    stages = [0.0]
-    acc = 0.0
-    for d, threshold in zip(reversed(dists), reversed(thresholds)):
-        idx = bisect_left(d.values, threshold)
-        acc = d.tail_mean[idx] + d.head_mass[idx] * acc
-        stages.append(acc)
-    return tuple(reversed(stages))
-
-
-def sta_exact(instance: Instance, order: ArrivalOrder, tau: float) -> EvaluationResult:
-    """Exact value of the single-threshold policy: accept the first v >= tau."""
-    if not (tau >= 0.0):
-        raise ValueError(f"threshold must be >= 0: {tau!r}")
-    dists = ordered_dists(instance, order)
-    per_stage = threshold_run_values(dists, [tau] * len(dists))
-    return EvaluationResult("sta", per_stage, threshold=tau)
 
 
 def sta_lower_bound(instance: Instance, tau: float) -> float:

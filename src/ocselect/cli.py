@@ -41,10 +41,8 @@ from .benchmarks import (
     Instance,
     OrderError,
     lane_optima,
-    opt_online,
     order_indices,
     prophet_value,
-    sta_exact,
 )
 from .densities import (
     ENVELOPE_TVA,
@@ -69,8 +67,6 @@ from .policies import (
     lane_randomized_values,
     lane_values,
     sample_runs,
-    tva_exact,
-    tvd_exact,
 )
 from .simplex import simplex_solve
 
@@ -268,14 +264,15 @@ def _order_values(
     """
     policy = args.policy
     for chunk, perm in _lane_chunks(instance, orders):
-        opt = lane_optima(instance, perm)
+        opt = lane_optima(instance, perm)[:, 0]
         if policy in RANDOMIZED_POLICY_KINDS:
             density, kind = (rho_656(), "tva") if policy == "tva-rand-656" else (rho_732(), "tvd")
-            value = lane_randomized_values(instance, chunk, perm, density, kind, LANE_CHUNK)
+            value = lane_randomized_values(instance, perm, density, kind, LANE_CHUNK)
         else:
             g0 = args.tau if policy == "sta" else _starting_target(args.g0, instance, opt)
             g0 = np.broadcast_to(g0, opt.shape)
-            value = lane_values(policy, instance, perm, np.arange(len(chunk)), g0).value.tolist()
+            lanes = lane_values(policy, instance, perm, np.arange(len(chunk)), g0)
+            value = lanes.stages[:, 0].tolist()
         yield from zip(chunk, opt.tolist(), value)
 
 
@@ -381,21 +378,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         order = tuple(part.strip() for part in args.order.split(","))
     if args.policy == "sta":
         g0 = args.tau
-        exact = sta_exact(instance, order, g0).total
-    else:
-        opt = opt_online(instance, order).total if args.g0 == "opt" else math.nan
-        g0 = _starting_target(args.g0, instance, opt)
-        evaluator = tva_exact if args.policy == "tva" else tvd_exact
-        exact = evaluator(instance, order, g0).total
+    elif args.g0 != "opt":
+        g0 = _starting_target(args.g0, instance, math.nan)
+    perm = np.array([order_indices(instance, order)])
+    if args.g0 == "opt":
+        g0 = lane_optima(instance, perm)[0, 0]
+    lane = lane_values(args.policy, instance, perm, np.zeros(1, dtype=int), np.array([g0]))
+    exact = float(lane.stages[0, 0])
+    dists = [instance.dists[b] for b in perm[0]]
     samples = np.empty(runs)
     for start in range(0, runs, SIMULATION_CHUNK):
         rng = _stream(args.seed, start // SIMULATION_CHUNK)
         stop = min(start + SIMULATION_CHUNK, runs)
-        samples[start:stop] = sample_runs(args.policy, g0, instance, order, rng, stop - start)
+        samples[start:stop] = sample_runs(dists, lane.thresholds[0], rng, stop - start)
     if samples.min() == samples.max():
         mean = float(samples[0])
         std_error = 0.0
-        z_score = 0.0 if mean == exact else math.inf
+        z_score = 0.0 if mean == exact else math.copysign(math.inf, mean - exact)
     else:
         mean = float(samples.mean())
         std_error = float(samples.std(ddof=1) / math.sqrt(runs))

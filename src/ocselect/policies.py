@@ -16,9 +16,9 @@ and distributions only, so expected values are finite backward recursions.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -30,9 +30,8 @@ from .benchmarks import (
     Instance,
     best_single_threshold,
     check_lane_stages,
-    ordered_dists,
+    order_indices,
     prophet_value,
-    threshold_run_values,
 )
 from .densities import PIECE_ZERO, DensitySpec, density_cdf
 from .distributions import (
@@ -150,101 +149,34 @@ def tvd_step(
 
 
 # ---------------------------------------------------------------------------
-# Per-order tables and the stage thresholds of each policy.
+# Exact policy values of one order.
 
 
-class _OrderTables:
-    """Arrival-order tables shared by every evaluation on one (instance, order)."""
-
-    def __init__(self, instance: Instance, order: ArrivalOrder):
-        self.instance = instance
-        self.order = order
-        self.dists = ordered_dists(instance, order)
-        self._switch_taus: dict[int, float] = {}
-
-    @cached_property
-    def emax_after(self) -> list[float]:
-        """emax_after[t] = E[max of boxes strictly after stage t]."""
-        return suffix_expected_max(self.dists[1:])
-
-    def switch_tau(self, s: int) -> float:
-        """Best single threshold over the boxes from stage s on."""
-        tau = self._switch_taus.get(s)
-        if tau is None:
-            tau = self._switch_taus[s] = best_single_threshold(self.dists[s:]).tau
-        return tau
-
-
-# Only the most recent (instance, order) is kept: callers run every
-# evaluation of one order before moving to the next, so memory stays bounded
-# however many orders a run enumerates.  The tables are a function of the
-# immutable instance and order alone, so callers sharing the slot can only
-# change whether it hits, never a value.
-_recent: _OrderTables | None = None
-
-
-def _order_tables(instance: Instance, order: ArrivalOrder) -> _OrderTables:
-    global _recent
-    tables = _recent
-    if tables is None or tables.instance is not instance or tables.order != order:
-        tables = _recent = _OrderTables(instance, order)
-    return tables
-
-
-class _Thresholds(NamedTuple):
-    per_stage: list[float]
-    targets: list[float]
-    switch_stage: int | None
-
-
-def _stage_thresholds(policy_kind: str, g0: float, tables: _OrderTables) -> _Thresholds:
-    """Acceptance threshold of each stage, with the targets walked to get there.
-
-    ``sta`` accepts at g0 at every stage.  ``tva`` accepts at each target of
-    the walk g_t = inverse_target(d_t, g_{t-1}).  ``tvd`` walks the same
-    targets until the first g_t above emax_after[t]; from that switch stage on
-    it accepts at the best single threshold over the remaining boxes.
-    """
-    if policy_kind not in EXACT_POLICIES:
-        raise PolicyError(f"unknown policy kind: {policy_kind!r}")
-    if not (g0 >= 0.0):
-        what = "threshold" if policy_kind == "sta" else "initial target"
-        raise ValueError(f"{what} must be >= 0: {g0!r}")
-    n = len(tables.dists)
-    if policy_kind == "sta":
-        return _Thresholds([g0] * n, [], None)
-    targets: list[float] = []
-    g = g0
-    for t, d in enumerate(tables.dists):
-        g = inverse_target(d, g)
-        targets.append(g)
-        if policy_kind == "tvd" and g > tables.emax_after[t]:
-            return _Thresholds(targets[:t] + [tables.switch_tau(t)] * (n - t), targets, t)
-    return _Thresholds(targets, targets, None)
-
-
-# ---------------------------------------------------------------------------
-# Exact policy values.
-
-
-def _exact(
+def _one_lane(
     policy_kind: str, instance: Instance, order: ArrivalOrder, g0: float
 ) -> EvaluationResult:
-    tables = _order_tables(instance, order)
-    plan = _stage_thresholds(policy_kind, g0, tables)
-    switch = plan.switch_stage
-    return EvaluationResult(
-        policy_kind,
-        threshold_run_values(tables.dists, plan.per_stage),
-        targets=tuple(plan.targets),
-        switch_stage=switch,
-        threshold=None if switch is None else plan.per_stage[switch],
-    )
+    """``lane_values`` on the one lane (order, g0), as an ``EvaluationResult``."""
+    perm = np.array([order_indices(instance, order)])
+    lane = lane_values(policy_kind, instance, perm, np.zeros(1, dtype=int), np.array([g0], float))
+    per_stage = tuple(lane.stages[0].tolist())
+    if policy_kind == "sta":
+        return EvaluationResult("sta", per_stage, threshold=g0)
+    thresholds = lane.thresholds[0].tolist()
+    switch = int(lane.switch_stage[0])
+    if switch < 0:
+        return EvaluationResult(policy_kind, per_stage, targets=tuple(thresholds))
+    targets = (*thresholds[:switch], float(lane.switch_target[0]))
+    return EvaluationResult("tvd", per_stage, targets, switch, thresholds[switch])
+
+
+def sta_exact(instance: Instance, order: ArrivalOrder, tau: float) -> EvaluationResult:
+    """Exact value of the single-threshold policy: accept the first v >= tau."""
+    return _one_lane("sta", instance, order, tau)
 
 
 def tva_exact(instance: Instance, order: ArrivalOrder, g0: float) -> EvaluationResult:
     """Exact expected value of the targeted policy started at target g0."""
-    return _exact("tva", instance, order, g0)
+    return _one_lane("tva", instance, order, g0)
 
 
 def tvd_exact(instance: Instance, order: ArrivalOrder, g0: float) -> EvaluationResult:
@@ -253,9 +185,11 @@ def tvd_exact(instance: Instance, order: ArrivalOrder, g0: float) -> EvaluationR
     Until the switch the run is identical to the plain targeted policy; from
     the switch stage on it is a single-threshold run over the suffix.  The
     switch stage depends only on the target walk and the distributions, so
-    the whole evaluation stays an exact backward recursion.
+    the whole evaluation stays an exact backward recursion.  ``targets`` ends
+    with the target at the switch stage, the one found above the value still
+    to come.
     """
-    return _exact("tvd", instance, order, g0)
+    return _one_lane("tvd", instance, order, g0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,24 +197,35 @@ def tvd_exact(instance: Instance, order: ArrivalOrder, g0: float) -> EvaluationR
 
 
 class LaneValues(NamedTuple):
-    value: np.ndarray
+    stages: np.ndarray  # (lanes, n + 1): value to go from each stage; column 0 is the policy's
+    thresholds: np.ndarray  # (lanes, n): the acceptance threshold of each stage
     switch_stage: np.ndarray  # tvd's switch stage per lane, -1 where none
+    switch_target: np.ndarray  # tvd's target at its switch stage, nan where none
 
 
 def lane_values(
-    policy_kind: str, instance: Instance, perm: np.ndarray, rows: np.ndarray, g0: np.ndarray
+    policy_kind: str,
+    instance: Instance,
+    perm: np.ndarray,
+    rows: np.ndarray,
+    g0: np.ndarray,
+    emax_after: np.ndarray | None = None,
 ) -> LaneValues:
-    """Exact value of the named policy on every lane, bit for bit.
+    """Exact value of the named policy on every lane, with each lane's stages and thresholds.
 
     A lane is one (order, g0) pair: lane i runs the order in row ``rows[i]``
     of ``perm``, which holds indices into ``instance.boxes``, from starting
-    target ``g0[i]`` (for ``sta``, its threshold).  Many lanes may share one
-    order: ``tvd``'s suffix E[max] table is built once per row of ``perm``
-    and its switch threshold once per (row, switch stage), then gathered per
-    lane.  Each stage is one numpy pass over all lanes that repeats the
-    scalar path's IEEE operations in the same order, so every value equals
-    ``sta_exact``/``tva_exact``/``tvd_exact(...).total`` and every switch
-    stage that of ``tvd_exact``.
+    target ``g0[i]`` (for ``sta``, its threshold).  ``sta`` accepts at g0 at
+    every stage.  ``tva`` accepts at each target of the walk
+    g_t = inverse_target(d_t, g_{t-1}).  ``tvd`` walks the same targets until
+    the first g_t above emax_after[t], E[max of the boxes after stage t]; from
+    that switch stage on it accepts at the best single threshold over the
+    remaining boxes.  Many lanes may share one order: ``tvd``'s emax_after
+    table is built once per row of ``perm`` (or taken from the caller, one
+    row per row of ``perm``) and its switch threshold once per (row, switch
+    stage), then gathered per lane.  Each stage is one numpy pass over all
+    lanes that repeats, in the same order, the IEEE operations of the
+    one-order reference evaluators in ``tests/scalar_reference.py``.
     """
     if policy_kind not in EXACT_POLICIES:
         raise PolicyError(f"unknown policy kind: {policy_kind!r}")
@@ -289,36 +234,38 @@ def lane_values(
         what = "threshold" if policy_kind == "sta" else "initial target"
         raise ValueError(f"{what} must be >= 0: {float(g0[np.argmax(negative)])!r}")
     tables = instance.box_tables
-    lane_perm = perm[rows]
-    lanes, n = lane_perm.shape
+    lanes, n = len(rows), perm.shape[1]
     switch = np.full(lanes, -1)
     thresholds = np.empty((lanes, n))
     if policy_kind == "sta":
         thresholds[:] = g0[:, None]
     else:
-        emax_after = _lane_emax_after(tables, perm)[rows] if policy_kind == "tvd" else None
+        if policy_kind == "tvd" and emax_after is None:
+            emax_after = _lane_emax_after(tables, perm)
         g = g0
         for t in range(n):
-            g = _lane_inverse_target(tables, lane_perm[:, t], g)
+            g = _lane_inverse_target(tables, perm[rows, t], g)
             thresholds[:, t] = g
-            if emax_after is not None:
-                switch[(switch < 0) & (g > emax_after[:, t])] = t
-        for s in sorted(set(switch[switch >= 0].tolist())):
-            at = np.flatnonzero(switch == s)
-            used = np.zeros(len(perm), dtype=bool)
-            used[rows[at]] = True
-            taus = np.empty(len(perm))
-            taus[used] = _lane_switch_tau(tables, perm[used, s:])
-            thresholds[at, s:] = taus[rows[at]][:, None]
+            if policy_kind == "tvd":
+                switch[(switch < 0) & (g > emax_after[rows, t])] = t
+    switched = switch >= 0
+    switch_target = np.where(switched, thresholds[np.arange(lanes), switch], math.nan)
+    for s in sorted(set(switch[switched].tolist())):
+        at = np.flatnonzero(switch == s)
+        used = np.zeros(len(perm), dtype=bool)
+        used[rows[at]] = True
+        taus = np.empty(len(perm))
+        taus[used] = _lane_switch_tau(tables, perm[used, s:])
+        thresholds[at, s:] = taus[rows[at]][:, None]
     stages = np.zeros((lanes, n + 1))
     acc = stages[:, n]
     for t in range(n - 1, -1, -1):
-        boxes = lane_perm[:, t]
+        boxes = perm[rows, t]
         idx = tables.below(tables.values, boxes, thresholds[:, t])
         acc = tables.tail_mean[boxes, idx] + tables.head_mass[boxes, idx] * acc
         stages[:, t] = acc
     check_lane_stages(policy_kind, stages)
-    return LaneValues(stages[:, 0], switch)
+    return LaneValues(stages, thresholds, switch, switch_target)
 
 
 def _lane_inverse_target(tables: BoxTables, boxes: np.ndarray, g_prev: np.ndarray) -> np.ndarray:
@@ -359,8 +306,9 @@ def _lane_switch_tau(tables: BoxTables, suffix: np.ndarray) -> np.ndarray:
 
     The masses are those of ``max_distribution``'s atoms, with an exact 0.0
     at grid points outside the suffix's supports, and every tail and head sum
-    is sequential in the scalar order.  A one-box suffix keeps the box's raw
-    probabilities, as ``max_distribution`` returns its single input unchanged.
+    is sequential, in ``best_single_threshold``'s order.  A one-box suffix
+    keeps the box's raw probabilities, as ``max_distribution`` returns its
+    single input unchanged.
     """
     if suffix.shape[1] == 1:
         return tables.alone_tau[suffix[:, 0]]
@@ -393,28 +341,24 @@ def _lane_switch_tau(tables: BoxTables, suffix: np.ndarray) -> np.ndarray:
 
 
 def sample_runs(
-    policy_kind: str,
-    g0: float,
-    instance: Instance,
-    order: ArrivalOrder,
+    dists: Sequence[DiscreteDistribution],
+    thresholds: Sequence[float],
     rng: np.random.Generator,
     runs: int,
 ) -> np.ndarray:
     """Value taken by each of ``runs`` sampled runs; 0.0 where nothing is taken.
 
-    Each run samples every box once, in arrival order, and the rows of draws
-    come from ``rng`` in the same order as a box-by-box replay would take
-    them.  Every policy here fixes its stage thresholds from g0, the
-    distributions and the order alone, so a run takes the first value at or
-    above its stage's threshold.  For ``sta`` the parameter ``g0`` is the
-    fixed acceptance threshold.
+    Each run samples every box of ``dists`` once, in arrival order, and takes
+    the first value at or above its stage's entry of ``thresholds``.  Every
+    policy here fixes its stage thresholds from g0, the distributions and the
+    order alone, so one row of ``lane_values(...).thresholds`` serves every
+    run.  The rows of draws come from ``rng`` in the same order as a
+    box-by-box replay would take them.
     """
-    tables = _order_tables(instance, order)
-    thresholds = _stage_thresholds(policy_kind, g0, tables).per_stage
-    u = rng.random((runs, len(tables.dists)))
+    u = rng.random((runs, len(dists)))
     taken = np.zeros(runs)
     open_rows = np.arange(runs)
-    for t, (d, threshold) in enumerate(zip(tables.dists, thresholds)):
+    for t, (d, threshold) in enumerate(zip(dists, thresholds)):
         values = inverse_cdf(d, u[open_rows, t])
         accept = values >= threshold
         taken[open_rows[accept]] = values[accept]
@@ -422,40 +366,34 @@ def sample_runs(
     return taken
 
 
-def run_policy_sampled(
-    policy_kind: str,
-    g0: float,
-    instance: Instance,
-    order: ArrivalOrder,
-    rng: np.random.Generator,
-) -> float:
-    """One sampled run of the named policy (see ``sample_runs``)."""
-    return float(sample_runs(policy_kind, g0, instance, order, rng, 1)[0])
-
-
 def value_cuts(
-    instance: Instance, order: ArrivalOrder, policy_kind: str, top: float
+    dists: Sequence[DiscreteDistribution],
+    emax_after: Sequence[float] | None,
+    policy_kind: str,
+    top: float,
 ) -> list[float]:
     """Sorted starting targets below ``top`` where the policy value can jump.
 
-    The value depends on g0 only through each stage's acceptance index and,
-    for ``tvd``, the switch stage: through where each target g_t lies among
-    the stage's atoms and emax_after[t].  Up to rounding, inverse_target(d, g)
-    > y exactly when g > E[max(v, y)] + TARGET_SLACK, so each such level is
-    carried back to g0 stage by stage.  Levels only grow on the way, so one
-    reaching ``top`` is dropped at once.  For ``tvd`` a target above
-    emax_after[t] switches the walk at stage t, after which no target from
-    stage t on is used, so only levels up to emax_after[t] are kept there.
+    ``dists`` are the boxes in arrival order.  The value depends on g0 only
+    through each stage's acceptance index and, for ``tvd``, the switch stage:
+    through where each target g_t lies among the stage's atoms and
+    ``emax_after[t]``, E[max of the boxes after stage t] (a row of
+    ``_lane_emax_after``; unused by ``tva``).  Up to rounding,
+    inverse_target(d, g) > y exactly when g > E[max(v, y)] + TARGET_SLACK, so
+    each such level is carried back to g0 stage by stage.  Levels only grow
+    on the way, so one reaching ``top`` is dropped at once.  For ``tvd`` a
+    target above emax_after[t] switches the walk at stage t, after which no
+    target from stage t on is used, so only levels up to emax_after[t] are
+    kept there.
     """
     if policy_kind not in ("tva", "tvd"):
         raise ValueError(f"value profile needs tva or tvd, got {policy_kind!r}")
-    tables = _order_tables(instance, order)
     levels: set[float] = set()
-    for t in range(len(tables.dists) - 1, -1, -1):
-        d = tables.dists[t]
+    for t in range(len(dists) - 1, -1, -1):
+        d = dists[t]
         levels.update(d.values)
         if policy_kind == "tvd":
-            switch_level = tables.emax_after[t]
+            switch_level = emax_after[t]
             levels = {y for y in levels if y <= switch_level}
             levels.add(switch_level)
         pulled = (expected_max_with(d, y) + TARGET_SLACK for y in levels if y < top)
@@ -464,13 +402,19 @@ def value_cuts(
 
 
 def _mixture_pieces(
-    instance: Instance, order: ArrivalOrder, density: DensitySpec, policy_kind: str
+    instance: Instance,
+    boxes: Sequence[int],
+    emax_after: Sequence[float] | None,
+    density: DensitySpec,
+    policy_kind: str,
 ) -> tuple[list[float], list[float]]:
     """Weight and midpoint starting target of each piece of the mixture.
 
-    The value is piecewise constant in g0 (see ``value_cuts``): each piece is
-    weighted by its mass under the analytic density CDF and valued at its
-    midpoint.  A point mass is one piece of weight 1.
+    ``boxes`` are the order's indices into ``instance.boxes`` and
+    ``emax_after`` its row of ``_lane_emax_after`` (``tvd`` only).  The value
+    is piecewise constant in g0 (see ``value_cuts``): each piece is weighted
+    by its mass under the analytic density CDF and valued at its midpoint.
+    A point mass is one piece of weight 1.
     """
     if policy_kind not in ("tva", "tvd"):
         raise ValueError(f"randomized mixture needs tva or tvd, got {policy_kind!r}")
@@ -479,7 +423,8 @@ def _mixture_pieces(
         return [1.0], [density.point_mass * prophet]
     positive = [p for p in density.pieces if p.kind != PIECE_ZERO]
     lo, hi = positive[0].lo, positive[-1].hi
-    cuts = value_cuts(instance, order, policy_kind, hi * prophet)
+    dists = [instance.dists[b] for b in boxes]
+    cuts = value_cuts(dists, emax_after, policy_kind, hi * prophet)
     edges = [lo, *(y / prophet for y in cuts if y > lo * prophet), hi]
     cdf = [density_cdf(density, x) for x in edges]
     weights = [b - a for a, b in zip(cdf, cdf[1:])]
@@ -501,47 +446,51 @@ def randomized_value(
 ) -> float:
     """Exact expected policy value when g0 = x * prophet with x ~ density.
 
-    Each piece of the value profile (see ``_mixture_pieces``) is valued by
-    the scalar exact evaluator at its midpoint.  Weights are normalised and
-    the result is kept within the piece values, so it can never exceed the
-    optimum.  This is the one-order reference: ``lane_randomized_values``
-    gives the same float for many orders at once.
+    ``lane_randomized_values`` on the one order, with all of its pieces in
+    one pass.  Weights are normalised and the result is kept within the
+    piece values, so it can never exceed the optimum.
     """
-    weights, mids = _mixture_pieces(instance, order, density, policy_kind)
-    evaluate = tva_exact if policy_kind == "tva" else tvd_exact
-    return _mix(weights, [evaluate(instance, order, g0).total for g0 in mids])
+    perm = np.array([order_indices(instance, order)])
+    return next(lane_randomized_values(instance, perm, density, policy_kind, sys.maxsize))
 
 
 def lane_randomized_values(
     instance: Instance,
-    orders: Sequence[ArrivalOrder],
     perm: np.ndarray,
     density: DensitySpec,
     policy_kind: str,
     max_lanes: int,
 ) -> Iterator[float]:
-    """``randomized_value`` of each order in turn, bit for bit, with its pieces as lanes.
+    """The mixture value of each row of ``perm`` in turn, with its pieces as lanes.
 
-    Row i of ``perm`` holds the box indices of ``orders[i]``.  Pieces are
-    built order by order and valued by ``lane_values`` in passes of
-    ``max_lanes`` lanes (the last pass may be shorter), so one order's pieces
-    may span several passes and at most one pass of pieces waits at a time.
-    An order's piece values are mixed as ``randomized_value`` mixes them as
+    Row i of ``perm`` holds the box indices of one order.  For ``tvd`` the
+    rows' emax_after table is built once, for the cuts and the passes alike.
+    Pieces are built order by order (see ``_mixture_pieces``) and valued by
+    ``lane_values`` in passes of ``max_lanes`` lanes (the last pass may be
+    shorter), so one order's pieces may span several passes and at most one
+    pass of pieces waits at a time.  An order's piece values are mixed as
     soon as the last of them is valued.
     """
+    emax_after = _lane_emax_after(instance.box_tables, perm) if policy_kind == "tvd" else None
+    emax_rows = [None] * len(perm) if emax_after is None else emax_after.tolist()
     open_weights: deque[list[float]] = deque()  # orders not yet mixed
     values: list[float] = []  # their pieces valued so far
     rows: list[int] = []  # pieces not yet valued: row of perm and g0
     starts: list[float] = []
-    for i, order in enumerate(orders):
-        weights, mids = _mixture_pieces(instance, order, density, policy_kind)
+    last = len(perm) - 1
+    for i, boxes in enumerate(perm.tolist()):
+        weights, mids = _mixture_pieces(instance, boxes, emax_rows[i], density, policy_kind)
         open_weights.append(weights)
         rows += [i] * len(mids)
         starts += mids
-        while len(starts) >= max_lanes or (i == len(orders) - 1 and starts):
+        while len(starts) >= max_lanes or (i == last and starts):
             at = np.array(rows[:max_lanes])
-            part, g0 = perm[at[0] : at[-1] + 1], np.array(starts[:max_lanes])
-            values += lane_values(policy_kind, instance, part, at - at[0], g0).value.tolist()
+            window = slice(at[0], at[-1] + 1)
+            part, g0 = perm[window], np.array(starts[:max_lanes])
+            emax = None if emax_after is None else emax_after[window]
+            lanes = lane_values(policy_kind, instance, part, at - at[0], g0, emax_after=emax)
+            values += lanes.stages[:, 0].tolist()
+            del lanes  # so the next pass does not hold this one's arrays
             del rows[:max_lanes], starts[:max_lanes]
             while open_weights and len(values) >= len(open_weights[0]):
                 weights = open_weights.popleft()

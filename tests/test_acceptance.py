@@ -31,7 +31,6 @@ from ocselect import (
     make_detection_hard_instance,
     opt_online,
     prophet_value,
-    randomized_value,
     rho_656,
     rho_732,
     simplex_solve,
@@ -40,13 +39,19 @@ from ocselect import (
     solve_c_detection,
     tva_exact,
     tvd_exact,
-    tvd_on_detection_order,
     verify_dual_general,
     verify_dual_tvd,
     verify_guarantee,
 )
-from ocselect.cli import main
-from ocselect.policies import PolicyState, tva_step, tvd_step
+from ocselect.benchmarks import lane_optima, order_indices
+from ocselect.cli import LANE_CHUNK, main
+from ocselect.policies import (
+    PolicyState,
+    lane_randomized_values,
+    lane_values,
+    tva_step,
+    tvd_step,
+)
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 GRID_POINTS = 20
@@ -62,6 +67,8 @@ def sweep_report(sweep_instances) -> SimpleNamespace:
     policy on 20 starting targets in [0, OPT] (consistency, under-direction
     stage monotonicity), 20 in (OPT, prophet] (robustness for both policies,
     over-direction monotonicity), and once at prophet/phi (the golden floor).
+    Each instance's orders go through the lane evaluator together: a tva
+    lane's thresholds are its targets, as ``tva_exact`` reports them.
     """
     report = SimpleNamespace(
         pairs=0,
@@ -76,49 +83,60 @@ def sweep_report(sweep_instances) -> SimpleNamespace:
     )
     for instance in sweep_instances:
         prophet = prophet_value(instance)
-        for order in all_orders(instance):
-            report.pairs += 1
-            opt = opt_online(instance, order)
-            opt_total = opt.total
+        orders = all_orders(instance)
+        perm = np.array([order_indices(instance, order) for order in orders])
+        report.pairs += len(orders)
+        opt = lane_optima(instance, perm)
+        opt_total = opt[:, 0]
+        # The optimum after each stage, per order: the targets' yardstick.
+        after = opt[:, 1:]
 
-            start = time.perf_counter()
-            for g0 in np.linspace(0.0, opt_total, GRID_POINTS):
-                result = tva_exact(instance, order, float(g0))
-                report.consistency_worst = min(
-                    report.consistency_worst, result.total - float(g0)
+        start = time.perf_counter()
+        g0 = np.linspace(0.0, opt_total, GRID_POINTS, axis=1)
+        rows = np.repeat(np.arange(len(orders)), GRID_POINTS)
+        result = lane_values("tva", instance, perm, rows, g0.ravel())
+        report.consistency_worst = min(
+            report.consistency_worst, float((result.stages[:, 0] - g0.ravel()).min())
+        )
+        report.under_worst = max(
+            report.under_worst, float((result.thresholds - after[rows]).max())
+        )
+        report.consistency_elapsed += time.perf_counter() - start
+
+        over = np.flatnonzero(prophet > opt_total)
+        if over.size:
+            span = prophet - opt_total[over]
+            k = np.arange(1, GRID_POINTS + 1)
+            g0 = (opt_total[over, None] + span[:, None] * k / GRID_POINTS).ravel()
+            rows = np.repeat(over, GRID_POINTS)
+            result = lane_values("tva", instance, perm, rows, g0)
+            report.robustness_tva_worst = min(
+                report.robustness_tva_worst,
+                float((result.stages[:, 0] - (prophet - g0)).min()),
+            )
+            # The over-direction stage claim needs a strict overestimate; at
+            # float-equality g0 == OPT the under-direction branch applies
+            # instead.
+            strict = g0 > opt_total[rows] + 1e-9
+            report.over_points += int(strict.sum())
+            if strict.any():
+                report.over_worst = min(
+                    report.over_worst,
+                    float((result.thresholds[strict] - after[rows[strict]]).min()),
                 )
-                for t, target in enumerate(result.targets):
-                    report.under_worst = max(
-                        report.under_worst, target - opt.per_stage[t + 1]
-                    )
-            report.consistency_elapsed += time.perf_counter() - start
+            detect = lane_values("tvd", instance, perm, rows, g0)
+            floor = np.maximum(prophet - g0, g0 / 2.0)
+            report.robustness_tvd_worst = min(
+                report.robustness_tvd_worst, float((detect.stages[:, 0] - floor).min())
+            )
 
-            if prophet > opt_total:
-                span = prophet - opt_total
-                for k in range(1, GRID_POINTS + 1):
-                    g0 = opt_total + span * k / GRID_POINTS
-                    result = tva_exact(instance, order, g0)
-                    report.robustness_tva_worst = min(
-                        report.robustness_tva_worst, result.total - (prophet - g0)
-                    )
-                    if g0 > opt_total + 1e-9:
-                        # The over-direction stage claim needs a strict
-                        # overestimate; at float-equality g0 == OPT the
-                        # under-direction branch applies instead.
-                        report.over_points += 1
-                        for t, target in enumerate(result.targets):
-                            report.over_worst = min(
-                                report.over_worst, target - opt.per_stage[t + 1]
-                            )
-                    detect = tvd_exact(instance, order, g0)
-                    floor = max(prophet - g0, g0 / 2.0)
-                    report.robustness_tvd_worst = min(
-                        report.robustness_tvd_worst, detect.total - floor
-                    )
-
-            if opt_total > 0.0:
-                value = tva_exact(instance, order, prophet / PHI).total
-                report.golden_worst = min(report.golden_worst, value / opt_total)
+        positive = np.flatnonzero(opt_total > 0.0)
+        if positive.size:
+            golden = np.full(positive.size, prophet / PHI)
+            value = lane_values("tva", instance, perm, positive, golden)
+            report.golden_worst = min(
+                report.golden_worst, float((value.stages[:, 0] / opt_total[positive]).min())
+            )
     return report
 
 
@@ -164,13 +182,13 @@ class TestCriterion4RandomizedGuarantees:
         worst = {spec.name: math.inf for spec, _ in picks}
         for _ in range(100):
             instance = random_instance(rng, int(rng.integers(2, 4)))
-            for order in all_orders(instance):
-                opt = opt_online(instance, order).total
-                if opt <= 0.0:
-                    continue
-                for spec, kind in picks:
-                    value = randomized_value(instance, order, spec, policy_kind=kind)
-                    worst[spec.name] = min(worst[spec.name], value / opt)
+            perm = np.array([order_indices(instance, order) for order in all_orders(instance)])
+            opt = lane_optima(instance, perm)[:, 0]
+            perm, opt = perm[opt > 0.0], opt[opt > 0.0]
+            for spec, kind in picks:
+                values = lane_randomized_values(instance, perm, spec, kind, LANE_CHUNK)
+                for value, order_opt in zip(values, opt.tolist()):
+                    worst[spec.name] = min(worst[spec.name], value / order_opt)
         for spec, _ in picks:
             assert spec.gamma is not None
             assert worst[spec.name] >= spec.gamma - 1e-3
@@ -249,6 +267,22 @@ class TestCriterion8DetectionHardness:
         )
 
 
+def detection_optima(hard, xs) -> list[float]:
+    """``opt_online`` of the detection hard order at each x, as the lanes of one pass."""
+    orders = [detection_hard_order(hard, x) for x in xs]
+    perm = np.array([order_indices(hard.instance, order) for order in orders])
+    return lane_optima(hard.instance, perm)[:, 0].tolist()
+
+
+def detection_tvd_values(hard, starts) -> list[float]:
+    """``tvd_on_detection_order(hard, x, g0)`` for each (x, g0), as the lanes of one pass."""
+    xs = sorted({x for x, _ in starts})
+    perm = np.array([order_indices(hard.instance, detection_hard_order(hard, x)) for x in xs])
+    rows = np.array([xs.index(x) for x, _ in starts])
+    g0 = np.array([g0 for _, g0 in starts], dtype=float)
+    return lane_values("tvd", hard.instance, perm, rows, g0).stages[:, 0].tolist()
+
+
 class TestCriterion9DetectionLimits:
     def assemble_errors(
         self, epsilon: float, x_fracs, g0_picks
@@ -259,17 +293,12 @@ class TestCriterion9DetectionLimits:
         rungs = [x for x in hard.grid if x > cut + 1e-9]
         opt_err = 0.0
         tvd_err = 0.0
-        for frac in x_fracs:
-            x = min(rungs, key=lambda v: abs(v - frac * c))
-            order = detection_hard_order(hard, x)
-            opt = opt_online(hard.instance, order).total
+        xs = [min(rungs, key=lambda v: abs(v - frac * c)) for frac in x_fracs]
+        for x, opt in zip(xs, detection_optima(hard, xs)):
             opt_err = max(opt_err, abs(opt - (1.0 - c + x)))
-            kink = 1.0 - c + x
-            for g0 in g0_picks:
-                if abs(g0 - kink) < 0.02:
-                    continue
-                exact = tvd_on_detection_order(hard, x, g0)
-                tvd_err = max(tvd_err, abs(exact - detection_formula(c, x, g0)))
+        starts = [(x, g0) for x in xs for g0 in g0_picks if abs(g0 - (1.0 - c + x)) >= 0.02]
+        for (x, g0), exact in zip(starts, detection_tvd_values(hard, starts)):
+            tvd_err = max(tvd_err, abs(exact - detection_formula(c, x, g0)))
         return opt_err, tvd_err
 
     def test_limit_formulas_with_refinement(self):
@@ -278,22 +307,17 @@ class TestCriterion9DetectionLimits:
         cut = 2.0 * c - 1.0
         rungs = [x for x in hard.grid if x > cut + 1e-9]
         worst_opt = 0.0
-        for x in rungs:
-            order = detection_hard_order(hard, x)
-            opt = opt_online(hard.instance, order).total
+        for x, opt in zip(rungs, detection_optima(hard, rungs)):
             worst_opt = max(worst_opt, abs(opt - (1.0 - c + x)))
         assert worst_opt <= 0.01
 
         worst_tvd = 0.0
         picks = rungs[:: max(1, len(rungs) // 6)][:6]
-        for x in picks:
-            kink = 1.0 - c + x
-            for g0 in np.linspace(c, 1.0, 7):
-                if abs(float(g0) - kink) < 0.02:
-                    continue
-                exact = tvd_on_detection_order(hard, x, float(g0))
-                limit = detection_formula(c, x, float(g0))
-                worst_tvd = max(worst_tvd, abs(exact - limit))
+        grid = [float(g0) for g0 in np.linspace(c, 1.0, 7)]
+        starts = [(x, g0) for x in picks for g0 in grid if abs(g0 - (1.0 - c + x)) >= 0.02]
+        for (x, g0), exact in zip(starts, detection_tvd_values(hard, starts)):
+            limit = detection_formula(c, x, g0)
+            worst_tvd = max(worst_tvd, abs(exact - limit))
         assert worst_tvd <= 0.06
 
         x_fracs = (0.4, 0.7, 0.95)

@@ -122,9 +122,9 @@ class TestEvalCommand:
         lane_optima, lane_values = cli.lane_optima, cli.lane_values
 
         def counted(instance, perm):
-            opt = lane_optima(instance, perm)
-            optima.extend(opt.tolist())
-            return opt
+            stages = lane_optima(instance, perm)
+            optima.extend(stages[:, 0].tolist())
+            return stages
 
         def recorded(policy_kind, instance, perm, rows, g0):
             starts.extend(g0.tolist())
@@ -273,9 +273,9 @@ class TestEvalCommand:
         passes = []
         lane_values = policies.lane_values
 
-        def counted(policy_kind, instance, perm, rows, g0):
+        def counted(policy_kind, instance, perm, rows, g0, emax_after=None):
             passes.append(rows.size)
-            return lane_values(policy_kind, instance, perm, rows, g0)
+            return lane_values(policy_kind, instance, perm, rows, g0, emax_after)
 
         monkeypatch.setattr(policies, "lane_values", counted)
         argv = ["eval", "--instance", FOUR_BOX, "--policy", "tvd-rand-732"]
@@ -415,9 +415,9 @@ class TestEvalValidation:
         valued = []
         lane_values = policies.lane_values
 
-        def recorded(policy_kind, instance, perm, rows, g0):
+        def recorded(policy_kind, instance, perm, rows, g0, emax_after=None):
             valued.extend(perm[rows].tolist())
-            return lane_values(policy_kind, instance, perm, rows, g0)
+            return lane_values(policy_kind, instance, perm, rows, g0, emax_after)
 
         monkeypatch.setattr(policies, "lane_values", recorded)
         out = tmp_path / "report.csv"
@@ -447,7 +447,7 @@ class TestEvalValidation:
 
         def inflated(policy_kind, instance, perm, rows, g0):
             result = exact(policy_kind, instance, perm, rows, g0)
-            return result._replace(value=1.5 * result.value)
+            return result._replace(stages=1.5 * result.stages)
 
         monkeypatch.setattr(cli, "lane_values", inflated)
 
@@ -683,6 +683,19 @@ class TestSimulateCommand:
             assert code == 0
             blobs.append(out.read_bytes())
         assert blobs[0] != blobs[1]
+
+    @pytest.mark.parametrize("top,z", [(0.001, "-inf"), (0.999, "inf")])
+    def test_equal_samples_off_the_exact_value_sign_the_z_score(self, top, z, capsys, tmp_path):
+        # Both runs take the same value; the infinite z-score carries the sign
+        # of the mean's error.
+        atoms = [[0.0, 1.0 - top], [100.0, top]]
+        path = write_instance(tmp_path, "one.json", [{"id": "x", "atoms": atoms}])
+        argv = ["simulate", "--instance", path, "--policy", "sta", "--tau", "50"]
+        assert main(argv + ["--runs", "2", "--seed", "1"]) == 0
+        row = read_rows(capsys.readouterr().out)[0]
+        assert row["std_error"] == "0" and row["z_score"] == z
+        mean, exact = float(row["empirical_mean"]), float(row["exact_value"])
+        assert (mean < exact) == (z == "-inf")
 
     def test_four_box_tvd_row_is_pinned(self, tmp_path):
         # The row the box-by-box replay printed for this command; the

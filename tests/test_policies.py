@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_reference as ref
 from conftest import all_orders, g0_grid, random_instance
 from ocselect import (
     Box,
@@ -28,7 +29,6 @@ from ocselect import (
     randomized_value,
     rho_656,
     rho_732,
-    run_policy_sampled,
     sample_runs,
     sta_exact,
     tva_exact,
@@ -139,7 +139,7 @@ class TestStepAgreesWithEvaluator:
         for _ in range(300):
             inst = random_instance(rng, int(rng.integers(2, 7)))
             dists = inst.dists
-            emax_after = policies._order_tables(inst, inst.ids).emax_after
+            emax_after = ref.emax_after(dists)
             for t, level in enumerate(emax_after):
                 stages += 1
                 g = through_zero_box(level)
@@ -269,6 +269,13 @@ class TestConsistencyRobustnessGuarantees:
                     assert ratio >= 1.0 / PHI - 1e-9
 
 
+def sampled(kind, g0, inst, order, rng, runs):
+    """``sample_runs`` at the stage thresholds of the order's lane evaluation."""
+    perm = np.array([order_indices(inst, order)])
+    lane = lane_values(kind, inst, perm, np.zeros(1, dtype=int), np.array([g0]))
+    return sample_runs(ref.ordered_dists(inst, order), lane.thresholds[0], rng, runs)
+
+
 class TestRunPolicySampled:
     def test_deterministic_instance_matches_exact(self):
         inst = Instance(
@@ -278,13 +285,13 @@ class TestRunPolicySampled:
         rng = np.random.default_rng(1)
         exact = tva_exact(inst, order, 0.9).total
         for _ in range(10):
-            assert run_policy_sampled("tva", 0.9, inst, order, rng) == exact
+            assert sampled("tva", 0.9, inst, order, rng, 1)[0] == exact
 
     def test_unreachable_target_returns_zero(self):
         solo = Instance((A,))
         rng = np.random.default_rng(2)
         assert all(
-            run_policy_sampled("tva", 5.0, solo, ("A",), rng) == 0.0
+            sampled("tva", 5.0, solo, ("A",), rng, 1)[0] == 0.0
             for _ in range(10)
         )
 
@@ -300,7 +307,8 @@ class TestRunPolicySampled:
             exact = evaluator(AB, order, param).total
         rng = np.random.default_rng(97)
         n = 20_000
-        draws = [run_policy_sampled(kind, param, AB, order, rng) for _ in range(n)]
+        # One call draws the same stream, row by row, as n one-run calls.
+        draws = sampled(kind, param, AB, order, rng, n).tolist()
         mean = math.fsum(draws) / n
         spread = np.std(draws, ddof=1) / math.sqrt(n)
         assert abs(mean - exact) <= 4.0 * max(spread, 1e-9)
@@ -308,7 +316,7 @@ class TestRunPolicySampled:
     def test_unknown_policy_kind_rejected(self):
         rng = np.random.default_rng(3)
         with pytest.raises(PolicyError):
-            run_policy_sampled("nope", 1.0, AB, ("A", "B"), rng)
+            sampled("nope", 1.0, AB, ("A", "B"), rng, 1)
 
 
 def small_instances():
@@ -338,6 +346,19 @@ def small_instances():
 CUT_MARGIN_ULPS = 8
 
 
+def cuts_of(inst: Instance, order, kind: str, top: float) -> list[float]:
+    """``value_cuts`` of one order, with its emax_after row from the reference."""
+    dists = ref.ordered_dists(inst, order)
+    return value_cuts(dists, ref.emax_after(dists), kind, top)
+
+
+def values_at(kind: str, inst: Instance, order, g0: list[float]) -> list[float]:
+    """The exact value of one order at each starting target, as lanes of one pass."""
+    perm = np.array([order_indices(inst, order)])
+    lanes = lane_values(kind, inst, perm, np.zeros(len(g0), dtype=int), np.array(g0))
+    return lanes.stages[:, 0].tolist()
+
+
 class TestValueProfile:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -346,23 +367,23 @@ class TestValueProfile:
         st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
     )
     def test_value_is_constant_between_cuts(self, inst, kind, fractions):
-        evaluate = tva_exact if kind == "tva" else tvd_exact
         order = inst.ids
         top = prophet_value(inst)
-        edges = [0.0, *value_cuts(inst, order, kind, top), top]
+        edges = [0.0, *cuts_of(inst, order, kind, top), top]
         for a, b in zip(edges, edges[1:]):
             lo = a + CUT_MARGIN_ULPS * math.ulp(a)
             hi = b - CUT_MARGIN_ULPS * math.ulp(b)
             if lo >= hi:
                 continue
-            piece = evaluate(inst, order, 0.5 * (a + b)).total
             # Both ends catch any single missing cut; the fractions probe between.
-            for f in (0.0, 1.0, *fractions):
-                assert evaluate(inst, order, lo + f * (hi - lo)).total == piece
+            probes = [lo + f * (hi - lo) for f in (0.0, 1.0, *fractions)]
+            piece, *values = values_at(kind, inst, order, [0.5 * (a + b), *probes])
+            for value in values:
+                assert value == piece
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            value_cuts(AB, ("A", "B"), "sta", 2.0)
+            value_cuts(AB.dists, None, "sta", 2.0)
 
     def test_four_box_tvd_piece_count(self):
         # tvd levels above emax_after[t] are dropped at stage t: 148 pieces
@@ -372,7 +393,7 @@ class TestValueProfile:
         positive = [p for p in spec.pieces if p.kind != "zero"]
         lo, hi = positive[0].lo * prophet_value(inst), positive[-1].hi * prophet_value(inst)
         pieces = sum(
-            1 + sum(y > lo for y in value_cuts(inst, order, "tvd", hi))
+            1 + sum(y > lo for y in cuts_of(inst, order, "tvd", hi))
             for order in all_orders(inst)
         )
         assert pieces == 103
@@ -399,7 +420,6 @@ class TestRandomizedValue:
         rng = np.random.default_rng(101)
         inst = random_instance(rng, 3, max_atoms=3)
         order = tuple(sorted(inst.ids))
-        evaluate = tva_exact if kind == "tva" else tvd_exact
         prophet = prophet_value(inst)
         positive = [p for p in spec.pieces if p.kind != "zero"]
         lo, hi = positive[0].lo, positive[-1].hi
@@ -407,14 +427,16 @@ class TestRandomizedValue:
         xs = np.linspace(lo, hi, cells + 1).tolist()
         cdf = [density_cdf(spec, x) for x in xs]
         mass = cdf[-1] - cdf[0]
+        cell_values = values_at(
+            kind, inst, order, [0.5 * (xs[j] + xs[j + 1]) * prophet for j in range(cells)]
+        )
         reference = math.fsum(
-            (cdf[j + 1] - cdf[j]) * evaluate(inst, order, 0.5 * (xs[j] + xs[j + 1]) * prophet).total
-            for j in range(cells)
+            (cdf[j + 1] - cdf[j]) * cell_values[j] for j in range(cells)
         ) / mass
 
-        cuts = [y for y in value_cuts(inst, order, kind, hi * prophet) if y > lo * prophet]
+        cuts = [y for y in cuts_of(inst, order, kind, hi * prophet) if y > lo * prophet]
         edges = [lo * prophet, *cuts, hi * prophet]
-        pieces = [evaluate(inst, order, 0.5 * (a + b)).total for a, b in zip(edges, edges[1:])]
+        pieces = values_at(kind, inst, order, [0.5 * (a + b) for a, b in zip(edges, edges[1:])])
         jump = max((abs(b - a) for a, b in zip(pieces, pieces[1:])), default=0.0)
         sup_pdf = max(density_pdf(spec, p.lo) for p in positive)  # both kernels decrease
         bound = len(cuts) * jump * (hi - lo) / cells * sup_pdf / mass
@@ -456,7 +478,7 @@ class TestSampleRuns:
         replay_rng = np.random.default_rng(seed)
         want = np.array([replay_run(kind, g0, inst, order, replay_rng) for _ in range(runs)])
         rng = np.random.default_rng(seed)
-        got = sample_runs(kind, g0, inst, order, rng, runs)
+        got = sampled(kind, g0, inst, order, rng, runs)
         assert got.tobytes() == want.tobytes()
         # Both consumed the stream up to the same point.
         assert rng.random() == replay_rng.random()
@@ -470,7 +492,7 @@ class TestSampleRuns:
             for g0 in (0.5 * opt_online(inst, order).total, prophet_value(inst)):
                 replay_rng = np.random.default_rng(31)
                 want = np.array([replay_run(kind, g0, inst, order, replay_rng) for _ in range(50)])
-                got = sample_runs(kind, g0, inst, order, np.random.default_rng(31), 50)
+                got = sampled(kind, g0, inst, order, np.random.default_rng(31), 50)
                 assert got.tobytes() == want.tobytes()
 
 
@@ -484,26 +506,26 @@ def lane_instances() -> list[Instance]:
     return out
 
 
-SCALAR = {"sta": sta_exact, "tva": tva_exact, "tvd": tvd_exact}
+PUBLIC = {"sta": sta_exact, "tva": tva_exact, "tvd": tvd_exact}
 
 
 def assert_lanes_match_scalar(inst: Instance, orders, fractions) -> set[int]:
-    """Every lane of every kind equals the scalar evaluator under ==.
+    """Every lane of every kind equals the scalar reference under ==.
 
     Returns the lengths of the suffixes that tvd switched on.
     """
     perm = np.array([order_indices(inst, order) for order in orders])
-    opt = lane_optima(inst, perm)
-    assert opt.tolist() == [opt_online(inst, order).total for order in orders]
+    opt = lane_optima(inst, perm)[:, 0]
+    assert opt.tolist() == [ref.opt_online(inst, order).total for order in orders]
     prophet = prophet_value(inst)
     starts = [np.zeros(len(orders)), opt, 1.25 * prophet + np.zeros(len(orders))]
     starts += [f * opt for f in fractions]
     suffixes: set[int] = set()
-    for kind, scalar in SCALAR.items():
+    for kind, scalar in ref.EVALUATORS.items():
         for g0 in starts:
             got = lane_values(kind, inst, perm, np.arange(len(orders)), g0)
             results = [scalar(inst, order, x) for order, x in zip(orders, g0.tolist())]
-            assert got.value.tolist() == [r.total for r in results]
+            assert got.stages[:, 0].tolist() == [r.total for r in results]
             stages = [-1 if r.switch_stage is None else r.switch_stage for r in results]
             assert got.switch_stage.tolist() == (stages if kind == "tvd" else [-1] * len(orders))
             suffixes.update(inst.n - s for s in stages if s >= 0)
@@ -533,7 +555,7 @@ class TestLaneValues:
             tables = inst.box_tables
             emax_after = policies._lane_emax_after(tables, perm)
             for row, order in zip(emax_after.tolist(), orders):
-                assert row == policies._order_tables(inst, order).emax_after
+                assert row == ref.emax_after(ref.ordered_dists(inst, order))
             for s in range(inst.n):
                 taus = policies._lane_switch_tau(tables, perm[:, s:]).tolist()
                 assert taus == [
@@ -549,6 +571,51 @@ class TestLaneValues:
             lane_values("sta", AB, perm, np.arange(2), np.array([math.nan, 1.0]))
         with pytest.raises(PolicyError):
             lane_values("nope", AB, perm, np.arange(2), np.zeros(2))
+
+
+def raised(call, *args) -> tuple[type, str]:
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+class TestOneLaneEvaluators:
+    def test_results_equal_the_reference(self):
+        # Every field of each result: per_stage, targets (for tvd, up to and
+        # including the switch stage), switch_stage and threshold.
+        switched = 0
+        for inst in lane_instances():
+            prophet = prophet_value(inst)
+            for order in all_orders(inst)[:4]:
+                opt = opt_online(inst, order)
+                assert opt == ref.opt_online(inst, order)
+                for kind, public in PUBLIC.items():
+                    for g0 in (0.0, 0.5 * opt.total, opt.total, 1.25 * prophet):
+                        got = public(inst, order, g0)
+                        assert got == ref.EVALUATORS[kind](inst, order, g0)
+                        switched += got.switch_stage is not None
+        assert switched > 0
+
+    def test_randomized_value_equals_the_reference(self):
+        for inst in lane_instances():
+            for order in all_orders(inst)[:2]:
+                for density, kind in ((rho_656(), "tva"), (rho_732(), "tvd")):
+                    want = ref.randomized_value(inst, order, density, kind)
+                    assert randomized_value(inst, order, density, kind) == want
+
+    @pytest.mark.parametrize("kind", ["sta", "tva", "tvd"])
+    def test_errors_equal_the_reference(self, kind):
+        public, scalar = PUBLIC[kind], ref.EVALUATORS[kind]
+        for order in (("A",), ("A", "A"), ("A", "C"), ("A", "B", "B")):
+            assert raised(public, AB, order, 1.0) == raised(scalar, AB, order, 1.0)
+            assert raised(opt_online, AB, order) == raised(ref.opt_online, AB, order)
+        for g0 in (-1.0, math.nan):
+            assert raised(public, AB, ("A", "B"), g0) == raised(scalar, AB, ("A", "B"), g0)
+
+    def test_unknown_kind_raises_like_the_reference(self):
+        got = raised(policies._one_lane, "nope", AB, ("A", "B"), 1.0)
+        assert got == raised(ref.exact, "nope", AB, ("A", "B"), 1.0)
+        assert got[0] is PolicyError
 
 
 def high_density(lo: float = 0.9) -> DensitySpec:
@@ -570,7 +637,10 @@ def mixture_instances() -> list[tuple[Instance, list]]:
 def mixture_lanes(inst: Instance, orders, density: DensitySpec, kind: str):
     """Every order's row of box indices, each piece's row, and each piece's midpoint."""
     perm = np.array([order_indices(inst, order) for order in orders])
-    mids = [policies._mixture_pieces(inst, order, density, kind)[1] for order in orders]
+    mids = []
+    for boxes, order in zip(perm.tolist(), orders):
+        emax_after = ref.emax_after(ref.ordered_dists(inst, order))
+        mids.append(policies._mixture_pieces(inst, boxes, emax_after, density, kind)[1])
     rows = np.repeat(np.arange(len(orders)), [len(m) for m in mids])
     return perm, rows, np.array([g for m in mids for g in m])
 
@@ -582,11 +652,11 @@ class TestLaneRandomizedValues:
         for inst, orders in mixture_instances():
             perm = np.array([order_indices(inst, order) for order in orders])
             for density in MIXTURE_DENSITIES:
-                want = [randomized_value(inst, order, density, kind) for order in orders]
+                want = [ref.randomized_value(inst, order, density, kind) for order in orders]
                 # Three lanes per pass, so one order's pieces often span
                 # several passes, and the CLI's pass.
                 for max_lanes in (3, LANE_CHUNK):
-                    got = lane_randomized_values(inst, orders, perm, density, kind, max_lanes)
+                    got = lane_randomized_values(inst, perm, density, kind, max_lanes)
                     assert list(got) == want
                 rows = mixture_lanes(inst, orders, density, kind)[1]
                 widest = max(widest, np.bincount(rows).max())
@@ -598,19 +668,20 @@ class TestLaneRandomizedValues:
         density, switched = high_density(), 0
         for inst, orders in mixture_instances():
             perm, rows, g0 = mixture_lanes(inst, orders, density, "tvd")
-            opt = lane_optima(inst, perm)
+            opt = lane_optima(inst, perm)[:, 0]
             over = [i for i in range(len(orders)) if g0[rows == i].min() > opt[i]]
             lanes = lane_values("tvd", inst, perm, rows, g0)
             assert (lanes.switch_stage[np.isin(rows, over)] >= 0).all()
-            got = lane_randomized_values(inst, orders, perm, density, "tvd", 3)
-            assert list(got) == [randomized_value(inst, order, density, "tvd") for order in orders]
+            got = lane_randomized_values(inst, perm, density, "tvd", 3)
+            want = [ref.randomized_value(inst, order, density, "tvd") for order in orders]
+            assert list(got) == want
             switched += len(over)
         assert switched >= 20
 
     def test_rejects_a_kind_without_a_mixture(self):
         perm = np.array([[0, 1]])
         with pytest.raises(ValueError, match="randomized mixture needs tva or tvd"):
-            list(lane_randomized_values(AB, [("A", "B")], perm, rho_732(), "sta", 8))
+            list(lane_randomized_values(AB, perm, rho_732(), "sta", 8))
 
 
 class TestSharedOrderTables:
@@ -627,7 +698,7 @@ class TestSharedOrderTables:
                     shared = lane_values(kind, inst, perm, rows[pick], g0[pick])
                     one_row_each = perm[rows[pick]], np.arange(rows.size)
                     alone = lane_values(kind, inst, *one_row_each, g0[pick])
-                    assert shared.value.tolist() == alone.value.tolist()
+                    assert shared.stages[:, 0].tolist() == alone.stages[:, 0].tolist()
                     assert shared.switch_stage.tolist() == alone.switch_stage.tolist()
                     switched += int((shared.switch_stage >= 0).sum())
         assert (switched > 0) == (kind == "tvd")
@@ -650,7 +721,7 @@ class TestSharedOrderTables:
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
             streamed = list(
-                lane_randomized_values(inst, orders, perm, rho_732(), "tvd", LANE_CHUNK)
+                lane_randomized_values(inst, perm, rho_732(), "tvd", LANE_CHUNK)
             )
             _, stream_peak = tracemalloc.get_traced_memory()
         finally:
