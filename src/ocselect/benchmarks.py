@@ -1,9 +1,9 @@
-"""Instances, arrival orders, and the exact benchmark recursions.
+"""Instances, arrival orders, and the order-free benchmarks.
 
-An instance is a multiset of boxes with known value distributions.  The two
-benchmarks evaluated here are the order-aware online optimum (backward
-induction over the arrival order) and the prophet value (expectation of the
-overall maximum).  The single-threshold lower bound and the threshold that
+An instance is a multiset of boxes with known value distributions.  The
+prophet value (expectation of the overall maximum) is evaluated here; the
+order-aware online optimum is a threshold policy, valued by the lane pass in
+``policies``.  The single-threshold lower bound and the threshold that
 maximises it live here too, since both are stated against the max
 distribution.
 """
@@ -88,6 +88,10 @@ class Instance:
     def box_tables(self) -> "BoxTables":
         return BoxTables.build(self.dists)
 
+    @cached_property
+    def suffix_tables(self) -> "SuffixTables":
+        return SuffixTables.build(self.dists)
+
 
 # An arrival order is a permutation of the instance's box ids.
 ArrivalOrder = tuple[str, ...]
@@ -110,10 +114,7 @@ class BoxTables(NamedTuple):
     Row b holds box b's tables: ``values`` and ``emax_at_values`` end in at
     least one +inf pad, so counting a row's entries below x is ``bisect_left``
     over the real entries, and ``head_mass``/``tail_mean`` keep their
-    one-past-the-end entry.  ``cdf`` is each box's normalised CDF on
-    ``grid``, the sorted union of every atom value, so a product of rows is
-    the CDF ``max_distribution`` builds, carried flat between its own atoms.
-    ``alone_tau`` is each box's best single threshold on its own.
+    one-past-the-end entry.
     """
 
     values: np.ndarray
@@ -122,9 +123,6 @@ class BoxTables(NamedTuple):
     emax_at_values: np.ndarray
     mean: np.ndarray
     total_mass: np.ndarray
-    grid: np.ndarray
-    cdf: np.ndarray
-    alone_tau: np.ndarray
 
     @staticmethod
     def build(dists: Sequence[DiscreteDistribution]) -> "BoxTables":
@@ -137,12 +135,6 @@ class BoxTables(NamedTuple):
                 out[b, : len(row)] = row
             return out
 
-        # sorted(set()) rather than np.unique, which imports numpy.ma.
-        grid = np.array(sorted({v for d in dists for v in d.values}))
-        cdf = np.zeros((len(dists), len(grid)))
-        for b, d in enumerate(dists):
-            at = np.searchsorted(d._values_arr, grid, side="right")
-            cdf[b] = np.concatenate(([0.0], d._cdf_norm_arr))[at]
         return BoxTables(
             values=rows(lambda d: d.values, math.inf),
             head_mass=rows(lambda d: d.head_mass, 0.0),
@@ -150,9 +142,6 @@ class BoxTables(NamedTuple):
             emax_at_values=rows(lambda d: d.emax_at_values, math.inf),
             mean=np.array([d.mean for d in dists]),
             total_mass=np.array([d.total_mass for d in dists]),
-            grid=grid,
-            cdf=cdf,
-            alone_tau=np.array([best_single_threshold([d]).tau for d in dists]),
         )
 
     def below(self, table: np.ndarray, boxes: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -160,15 +149,30 @@ class BoxTables(NamedTuple):
         return np.count_nonzero(table[boxes] < x[:, None], axis=1)
 
 
-def check_lane_stages(kind: str, stages: np.ndarray) -> None:
-    """Apply ``EvaluationResult``'s per-stage check to every lane's row of stage values.
+class SuffixTables(NamedTuple):
+    """The tables ``tvd`` folds suffixes of an order over, built only when it runs.
 
-    The first lane failing it is rebuilt as an ``EvaluationResult``, which
-    raises that check's error for it.
+    ``cdf`` is each box's normalised CDF on ``grid``, the sorted union of
+    every atom value, so a product of rows is the CDF ``max_distribution``
+    builds, carried flat between its own atoms.  Its size is boxes times
+    distinct values.  ``alone_tau`` is each box's best single threshold on
+    its own.
     """
-    bad = ~np.all(np.isfinite(stages) & (stages >= -VALUE_TOL), axis=1)
-    if bad.any():
-        EvaluationResult(kind, tuple(stages[np.argmax(bad)].tolist()))
+
+    grid: np.ndarray
+    cdf: np.ndarray
+    alone_tau: np.ndarray
+
+    @staticmethod
+    def build(dists: Sequence[DiscreteDistribution]) -> "SuffixTables":
+        # sorted(set()) rather than np.unique, which imports numpy.ma.
+        grid = np.array(sorted({v for d in dists for v in d.values}))
+        cdf = np.zeros((len(dists), len(grid)))
+        for b, d in enumerate(dists):
+            at = np.searchsorted(d._values_arr, grid, side="right")
+            cdf[b] = np.concatenate(([0.0], d._cdf_norm_arr))[at]
+        alone_tau = np.array([best_single_threshold([d]).tau for d in dists])
+        return SuffixTables(grid, cdf, alone_tau)
 
 
 @dataclass(frozen=True)
@@ -199,37 +203,6 @@ class EvaluationResult:
     @property
     def total(self) -> float:
         return self.per_stage[0]
-
-
-def opt_online(instance: Instance, order: ArrivalOrder) -> EvaluationResult:
-    """Order-aware online optimum by backward induction: ``lane_optima`` on one order.
-
-    Value-to-go from stage t is E[max(v_t, value-to-go from t+1)], zero past
-    the last box.  Accepting at equality is optimal and is the convention
-    used by every evaluator in this package.
-    """
-    stages = lane_optima(instance, np.array([order_indices(instance, order)]))
-    return EvaluationResult("opt", tuple(stages[0].tolist()))
-
-
-def lane_optima(instance: Instance, perm: np.ndarray) -> np.ndarray:
-    """Per-stage online optimum of every row of box indices ``perm``, one row per lane.
-
-    Column t is the value to go from stage t; column 0 is the optimum.  One
-    numpy pass per stage over all lanes, each E[max(v_t, value to go)] read
-    from the box's head mass and tail mean below that value.
-    """
-    tables = instance.box_tables
-    lanes, n = perm.shape
-    stages = np.zeros((lanes, n + 1))
-    acc = stages[:, n]
-    for t in range(n - 1, -1, -1):
-        boxes = perm[:, t]
-        idx = tables.below(tables.values, boxes, acc)
-        acc = acc * tables.head_mass[boxes, idx] + tables.tail_mean[boxes, idx]
-        stages[:, t] = acc
-    check_lane_stages("opt", stages)
-    return stages
 
 
 def prophet_value(instance: Instance) -> float:

@@ -40,7 +40,6 @@ from .benchmarks import (
     ArrivalOrder,
     Instance,
     OrderError,
-    lane_optima,
     order_indices,
     prophet_value,
 )
@@ -76,8 +75,12 @@ EXIT_VALIDATION = 2
 EXIT_CERTIFICATE = 3
 EXIT_NUMERICAL = 4
 
-RANDOMIZED_POLICY_KINDS = ("tva-rand-656", "tvd-rand-732")
-POLICY_KINDS = EXACT_POLICIES + RANDOMIZED_POLICY_KINDS
+# Each randomized mixture by its density's key: the exact kind it runs from a
+# starting target drawn from that density, and the envelope the density's
+# guarantee is checked against.
+MIXTURES = {"656": ("tva", rho_656, ENVELOPE_TVA), "732": ("tvd", rho_732, ENVELOPE_TVD)}
+MIXTURE_POLICIES = {f"{kind}-rand-{key}": key for key, (kind, _, _) in MIXTURES.items()}
+POLICY_KINDS = EXACT_POLICIES + tuple(MIXTURE_POLICIES)
 
 ENUMERATION_LIMIT = 9
 # Orders per lane-evaluator chunk of ``eval``, and lanes per pass: one per
@@ -165,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dens = sub.add_parser("verify-density", help="check the built-in densities")
     p_dens.set_defaults(run=cmd_verify_density)
-    p_dens.add_argument("--density", choices=("656", "732", "both"), default="both")
+    p_dens.add_argument("--density", choices=(*MIXTURES, "both"), default="both")
     p_dens.add_argument("--out", default=None)
 
     return parser
@@ -264,15 +267,15 @@ def _order_values(
     """
     policy = args.policy
     for chunk, perm in _lane_chunks(instance, orders):
-        opt = lane_optima(instance, perm)[:, 0]
-        if policy in RANDOMIZED_POLICY_KINDS:
-            density, kind = (rho_656(), "tva") if policy == "tva-rand-656" else (rho_732(), "tvd")
-            value = lane_randomized_values(instance, perm, density, kind, LANE_CHUNK)
+        rows = np.arange(len(chunk))
+        opt = lane_values("opt", instance, perm, rows, None).stages[:, 0]
+        if policy in MIXTURE_POLICIES:
+            kind, density, _ = MIXTURES[MIXTURE_POLICIES[policy]]
+            value = lane_randomized_values(instance, perm, density(), kind, LANE_CHUNK)
         else:
             g0 = args.tau if policy == "sta" else _starting_target(args.g0, instance, opt)
             g0 = np.broadcast_to(g0, opt.shape)
-            lanes = lane_values(policy, instance, perm, np.arange(len(chunk)), g0)
-            value = lanes.stages[:, 0].tolist()
+            value = lane_values(policy, instance, perm, rows, g0).stages[:, 0].tolist()
         yield from zip(chunk, opt.tolist(), value)
 
 
@@ -381,9 +384,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     elif args.g0 != "opt":
         g0 = _starting_target(args.g0, instance, math.nan)
     perm = np.array([order_indices(instance, order)])
+    rows = np.zeros(1, dtype=int)
     if args.g0 == "opt":
-        g0 = lane_optima(instance, perm)[0, 0]
-    lane = lane_values(args.policy, instance, perm, np.zeros(1, dtype=int), np.array([g0]))
+        g0 = lane_values("opt", instance, perm, rows, None).stages[0, 0]
+    lane = lane_values(args.policy, instance, perm, rows, np.array([g0]))
     exact = float(lane.stages[0, 0])
     dists = [instance.dists[b] for b in perm[0]]
     samples = np.empty(runs)
@@ -412,11 +416,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_density(args: argparse.Namespace) -> int:
-    picks = {"656": (rho_656(), ENVELOPE_TVA), "732": (rho_732(), ENVELOPE_TVD)}
-    keys = picks if args.density == "both" else [args.density]
+    keys = MIXTURES if args.density == "both" else [args.density]
     rows: list[list[str]] = []
     exit_code = EXIT_OK
-    for spec, envelope in (picks[key] for key in keys):
+    for _, density, envelope in (MIXTURES[key] for key in keys):
+        spec = density()
         mass_residual = integrate_weighted(spec, "one", 0.5, 1.0) - 1.0
         check = verify_guarantee(spec, envelope)
         assert spec.gamma is not None and spec.c is not None

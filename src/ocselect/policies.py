@@ -25,11 +25,12 @@ import numpy as np
 
 from .benchmarks import (
     ArrivalOrder,
+    VALUE_TOL,
     BoxTables,
     EvaluationResult,
     Instance,
+    SuffixTables,
     best_single_threshold,
-    check_lane_stages,
     order_indices,
     prophet_value,
 )
@@ -153,20 +154,31 @@ def tvd_step(
 
 
 def _one_lane(
-    policy_kind: str, instance: Instance, order: ArrivalOrder, g0: float
+    policy_kind: str, instance: Instance, order: ArrivalOrder, g0: float | None
 ) -> EvaluationResult:
     """``lane_values`` on the one lane (order, g0), as an ``EvaluationResult``."""
     perm = np.array([order_indices(instance, order)])
-    lane = lane_values(policy_kind, instance, perm, np.zeros(1, dtype=int), np.array([g0], float))
+    start = None if g0 is None else np.array([g0], float)
+    lane = lane_values(policy_kind, instance, perm, np.zeros(1, dtype=int), start)
     per_stage = tuple(lane.stages[0].tolist())
-    if policy_kind == "sta":
-        return EvaluationResult("sta", per_stage, threshold=g0)
+    if policy_kind in ("opt", "sta"):
+        return EvaluationResult(policy_kind, per_stage, threshold=g0)
     thresholds = lane.thresholds[0].tolist()
     switch = int(lane.switch_stage[0])
     if switch < 0:
         return EvaluationResult(policy_kind, per_stage, targets=tuple(thresholds))
     targets = (*thresholds[:switch], float(lane.switch_target[0]))
     return EvaluationResult("tvd", per_stage, targets, switch, thresholds[switch])
+
+
+def opt_online(instance: Instance, order: ArrivalOrder) -> EvaluationResult:
+    """Order-aware online optimum: accept any value at or above the value to go after it.
+
+    Value-to-go from stage t is E[max(v_t, value-to-go from t+1)], zero past
+    the last box.  Accepting at equality is optimal and is the convention
+    used by every evaluator in this package.
+    """
+    return _one_lane("opt", instance, order, None)
 
 
 def sta_exact(instance: Instance, order: ArrivalOrder, tau: float) -> EvaluationResult:
@@ -208,14 +220,16 @@ def lane_values(
     instance: Instance,
     perm: np.ndarray,
     rows: np.ndarray,
-    g0: np.ndarray,
+    g0: np.ndarray | None,
     emax_after: np.ndarray | None = None,
 ) -> LaneValues:
     """Exact value of the named policy on every lane, with each lane's stages and thresholds.
 
     A lane is one (order, g0) pair: lane i runs the order in row ``rows[i]``
     of ``perm``, which holds indices into ``instance.boxes``, from starting
-    target ``g0[i]`` (for ``sta``, its threshold).  ``sta`` accepts at g0 at
+    target ``g0[i]`` (for ``sta``, its threshold).  ``opt`` is the online
+    optimum: it takes no g0 (pass None) and accepts at each stage any value
+    at or above the value to go from the next stage.  ``sta`` accepts at g0 at
     every stage.  ``tva`` accepts at each target of the walk
     g_t = inverse_target(d_t, g_{t-1}).  ``tvd`` walks the same targets until
     the first g_t above emax_after[t], E[max of the boxes after stage t]; from
@@ -227,21 +241,21 @@ def lane_values(
     lanes that repeats, in the same order, the IEEE operations of the
     one-order reference evaluators in ``tests/scalar_reference.py``.
     """
-    if policy_kind not in EXACT_POLICIES:
+    if policy_kind not in ("opt", *EXACT_POLICIES):
         raise PolicyError(f"unknown policy kind: {policy_kind!r}")
-    negative = ~(g0 >= 0.0)
-    if negative.any():
+    nonnegative = policy_kind == "opt" or g0 >= 0.0
+    if not np.all(nonnegative):
         what = "threshold" if policy_kind == "sta" else "initial target"
-        raise ValueError(f"{what} must be >= 0: {float(g0[np.argmax(negative)])!r}")
+        raise ValueError(f"{what} must be >= 0: {float(g0[np.argmin(nonnegative)])!r}")
     tables = instance.box_tables
     lanes, n = len(rows), perm.shape[1]
     switch = np.full(lanes, -1)
     thresholds = np.empty((lanes, n))
     if policy_kind == "sta":
         thresholds[:] = g0[:, None]
-    else:
+    elif policy_kind != "opt":
         if policy_kind == "tvd" and emax_after is None:
-            emax_after = _lane_emax_after(tables, perm)
+            emax_after = _lane_emax_after(instance.suffix_tables, perm)
         g = g0
         for t in range(n):
             g = _lane_inverse_target(tables, perm[rows, t], g)
@@ -255,16 +269,21 @@ def lane_values(
         used = np.zeros(len(perm), dtype=bool)
         used[rows[at]] = True
         taus = np.empty(len(perm))
-        taus[used] = _lane_switch_tau(tables, perm[used, s:])
+        taus[used] = _lane_switch_tau(instance.suffix_tables, perm[used, s:])
         thresholds[at, s:] = taus[rows[at]][:, None]
     stages = np.zeros((lanes, n + 1))
     acc = stages[:, n]
     for t in range(n - 1, -1, -1):
         boxes = perm[rows, t]
+        if policy_kind == "opt":
+            thresholds[:, t] = acc
         idx = tables.below(tables.values, boxes, thresholds[:, t])
         acc = tables.tail_mean[boxes, idx] + tables.head_mass[boxes, idx] * acc
         stages[:, t] = acc
-    check_lane_stages(policy_kind, stages)
+    # ``EvaluationResult``'s per-stage check, failing on the first lane's first bad value.
+    out_of_range = ~(np.isfinite(stages) & (stages >= -VALUE_TOL))
+    if out_of_range.any():
+        raise ValueError(f"per-stage value out of range: {float(stages[out_of_range][0])!r}")
     return LaneValues(stages, thresholds, switch, switch_target)
 
 
@@ -283,7 +302,7 @@ def _lane_inverse_target(tables: BoxTables, boxes: np.ndarray, g_prev: np.ndarra
     return np.where(tables.mean[boxes] >= target, 0.0, x)
 
 
-def _lane_emax_after(tables: BoxTables, perm: np.ndarray) -> np.ndarray:
+def _lane_emax_after(tables: SuffixTables, perm: np.ndarray) -> np.ndarray:
     """``emax_after`` of every lane: E[max of the boxes after stage t].
 
     Folds back to front as ``suffix_expected_max`` does.  Each mean is a
@@ -294,14 +313,15 @@ def _lane_emax_after(tables: BoxTables, perm: np.ndarray) -> np.ndarray:
     out = np.zeros((lanes, n))
     running = tables.cdf[perm[:, n - 1]]
     for t in range(n - 2, -1, -1):
-        mass = np.diff(running, axis=1, prepend=0.0)
+        mass = running.copy()
+        mass[:, 1:] -= running[:, :-1]
         out[:, t] = np.cumsum(tables.grid * mass, axis=1)[:, -1]
         if t:
             running = running * tables.cdf[perm[:, t]]
     return out
 
 
-def _lane_switch_tau(tables: BoxTables, suffix: np.ndarray) -> np.ndarray:
+def _lane_switch_tau(tables: SuffixTables, suffix: np.ndarray) -> np.ndarray:
     """``best_single_threshold(dists).tau`` over each row's boxes, bit for bit.
 
     The masses are those of ``max_distribution``'s atoms, with an exact 0.0
@@ -315,7 +335,8 @@ def _lane_switch_tau(tables: BoxTables, suffix: np.ndarray) -> np.ndarray:
     running = tables.cdf[suffix[:, 0]]
     for t in range(1, suffix.shape[1]):
         running = running * tables.cdf[suffix[:, t]]
-    mass = np.diff(running, axis=1, prepend=0.0)
+    mass = running.copy()
+    mass[:, 1:] -= running[:, :-1]
     tau = tables.grid
     tail_mass = np.cumsum(mass[:, ::-1], axis=1)[:, ::-1]
     tail_mean = np.cumsum((mass * tau)[:, ::-1], axis=1)[:, ::-1]
@@ -471,7 +492,7 @@ def lane_randomized_values(
     pass of pieces waits at a time.  An order's piece values are mixed as
     soon as the last of them is valued.
     """
-    emax_after = _lane_emax_after(instance.box_tables, perm) if policy_kind == "tvd" else None
+    emax_after = _lane_emax_after(instance.suffix_tables, perm) if policy_kind == "tvd" else None
     emax_rows = [None] * len(perm) if emax_after is None else emax_after.tolist()
     open_weights: deque[list[float]] = deque()  # orders not yet mixed
     values: list[float] = []  # their pieces valued so far

@@ -43,7 +43,7 @@ from ocselect import (
     verify_dual_tvd,
     verify_guarantee,
 )
-from ocselect.benchmarks import lane_optima, order_indices
+from ocselect.benchmarks import order_indices
 from ocselect.cli import LANE_CHUNK, main
 from ocselect.policies import (
     PolicyState,
@@ -86,7 +86,7 @@ def sweep_report(sweep_instances) -> SimpleNamespace:
         orders = all_orders(instance)
         perm = np.array([order_indices(instance, order) for order in orders])
         report.pairs += len(orders)
-        opt = lane_optima(instance, perm)
+        opt = lane_values("opt", instance, perm, np.arange(len(orders)), None).stages
         opt_total = opt[:, 0]
         # The optimum after each stage, per order: the targets' yardstick.
         after = opt[:, 1:]
@@ -183,7 +183,7 @@ class TestCriterion4RandomizedGuarantees:
         for _ in range(100):
             instance = random_instance(rng, int(rng.integers(2, 4)))
             perm = np.array([order_indices(instance, order) for order in all_orders(instance)])
-            opt = lane_optima(instance, perm)[:, 0]
+            opt = lane_values("opt", instance, perm, np.arange(len(perm)), None).stages[:, 0]
             perm, opt = perm[opt > 0.0], opt[opt > 0.0]
             for spec, kind in picks:
                 values = lane_randomized_values(instance, perm, spec, kind, LANE_CHUNK)
@@ -271,7 +271,8 @@ def detection_optima(hard, xs) -> list[float]:
     """``opt_online`` of the detection hard order at each x, as the lanes of one pass."""
     orders = [detection_hard_order(hard, x) for x in xs]
     perm = np.array([order_indices(hard.instance, order) for order in orders])
-    return lane_optima(hard.instance, perm)[:, 0].tolist()
+    lanes = lane_values("opt", hard.instance, perm, np.arange(len(xs)), None)
+    return lanes.stages[:, 0].tolist()
 
 
 def detection_tvd_values(hard, starts) -> list[float]:

@@ -119,18 +119,16 @@ class TestEvalCommand:
 
     def test_opt_target_computes_each_optimum_once(self, monkeypatch, capsys):
         optima, starts = [], []
-        lane_optima, lane_values = cli.lane_optima, cli.lane_values
-
-        def counted(instance, perm):
-            stages = lane_optima(instance, perm)
-            optima.extend(stages[:, 0].tolist())
-            return stages
+        lane_values = cli.lane_values
 
         def recorded(policy_kind, instance, perm, rows, g0):
-            starts.extend(g0.tolist())
-            return lane_values(policy_kind, instance, perm, rows, g0)
+            lanes = lane_values(policy_kind, instance, perm, rows, g0)
+            if policy_kind == "opt":
+                optima.extend(lanes.stages[:, 0].tolist())
+            else:
+                starts.extend(g0.tolist())
+            return lanes
 
-        monkeypatch.setattr(cli, "lane_optima", counted)
         monkeypatch.setattr(cli, "lane_values", recorded)
         code = main(["eval", "--instance", FOUR_BOX, "--policy", "tva", "--g0", "opt"])
         assert code == 0
@@ -446,7 +444,10 @@ class TestEvalValidation:
         exact = cli.lane_values
 
         def inflated(policy_kind, instance, perm, rows, g0):
+            # The optimum stays exact, so the ratio of the inflated value exceeds 1.
             result = exact(policy_kind, instance, perm, rows, g0)
+            if policy_kind == "opt":
+                return result
             return result._replace(stages=1.5 * result.stages)
 
         monkeypatch.setattr(cli, "lane_values", inflated)

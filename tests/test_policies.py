@@ -16,6 +16,7 @@ from ocselect import (
     Box,
     DensitySpec,
     DiscreteDistribution,
+    EvaluationResult,
     Instance,
     PolicyError,
     PolicyState,
@@ -38,7 +39,7 @@ from ocselect import (
     value_cuts,
 )
 from ocselect import policies
-from ocselect.benchmarks import lane_optima, order_indices
+from ocselect.benchmarks import order_indices
 from ocselect.cli import LANE_CHUNK
 from ocselect.densities import PHI, PIECE_INV, PIECE_ZERO, DensityPiece
 from ocselect.distributions import TARGET_SLACK, inverse_target, sample
@@ -512,11 +513,17 @@ PUBLIC = {"sta": sta_exact, "tva": tva_exact, "tvd": tvd_exact}
 def assert_lanes_match_scalar(inst: Instance, orders, fractions) -> set[int]:
     """Every lane of every kind equals the scalar reference under ==.
 
-    Returns the lengths of the suffixes that tvd switched on.
+    The optimum's stages equal the reference's, and its thresholds are the
+    values to go after each stage.  Returns the lengths of the suffixes that
+    tvd switched on.
     """
     perm = np.array([order_indices(inst, order) for order in orders])
-    opt = lane_optima(inst, perm)[:, 0]
-    assert opt.tolist() == [ref.opt_online(inst, order).total for order in orders]
+    optima = lane_values("opt", inst, perm, np.arange(len(orders)), None)
+    want = [list(ref.opt_online(inst, order).per_stage) for order in orders]
+    assert optima.stages.tolist() == want
+    assert optima.thresholds.tolist() == optima.stages[:, 1:].tolist()
+    assert optima.switch_stage.tolist() == [-1] * len(orders)
+    opt = optima.stages[:, 0]
     prophet = prophet_value(inst)
     starts = [np.zeros(len(orders)), opt, 1.25 * prophet + np.zeros(len(orders))]
     starts += [f * opt for f in fractions]
@@ -552,7 +559,7 @@ class TestLaneValues:
             inst = random_instance(rng, 6, max_atoms=6)
             orders = all_orders(inst)[::7]
             perm = np.array([order_indices(inst, order) for order in orders])
-            tables = inst.box_tables
+            tables = inst.suffix_tables
             emax_after = policies._lane_emax_after(tables, perm)
             for row, order in zip(emax_after.tolist(), orders):
                 assert row == ref.emax_after(ref.ordered_dists(inst, order))
@@ -589,6 +596,10 @@ class TestOneLaneEvaluators:
             for order in all_orders(inst)[:4]:
                 opt = opt_online(inst, order)
                 assert opt == ref.opt_online(inst, order)
+                perm = np.array([order_indices(inst, order)])
+                lane = lane_values("opt", inst, perm, np.zeros(1, dtype=int), None)
+                assert lane.stages[0].tolist() == list(opt.per_stage)
+                assert lane.thresholds.tolist() == lane.stages[:, 1:].tolist()
                 for kind, public in PUBLIC.items():
                     for g0 in (0.0, 0.5 * opt.total, opt.total, 1.25 * prophet):
                         got = public(inst, order, g0)
@@ -611,6 +622,42 @@ class TestOneLaneEvaluators:
             assert raised(opt_online, AB, order) == raised(ref.opt_online, AB, order)
         for g0 in (-1.0, math.nan):
             assert raised(public, AB, ("A", "B"), g0) == raised(scalar, AB, ("A", "B"), g0)
+
+    def test_optimum_and_tva_build_no_suffix_tables(self):
+        # 500 boxes of 6 atoms each, no value repeated: tvd's suffix tables
+        # would hold a 500 x 3000 CDF (12 MB); opt and tva never read them.
+        rng = np.random.default_rng(500)
+        boxes = []
+        for b in range(500):
+            values = np.sort(rng.uniform(0.0, 10.0, 6)).tolist()
+            raw = rng.uniform(0.1, 1.0, 6)
+            atoms = tuple(zip(values, (raw / raw.sum()).tolist()))
+            boxes.append(Box(f"b{b}", DiscreteDistribution(atoms)))
+        inst = Instance(tuple(boxes))
+        assert len({v for d in inst.dists for v in d.values}) == 3000
+        tracemalloc.start()
+        try:
+            opt = opt_online(inst, inst.ids)
+            tva_exact(inst, inst.ids, opt.total)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert "suffix_tables" not in inst.__dict__
+
+    @pytest.mark.parametrize("kind", ["opt", "sta", "tva", "tvd"])
+    def test_stage_out_of_range_raises_like_an_evaluation_result(self, kind, monkeypatch):
+        # Negated tail means drive the stage values below zero.  The lane pass
+        # raises what EvaluationResult raises on the first lane's stages.
+        inst = Instance((A, B, Box("coin", COIN)))
+        tables = inst.box_tables
+        inst.__dict__["box_tables"] = tables._replace(tail_mean=-tables.tail_mean)
+        g0 = None if kind == "opt" else np.ones(2)
+        args = (kind, inst, np.array([[0, 1, 2], [2, 1, 0]]), np.arange(2), g0)
+        with monkeypatch.context() as unchecked:
+            unchecked.setattr(policies, "VALUE_TOL", math.inf)
+            first = tuple(lane_values(*args).stages[0].tolist())
+        assert raised(lane_values, *args) == raised(EvaluationResult, kind, first)
 
     def test_unknown_kind_raises_like_the_reference(self):
         got = raised(policies._one_lane, "nope", AB, ("A", "B"), 1.0)
@@ -668,7 +715,7 @@ class TestLaneRandomizedValues:
         density, switched = high_density(), 0
         for inst, orders in mixture_instances():
             perm, rows, g0 = mixture_lanes(inst, orders, density, "tvd")
-            opt = lane_optima(inst, perm)[:, 0]
+            opt = lane_values("opt", inst, perm, np.arange(len(orders)), None).stages[:, 0]
             over = [i for i in range(len(orders)) if g0[rows == i].min() > opt[i]]
             lanes = lane_values("tvd", inst, perm, rows, g0)
             assert (lanes.switch_stage[np.isin(rows, over)] >= 0).all()
