@@ -20,6 +20,8 @@ import numpy as np
 
 from .distributions import (
     DiscreteDistribution,
+    _cdf_row,
+    _grid,
     as_probability,
     max_distribution,
 )
@@ -152,11 +154,11 @@ class BoxTables(NamedTuple):
 class SuffixTables(NamedTuple):
     """The tables ``tvd`` folds suffixes of an order over, built only when it runs.
 
-    ``cdf`` is each box's normalised CDF on ``grid``, the sorted union of
+    ``cdf`` is each box's normalised CDF row on ``grid``, the sorted union of
     every atom value, so a product of rows is the CDF ``max_distribution``
     builds, carried flat between its own atoms.  Its size is boxes times
     distinct values.  ``alone_tau`` is each box's best single threshold on
-    its own.
+    its own, picked in one call from every box's atoms, padded with zero mass.
     """
 
     grid: np.ndarray
@@ -165,14 +167,16 @@ class SuffixTables(NamedTuple):
 
     @staticmethod
     def build(dists: Sequence[DiscreteDistribution]) -> "SuffixTables":
-        # sorted(set()) rather than np.unique, which imports numpy.ma.
-        grid = np.array(sorted({v for d in dists for v in d.values}))
+        grid = _grid(dists)
         cdf = np.zeros((len(dists), len(grid)))
+        values = np.zeros((len(dists), max(len(d.atoms) for d in dists)))
+        probs = np.zeros_like(values)
         for b, d in enumerate(dists):
-            at = np.searchsorted(d._values_arr, grid, side="right")
-            cdf[b] = np.concatenate(([0.0], d._cdf_norm_arr))[at]
-        alone_tau = np.array([best_single_threshold([d]).tau for d in dists])
-        return SuffixTables(grid, cdf, alone_tau)
+            cdf[b] = _cdf_row(d, grid)
+            values[b, : len(d.atoms)] = d.values
+            # The raw probabilities, as ``max_distribution`` returns one input as is.
+            probs[b, : len(d.atoms)] = d.probs
+        return SuffixTables(grid, cdf, _best_thresholds(values, probs)[0])
 
 
 @dataclass(frozen=True)
@@ -219,7 +223,9 @@ def sta_lower_bound(instance: Instance, tau: float) -> float:
     """
     if not (tau >= 0.0):
         raise ValueError(f"threshold must be >= 0: {tau!r}")
-    return _threshold_bound(instance.max_dist, tau)
+    md = instance.max_dist
+    idx = bisect_left(md.values, tau)
+    return float(_threshold_bound(md.tail_mass[idx], md.head_mass[idx], md.tail_mean[idx], tau))
 
 
 class ThresholdChoice(NamedTuple):
@@ -240,18 +246,47 @@ def best_single_threshold(
     if not dists:
         raise ValueError("need at least one distribution")
     md = max_distribution(list(dists))
-    best_tau, best_val = 0.0, _threshold_bound(md, 0.0)
-    for v in md.values:
-        val = _threshold_bound(md, v)
-        if val > best_val:
-            best_tau, best_val = v, val
-    return ThresholdChoice(best_tau, best_val)
+    tau, value = _best_thresholds(md._values_arr, np.array([md.probs]))
+    return ThresholdChoice(float(tau[0]), float(value[0]))
 
 
-def _threshold_bound(md: DiscreteDistribution, tau: float) -> float:
-    """P[M >= tau] * tau + P[M < tau] * E[(M - tau)^+] for M ~ md."""
-    idx = bisect_left(md.values, tau)
-    p_ge = as_probability(md.tail_mass[idx])
-    p_lt = as_probability(md.head_mass[idx])
-    plus = max(0.0, md.tail_mean[idx] - tau * md.tail_mass[idx])
+def _threshold_bound(
+    tail_mass: np.ndarray, head_mass: np.ndarray, tail_mean: np.ndarray, tau: np.ndarray | float
+) -> np.ndarray:
+    """P[M >= tau] * tau + P[M < tau] * E[(M - tau)^+], elementwise.
+
+    The arguments are M's tail mass, head mass and tail mean at tau: the sums
+    of the masses (and of mass times value) of M's atoms at or above tau, and
+    of the masses below it.
+    """
+    p_ge = as_probability(tail_mass)
+    p_lt = as_probability(head_mass)
+    plus = np.maximum(0.0, tail_mean - tau * tail_mass)
     return p_ge * tau + p_lt * plus
+
+
+def _best_thresholds(values: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The best single threshold and its bound for each row of atom masses.
+
+    Row i of ``mass`` holds the masses of one maximum's distribution at the
+    values in row i of ``values`` (a single row serves every row of
+    ``mass``), in increasing order of value wherever the mass is positive
+    and an exact 0.0 elsewhere.  Every tail and head sum is sequential, so
+    it equals the sum over the row's own atoms bit for bit.  The candidates
+    are 0 and each atom, and the first maximum wins.
+    """
+    values = np.broadcast_to(values, mass.shape)
+    tail_mass = np.cumsum(mass[:, ::-1], axis=1)[:, ::-1]
+    tail_mean = np.cumsum((mass * values)[:, ::-1], axis=1)[:, ::-1]
+    head_mass = np.zeros_like(mass)
+    np.cumsum(mass[:, :-1], axis=1, out=head_mass[:, 1:])
+    atom = mass > 0.0
+    bound = np.full((len(mass), 1 + mass.shape[1]), -math.inf)
+    # Every atom is at or above tau = 0.
+    bound[:, 0] = _threshold_bound(tail_mass[:, 0], head_mass[:, 0], tail_mean[:, 0], 0.0)
+    bound[:, 1:][atom] = _threshold_bound(
+        tail_mass[atom], head_mass[atom], tail_mean[atom], values[atom]
+    )
+    pick = np.argmax(bound, axis=1)
+    rows = np.arange(len(mass))
+    return np.where(pick == 0, 0.0, values[rows, pick - 1]), bound[rows, pick]

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Sequence
+from functools import cached_property, reduce
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,15 +29,18 @@ TARGET_SLACK = 1e-12
 PROB_TOL = 1e-12
 
 
-def as_probability(p: float) -> float:
-    """Validate ``p`` as a probability and clamp it into [0, 1].
+def as_probability(p: np.ndarray | float) -> np.ndarray:
+    """Validate ``p`` elementwise as probabilities and clamp them into [0, 1].
 
     Values outside [-1e-12, 1 + 1e-12] are rejected rather than clamped:
-    anything further out is a logic error, not rounding noise.
+    anything further out is a logic error, not rounding noise.  The error
+    names the first such value.
     """
-    if not (-PROB_TOL <= p <= 1.0 + PROB_TOL):
-        raise ValueError(f"not a probability within tolerance: {p!r}")
-    return min(1.0, max(0.0, p))
+    p = np.asarray(p)
+    out = ~((-PROB_TOL <= p) & (p <= 1.0 + PROB_TOL))
+    if out.any():
+        raise ValueError(f"not a probability within tolerance: {float(p[out][0])!r}")
+    return np.minimum(1.0, np.maximum(0.0, p))
 
 
 @dataclass(frozen=True)
@@ -131,22 +135,6 @@ class DiscreteDistribution:
         cum = np.cumsum(np.asarray(self.probs, dtype=np.float64))
         return cum / cum[-1]
 
-    @cached_property
-    def _cdf_norm_list(self) -> tuple[float, ...]:
-        return tuple(self._cdf_norm_arr.tolist())
-
-
-def prob_ge(dist: DiscreteDistribution, tau: float) -> float:
-    """P[v >= tau]."""
-    idx = bisect_left(dist.values, tau)
-    return as_probability(dist.tail_mass[idx])
-
-
-def expected_plus(dist: DiscreteDistribution, tau: float) -> float:
-    """E[(v - tau)^+] as an exact finite sum."""
-    idx = bisect_left(dist.values, tau)
-    return max(0.0, dist.tail_mean[idx] - tau * dist.tail_mass[idx])
-
 
 def expected_max_with(dist: DiscreteDistribution, x: float) -> float:
     """E[max(v, x)] for a fallback value x >= 0."""
@@ -190,93 +178,60 @@ def inverse_target(dist: DiscreteDistribution, g_prev: float) -> float:
 def max_distribution(dists: Sequence[DiscreteDistribution]) -> DiscreteDistribution:
     """Distribution of the maximum of independent draws, one per input.
 
-    The CDFs are merged in list order (see ``_merge_max``).  Each input CDF
-    is normalised so its last entry is exactly 1.0, which keeps the product's
-    final entry exactly 1.0 regardless of how many inputs there are.
+    The CDF of the maximum is the product of the inputs' normalised CDF rows
+    on the sorted union of their atom values, folded in list order one row
+    at a time.  Each row ends at exactly 1.0, so the product's last entry is
+    exactly 1.0 however many inputs there are.  One input is returned as is.
     """
     if not dists:
         raise ValueError("max of an empty collection is undefined")
     if len(dists) == 1:
         return dists[0]
-    values: list[float] = []
-    cdf: list[float] = []
-    for d in dists:
-        values, cdf = _merge_max(values, cdf, d)
-    atoms = []
-    prev = 0.0
-    for v, c in zip(values, cdf):
-        if c - prev > 0.0:
-            atoms.append((v, c - prev))
-        prev = c
-    return DiscreteDistribution(tuple(atoms))
+    grid = _grid(dists)
+    mass = _atom_masses(reduce(np.multiply, (_cdf_row(d, grid) for d in dists)))
+    atom = mass > 0.0
+    return DiscreteDistribution(tuple(zip(grid[atom].tolist(), mass[atom].tolist())))
 
 
 def suffix_expected_max(dists: Sequence[DiscreteDistribution]) -> list[float]:
-    """E[max(dists[t:])] for every t, with 0.0 for the empty suffix at the end.
+    """E[max(dists[t:])] for every t, with 0.0 for the empty suffix at the end."""
+    grid = _grid(dists)
+    means = _suffix_max_means(grid, (_cdf_row(d, grid) for d in reversed(dists)))
+    return [float(m) for m in means][::-1] + [0.0]
 
-    One back-to-front fold of ``_merge_max`` yields every suffix at once.
+
+def _grid(dists: Sequence[DiscreteDistribution]) -> np.ndarray:
+    """The sorted union of the atom values of ``dists``."""
+    # sorted(set()) rather than np.unique, which imports numpy.ma.
+    return np.array(sorted({v for d in dists for v in d.values}))
+
+
+def _cdf_row(dist: DiscreteDistribution, grid: np.ndarray) -> np.ndarray:
+    """``dist``'s normalised CDF at each point of ``grid``: 0.0 below its first atom."""
+    at = np.searchsorted(dist._values_arr, grid, side="right")
+    return np.concatenate(([0.0], dist._cdf_norm_arr))[at]
+
+
+def _atom_masses(cdf: np.ndarray) -> np.ndarray:
+    """Mass at each grid point of the distribution whose CDF is ``cdf`` (on the last axis)."""
+    mass = cdf.copy()
+    mass[..., 1:] -= cdf[..., :-1]
+    return mass
+
+
+def _suffix_max_means(grid: np.ndarray, rows: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """E[max] of ever longer suffixes, folding in CDF rows on ``grid`` from the last box back.
+
+    ``rows`` yields the last box's row first, then the one before it, and so
+    on; a row may be a stack of rows, one per lane.  Each mean is a
+    sequential sum (``cumsum``) over the grid, where points outside the
+    suffix's supports add an exact 0.0.
     """
-    out = [0.0] * (len(dists) + 1)
-    values: list[float] = []
-    cdf: list[float] = []
-    for t in range(len(dists) - 1, -1, -1):
-        values, cdf = _merge_max(values, cdf, dists[t])
-        out[t] = _mean_from_cdf(values, cdf)
-    return out
-
-
-def _merge_max(
-    values: list[float], cdf: list[float], d: DiscreteDistribution
-) -> tuple[list[float], list[float]]:
-    """CDF of max(current, a fresh draw from d) on the union of both supports.
-
-    ``values``/``cdf`` are parallel lists, empty before the first draw.  The
-    zero-probability lower tail is dropped to keep supports small.  Both CDFs
-    end at exactly 1.0, so past the end of one support the product is the
-    other CDF itself.
-    """
-    if not values:
-        return list(d.values), list(d._cdf_norm_list)
-    dv, dc = d.values, d._cdf_norm_list
-    out_v: list[float] = []
-    out_c: list[float] = []
-    a = b = 0.0
-    i = j = 0
-    na, nb = len(values), len(dv)
-    while i < na and j < nb:
-        v, y = values[i], dv[j]
-        if v <= y:
-            a = cdf[i]
-            i += 1
-        if y <= v:
-            v = y
-            b = dc[j]
-            j += 1
-        p = a * b
-        if p > 0.0 or out_c:
-            out_v.append(v)
-            out_c.append(p)
-    out_v += values[i:] or dv[j:]
-    out_c += cdf[i:] or dc[j:]
-    return out_v, out_c
-
-
-def _mean_from_cdf(values: list[float], cdf: list[float]) -> float:
-    """Mean of the distribution whose CDF at each of ``values`` is ``cdf``."""
-    acc = 0.0
-    prev = 0.0
-    for v, c in zip(values, cdf):
-        acc += v * (c - prev)
-        prev = c
-    return acc
+    for running in accumulate(rows, np.multiply):
+        yield np.cumsum(grid * _atom_masses(running), axis=-1)[..., -1]
 
 
 def inverse_cdf(dist: DiscreteDistribution, u: np.ndarray) -> np.ndarray:
     """Value at each uniform variate: the first atom whose CDF exceeds it."""
     idx = np.searchsorted(dist._cdf_norm_arr, u, side="right")
     return dist._values_arr[np.minimum(idx, len(dist.values) - 1)]
-
-
-def sample(dist: DiscreteDistribution, rng: np.random.Generator) -> float:
-    """Draw one value by inverting the CDF at a uniform variate."""
-    return float(inverse_cdf(dist, rng.random()))

@@ -19,6 +19,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -30,15 +31,17 @@ from .benchmarks import (
     EvaluationResult,
     Instance,
     SuffixTables,
+    _best_thresholds,
     best_single_threshold,
     order_indices,
     prophet_value,
 )
 from .densities import PIECE_ZERO, DensitySpec, density_cdf
 from .distributions import (
-    PROB_TOL,
     TARGET_SLACK,
     DiscreteDistribution,
+    _atom_masses,
+    _suffix_max_means,
     expected_max_with,
     inverse_cdf,
     inverse_target,
@@ -305,56 +308,30 @@ def _lane_inverse_target(tables: BoxTables, boxes: np.ndarray, g_prev: np.ndarra
 def _lane_emax_after(tables: SuffixTables, perm: np.ndarray) -> np.ndarray:
     """``emax_after`` of every lane: E[max of the boxes after stage t].
 
-    Folds back to front as ``suffix_expected_max`` does.  Each mean is a
-    sequential sum (``cumsum``) over the grid, where points outside the
-    suffix's supports add an exact 0.0.
+    One back-to-front fold of the lanes' CDF rows, as ``suffix_expected_max``
+    folds one order's.
     """
     lanes, n = perm.shape
     out = np.zeros((lanes, n))
-    running = tables.cdf[perm[:, n - 1]]
-    for t in range(n - 2, -1, -1):
-        mass = running.copy()
-        mass[:, 1:] -= running[:, :-1]
-        out[:, t] = np.cumsum(tables.grid * mass, axis=1)[:, -1]
-        if t:
-            running = running * tables.cdf[perm[:, t]]
+    rows = (tables.cdf[perm[:, t]] for t in range(n - 1, 0, -1))
+    for t, mean in zip(range(n - 2, -1, -1), _suffix_max_means(tables.grid, rows)):
+        out[:, t] = mean
     return out
 
 
 def _lane_switch_tau(tables: SuffixTables, suffix: np.ndarray) -> np.ndarray:
     """``best_single_threshold(dists).tau`` over each row's boxes, bit for bit.
 
-    The masses are those of ``max_distribution``'s atoms, with an exact 0.0
-    at grid points outside the suffix's supports, and every tail and head sum
-    is sequential, in ``best_single_threshold``'s order.  A one-box suffix
-    keeps the box's raw probabilities, as ``max_distribution`` returns its
-    single input unchanged.
+    The rows' CDFs are folded front to back as ``max_distribution`` folds
+    them, and the threshold is picked from their atom masses, which hold an
+    exact 0.0 at grid points outside the suffix's supports.  A one-box
+    suffix keeps the box's raw probabilities, as ``max_distribution``
+    returns its single input unchanged.
     """
     if suffix.shape[1] == 1:
         return tables.alone_tau[suffix[:, 0]]
-    running = tables.cdf[suffix[:, 0]]
-    for t in range(1, suffix.shape[1]):
-        running = running * tables.cdf[suffix[:, t]]
-    mass = running.copy()
-    mass[:, 1:] -= running[:, :-1]
-    tau = tables.grid
-    tail_mass = np.cumsum(mass[:, ::-1], axis=1)[:, ::-1]
-    tail_mean = np.cumsum((mass * tau)[:, ::-1], axis=1)[:, ::-1]
-    head_mass = np.zeros_like(mass)
-    np.cumsum(mass[:, :-1], axis=1, out=head_mass[:, 1:])
-    atom = mass > 0.0
-    # tau = 0 reads tail_mass[0] as P[M >= 0]; its bound is exactly 0.0.
-    for p in (tail_mass[:, 0], tail_mass[atom], head_mass[atom]):
-        out = ~((-PROB_TOL <= p) & (p <= 1.0 + PROB_TOL))
-        if out.any():
-            raise ValueError(f"not a probability within tolerance: {float(p[out][0])!r}")
-    p_ge = np.minimum(1.0, np.maximum(0.0, tail_mass))
-    p_lt = np.minimum(1.0, np.maximum(0.0, head_mass))
-    plus = np.maximum(0.0, tail_mean - tau * tail_mass)
-    bound = np.where(atom, p_ge * tau + p_lt * plus, -math.inf)
-    # The first maximum wins, with tau = 0 (bound 0.0) ahead of every atom.
-    pick = np.argmax(np.concatenate((np.zeros((len(mass), 1)), bound), axis=1), axis=1)
-    return np.where(pick == 0, 0.0, tau[pick - 1])
+    running = reduce(np.multiply, (tables.cdf[suffix[:, t]] for t in range(suffix.shape[1])))
+    return _best_thresholds(tables.grid, _atom_masses(running))[0]
 
 
 # ---------------------------------------------------------------------------

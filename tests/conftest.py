@@ -40,6 +40,20 @@ def random_instance(
     return Instance(tuple(boxes))
 
 
+def distinct_atoms_instance() -> Instance:
+    """500 boxes of 6 atoms each with no value repeated: a 3,000-point grid."""
+    rng = np.random.default_rng(500)
+    boxes = []
+    for b in range(500):
+        values = np.sort(rng.uniform(0.0, 10.0, 6)).tolist()
+        raw = rng.uniform(0.1, 1.0, 6)
+        atoms = tuple(zip(values, (raw / raw.sum()).tolist()))
+        boxes.append(Box(f"b{b}", DiscreteDistribution(atoms)))
+    instance = Instance(tuple(boxes))
+    assert len({v for d in instance.dists for v in d.values}) == 3000
+    return instance
+
+
 def all_orders(instance: Instance):
     return [tuple(p) for p in itertools.permutations(sorted(instance.ids))]
 

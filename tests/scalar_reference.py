@@ -1,10 +1,11 @@
-"""One-order scalar evaluators: the reference the lane evaluators are tested against.
+"""Scalar evaluators: the reference the numpy folds and lane evaluators are tested against.
 
-Each function here walks one arrival order one Python float at a time,
-through the distributions' own tables and the step machines' helpers
-(``inverse_target``, ``suffix_expected_max``, ``best_single_threshold``).
-The lane pass in ``ocselect`` repeats the same IEEE operations in the same
-order, so the tests compare the two under ``==``, every field of each
+Each function here works one Python float at a time: the distribution of a
+maximum is a merge of two sorted CDF lists, the best single threshold a loop
+over the atoms of that maximum, and each policy walks one arrival order
+through the distributions' own tables and ``inverse_target``.  The folds
+and the lane pass in ``ocselect`` repeat the same IEEE operations in the
+same order, so the tests compare the two under ``==``, every field of each
 ``EvaluationResult`` included.
 """
 
@@ -13,10 +14,128 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import NamedTuple, Sequence
 
-from ocselect import DensitySpec, DiscreteDistribution, EvaluationResult, Instance
-from ocselect.benchmarks import ArrivalOrder, best_single_threshold, order_indices
-from ocselect.distributions import expected_max_with, inverse_target, suffix_expected_max
+from ocselect import (
+    DensitySpec,
+    DiscreteDistribution,
+    EvaluationResult,
+    Instance,
+    ThresholdChoice,
+)
+from ocselect.benchmarks import ArrivalOrder, order_indices
+from ocselect.distributions import PROB_TOL, expected_max_with, inverse_target
 from ocselect.policies import EXACT_POLICIES, PolicyError, _mix, _mixture_pieces
+
+
+def as_probability(p: float) -> float:
+    """Validate ``p`` as a probability and clamp it into [0, 1]."""
+    if not (-PROB_TOL <= p <= 1.0 + PROB_TOL):
+        raise ValueError(f"not a probability within tolerance: {p!r}")
+    return min(1.0, max(0.0, p))
+
+
+def max_distribution(dists: Sequence[DiscreteDistribution]) -> DiscreteDistribution:
+    """Distribution of the maximum of independent draws, merged in list order."""
+    if not dists:
+        raise ValueError("max of an empty collection is undefined")
+    if len(dists) == 1:
+        return dists[0]
+    values: list[float] = []
+    cdf: list[float] = []
+    for d in dists:
+        values, cdf = _merge_max(values, cdf, d)
+    atoms = []
+    prev = 0.0
+    for v, c in zip(values, cdf):
+        if c - prev > 0.0:
+            atoms.append((v, c - prev))
+        prev = c
+    return DiscreteDistribution(tuple(atoms))
+
+
+def suffix_expected_max(dists: Sequence[DiscreteDistribution]) -> list[float]:
+    """E[max(dists[t:])] for every t, with 0.0 for the empty suffix at the end."""
+    out = [0.0] * (len(dists) + 1)
+    values: list[float] = []
+    cdf: list[float] = []
+    for t in range(len(dists) - 1, -1, -1):
+        values, cdf = _merge_max(values, cdf, dists[t])
+        out[t] = _mean_from_cdf(values, cdf)
+    return out
+
+
+def _merge_max(
+    values: list[float], cdf: list[float], d: DiscreteDistribution
+) -> tuple[list[float], list[float]]:
+    """CDF of max(current, a fresh draw from d) on the union of both supports.
+
+    ``values``/``cdf`` are parallel lists, empty before the first draw.  The
+    zero-probability lower tail is dropped to keep supports small.  Both CDFs
+    end at exactly 1.0, so past the end of one support the product is the
+    other CDF itself.
+    """
+    if not values:
+        return list(d.values), d._cdf_norm_arr.tolist()
+    dv, dc = d.values, d._cdf_norm_arr.tolist()
+    out_v: list[float] = []
+    out_c: list[float] = []
+    a = b = 0.0
+    i = j = 0
+    na, nb = len(values), len(dv)
+    while i < na and j < nb:
+        v, y = values[i], dv[j]
+        if v <= y:
+            a = cdf[i]
+            i += 1
+        if y <= v:
+            v = y
+            b = dc[j]
+            j += 1
+        p = a * b
+        if p > 0.0 or out_c:
+            out_v.append(v)
+            out_c.append(p)
+    out_v += values[i:] or dv[j:]
+    out_c += cdf[i:] or dc[j:]
+    return out_v, out_c
+
+
+def _mean_from_cdf(values: list[float], cdf: list[float]) -> float:
+    """Mean of the distribution whose CDF at each of ``values`` is ``cdf``."""
+    acc = 0.0
+    prev = 0.0
+    for v, c in zip(values, cdf):
+        acc += v * (c - prev)
+        prev = c
+    return acc
+
+
+def sta_lower_bound(instance: Instance, tau: float) -> float:
+    """P[M >= tau] * tau + P[M < tau] * E[(M-tau)^+] for M the overall maximum."""
+    if not (tau >= 0.0):
+        raise ValueError(f"threshold must be >= 0: {tau!r}")
+    return _threshold_bound(max_distribution(instance.dists), tau)
+
+
+def best_single_threshold(dists: Sequence[DiscreteDistribution]) -> ThresholdChoice:
+    """The single-threshold bound maximised over {0} plus the atoms; ties go to the smallest tau."""
+    if not dists:
+        raise ValueError("need at least one distribution")
+    md = max_distribution(list(dists))
+    best_tau, best_val = 0.0, _threshold_bound(md, 0.0)
+    for v in md.values:
+        val = _threshold_bound(md, v)
+        if val > best_val:
+            best_tau, best_val = v, val
+    return ThresholdChoice(best_tau, best_val)
+
+
+def _threshold_bound(md: DiscreteDistribution, tau: float) -> float:
+    """P[M >= tau] * tau + P[M < tau] * E[(M - tau)^+] for M ~ md."""
+    idx = bisect_left(md.values, tau)
+    p_ge = as_probability(md.tail_mass[idx])
+    p_lt = as_probability(md.head_mass[idx])
+    plus = max(0.0, md.tail_mean[idx] - tau * md.tail_mass[idx])
+    return p_ge * tau + p_lt * plus
 
 
 def ordered_dists(instance: Instance, order: ArrivalOrder) -> tuple[DiscreteDistribution, ...]:

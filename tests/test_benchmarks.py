@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import all_orders, brute_force_opt, random_instance
+from conftest import all_orders, brute_force_opt, distinct_atoms_instance, random_instance
 from ocselect import (
     Box,
     DiscreteDistribution,
@@ -106,6 +107,17 @@ class TestProphetValue:
             for order in all_orders(inst)[:6]:
                 opt = opt_online(inst, order).total
                 assert 0.5 * p - 1e-9 <= opt <= p + 1e-9
+
+    def test_prophet_builds_no_boxes_by_grid_matrix(self):
+        # 500 boxes of 6 atoms: a 500 x 3000 CDF matrix would take 11.4 MB.
+        inst = distinct_atoms_instance()
+        tracemalloc.start()
+        try:
+            prophet_value(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestStaExact:

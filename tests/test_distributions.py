@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ocselect import DiscreteDistribution
+import scalar_reference as ref
+from ocselect import Box, DiscreteDistribution, Instance, best_single_threshold, sta_lower_bound
 from ocselect.distributions import (
     expected_max_with,
-    expected_plus,
+    inverse_cdf,
     inverse_target,
     max_distribution,
-    prob_ge,
-    sample,
+    suffix_expected_max,
 )
 
 ZERO_TWO = DiscreteDistribution(((0.0, 0.5), (2.0, 0.5)))
@@ -69,35 +69,6 @@ class TestValidation:
     def test_rejects_zero_probability_atom(self):
         with pytest.raises(ValueError):
             DiscreteDistribution(((0.0, 0.0), (1.0, 1.0)))
-
-
-class TestProbGe:
-    def test_interior(self):
-        assert prob_ge(ZERO_TWO, 1.0) == 0.5
-
-    def test_zero_threshold(self):
-        assert prob_ge(ZERO_TWO, 0.0) == 1.0
-
-    def test_atom_at_threshold_counts(self):
-        assert prob_ge(ZERO_TWO, 2.0) == 0.5
-
-    def test_above_support(self):
-        assert prob_ge(ZERO_TWO, 2.5) == 0.0
-
-
-class TestExpectedPlus:
-    def test_interior(self):
-        assert expected_plus(ZERO_TWO, 1.0) == pytest.approx(0.5, abs=1e-12)
-
-    def test_at_top(self):
-        assert expected_plus(ZERO_TWO, 2.0) == 0.0
-
-    def test_degenerate(self):
-        five = DiscreteDistribution(((5.0, 1.0),))
-        assert expected_plus(five, 0.0) == pytest.approx(5.0, abs=1e-12)
-
-    def test_identity_at_zero_equals_mean(self):
-        assert expected_plus(ZERO_TWO, 0.0) == pytest.approx(ZERO_TWO.mean, abs=1e-12)
 
 
 class TestExpectedMaxWith:
@@ -220,16 +191,33 @@ class TestMaxDistributionFold:
         assert max_distribution(dists).atoms == cdf_product_atoms(dists)
 
 
+class TestScalarReference:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(dist_with_zero(), min_size=1, max_size=6), st.floats(0.0, 11.0))
+    def test_folds_and_picker_equal_the_scalar_reference(self, dists, tau):
+        md = max_distribution(dists)
+        assert md.atoms == ref.max_distribution(dists).atoms
+        assert suffix_expected_max(dists) == ref.suffix_expected_max(dists)
+        choice = best_single_threshold(dists)
+        assert choice == ref.best_single_threshold(dists)
+        assert type(choice.tau) is float and type(choice.value) is float
+        inst = Instance(tuple(Box(f"b{i}", d) for i, d in enumerate(dists)))
+        for t in (0.0, tau, *md.values):
+            bound = sta_lower_bound(inst, t)
+            assert bound == ref.sta_lower_bound(inst, t)
+            assert type(bound) is float
+
+
 class TestSample:
     def test_degenerate(self):
         seven = DiscreteDistribution(((7.0, 1.0),))
         rng = np.random.default_rng(42)
-        assert all(sample(seven, rng) == 7.0 for _ in range(50))
+        assert all(v == 7.0 for v in inverse_cdf(seven, rng.random(50)).tolist())
 
     def test_binomial_concentration(self):
         rng = np.random.default_rng(20260822)
         n = 100_000
-        hits = sum(sample(ZERO_TWO, rng) == 2.0 for _ in range(n))
+        hits = int(np.count_nonzero(inverse_cdf(ZERO_TWO, rng.random(n)) == 2.0))
         sigma = math.sqrt(n * 0.25)
         assert abs(hits - n / 2) <= 3 * sigma
 
@@ -238,12 +226,12 @@ class TestSample:
         runs = []
         for _ in range(2):
             rng = np.random.default_rng(7)
-            runs.append([sample(d, rng) for _ in range(200)])
+            runs.append(inverse_cdf(d, rng.random(200)).tolist())
         assert runs[0] == runs[1]
 
     @settings(max_examples=50, deadline=None)
     @given(dist_strategy(), st.integers(0, 2**32 - 1))
     def test_values_come_from_support(self, d, seed):
         rng = np.random.default_rng(seed)
-        for _ in range(20):
-            assert sample(d, rng) in d.values
+        for value in inverse_cdf(d, rng.random(20)).tolist():
+            assert value in d.values

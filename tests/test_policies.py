@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_reference as ref
-from conftest import all_orders, g0_grid, random_instance
+from conftest import all_orders, distinct_atoms_instance, g0_grid, random_instance
 from ocselect import (
     Box,
     DensitySpec,
@@ -20,7 +20,6 @@ from ocselect import (
     Instance,
     PolicyError,
     PolicyState,
-    best_single_threshold,
     density_cdf,
     density_pdf,
     load_instance,
@@ -42,7 +41,7 @@ from ocselect import policies
 from ocselect.benchmarks import order_indices
 from ocselect.cli import LANE_CHUNK
 from ocselect.densities import PHI, PIECE_INV, PIECE_ZERO, DensityPiece
-from ocselect.distributions import TARGET_SLACK, inverse_target, sample
+from ocselect.distributions import TARGET_SLACK, inverse_cdf, inverse_target
 from ocselect.policies import (
     CONSERVATIVE,
     TARGETED,
@@ -449,7 +448,7 @@ class TestRandomizedValue:
 def replay_run(kind, g0, inst, order, rng):
     """One run the slow way: sample every box, then step the policy box by box."""
     dists = [inst.by_id[box_id].dist for box_id in order]
-    values = [sample(d, rng) for d in dists]
+    values = [float(inverse_cdf(d, rng.random())) for d in dists]
     if kind == "sta":
         return next((v for v in values if v >= g0), 0.0)
     state = PolicyState.initial(g0)
@@ -566,7 +565,7 @@ class TestLaneValues:
             for s in range(inst.n):
                 taus = policies._lane_switch_tau(tables, perm[:, s:]).tolist()
                 assert taus == [
-                    best_single_threshold([inst.dists[i] for i in row[s:]]).tau
+                    ref.best_single_threshold([inst.dists[i] for i in row[s:]]).tau
                     for row in perm.tolist()
                 ]
 
@@ -626,15 +625,7 @@ class TestOneLaneEvaluators:
     def test_optimum_and_tva_build_no_suffix_tables(self):
         # 500 boxes of 6 atoms each, no value repeated: tvd's suffix tables
         # would hold a 500 x 3000 CDF (12 MB); opt and tva never read them.
-        rng = np.random.default_rng(500)
-        boxes = []
-        for b in range(500):
-            values = np.sort(rng.uniform(0.0, 10.0, 6)).tolist()
-            raw = rng.uniform(0.1, 1.0, 6)
-            atoms = tuple(zip(values, (raw / raw.sum()).tolist()))
-            boxes.append(Box(f"b{b}", DiscreteDistribution(atoms)))
-        inst = Instance(tuple(boxes))
-        assert len({v for d in inst.dists for v in d.values}) == 3000
+        inst = distinct_atoms_instance()
         tracemalloc.start()
         try:
             opt = opt_online(inst, inst.ids)
