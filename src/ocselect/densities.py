@@ -253,12 +253,37 @@ def density_pdf(spec: DensitySpec, x: float) -> float:
     return 0.0
 
 
-def density_cdf(spec: DensitySpec, x: float) -> float:
+def density_cdf(spec: DensitySpec, x: float | np.ndarray) -> float | np.ndarray:
+    """CDF at x, or at each entry of an array x: the density integrated from 1/2 piece by piece.
+
+    Pieces add their terms in piece order, as ``integrate_weighted`` sums
+    them.  A piece wholly below x adds its whole integral, computed once, and
+    the partial piece takes ``math.log`` of each entry.  The exact 0.0 term of
+    a zero piece, or of a piece wholly above x, would leave the sum as it is,
+    so it is not added.
+    """
+    xs = np.asarray(x, dtype=float)
     if spec.point_mass is not None:
-        return 1.0 if x >= spec.point_mass else 0.0
-    if x <= 0.5:
-        return 0.0
-    return min(1.0, integrate_weighted(spec, WEIGHT_ONE, 0.5, min(x, 1.0)))
+        cdf = np.where(xs >= spec.point_mass, 1.0, 0.0)
+    else:
+        top = np.minimum(xs, 1.0)
+        cdf = np.zeros(xs.shape)
+        for piece in spec.pieces:
+            if piece.kind == PIECE_ZERO:
+                continue
+            cdf[top >= piece.hi] += _piece_integral(piece, WEIGHT_ONE, 0.5, piece.hi)
+            a = max(0.5, piece.lo)
+            part = (a < top) & (top < piece.hi)
+            k, b = piece.coefficient, top[part]
+            if piece.kind == PIECE_INV_SHIFTED:
+                lb = np.fromiter(map(math.log, 2.0 * b - 1.0), float, len(b))
+                cdf[part] += k * 0.5 * (lb - math.log(2.0 * a - 1.0))
+            else:
+                lb = np.fromiter(map(math.log, b), float, len(b))
+                cdf[part] += k * (lb - math.log(a))
+        np.minimum(cdf, 1.0, out=cdf)
+        cdf[xs <= 0.5] = 0.0
+    return float(cdf) if cdf.ndim == 0 else cdf
 
 
 def density_ppf(spec: DensitySpec, u: float) -> float:

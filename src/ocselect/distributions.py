@@ -136,14 +136,6 @@ class DiscreteDistribution:
         return cum / cum[-1]
 
 
-def expected_max_with(dist: DiscreteDistribution, x: float) -> float:
-    """E[max(v, x)] for a fallback value x >= 0."""
-    if x < 0.0:
-        raise ValueError(f"fallback value must be >= 0: {x!r}")
-    idx = bisect_left(dist.values, x)
-    return x * dist.head_mass[idx] + dist.tail_mean[idx]
-
-
 def inverse_target(dist: DiscreteDistribution, g_prev: float) -> float:
     """Smallest x >= 0 with E[max(v, x)] >= g_prev (within 1e-12 slack).
 

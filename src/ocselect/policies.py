@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Iterator, NamedTuple, Sequence
@@ -42,7 +41,6 @@ from .distributions import (
     DiscreteDistribution,
     _atom_masses,
     _suffix_max_means,
-    expected_max_with,
     inverse_cdf,
     inverse_target,
     suffix_expected_max,
@@ -372,62 +370,112 @@ def value_cuts(
 ) -> list[float]:
     """Sorted starting targets below ``top`` where the policy value can jump.
 
-    ``dists`` are the boxes in arrival order.  The value depends on g0 only
-    through each stage's acceptance index and, for ``tvd``, the switch stage:
-    through where each target g_t lies among the stage's atoms and
-    ``emax_after[t]``, E[max of the boxes after stage t] (a row of
-    ``_lane_emax_after``; unused by ``tva``).  Up to rounding,
-    inverse_target(d, g) > y exactly when g > E[max(v, y)] + TARGET_SLACK, so
-    each such level is carried back to g0 stage by stage.  Levels only grow
-    on the way, so one reaching ``top`` is dropped at once.  For ``tvd`` a
-    target above emax_after[t] switches the walk at stage t, after which no
-    target from stage t on is used, so only levels up to emax_after[t] are
-    kept there.
+    ``dists`` are the boxes in arrival order, and ``emax_after`` is the
+    order's row of ``_lane_emax_after`` (unused by ``tva``).  One order's
+    ``_lane_value_cuts``.
     """
     if policy_kind not in ("tva", "tvd"):
         raise ValueError(f"value profile needs tva or tvd, got {policy_kind!r}")
-    levels: set[float] = set()
-    for t in range(len(dists) - 1, -1, -1):
-        d = dists[t]
-        levels.update(d.values)
+    perm = np.arange(len(dists))[None]
+    emax = None if emax_after is None else np.array([emax_after], float)
+    levels = _lane_value_cuts(BoxTables.build(dists), perm, emax, policy_kind, top)[0]
+    return levels[levels < math.inf].tolist()
+
+
+def _lane_value_cuts(
+    tables: BoxTables,
+    perm: np.ndarray,
+    emax_after: np.ndarray | None,
+    policy_kind: str,
+    top: float,
+) -> np.ndarray:
+    """Each order's sorted distinct starting targets below ``top`` where its value can jump.
+
+    Row i of the result holds the cuts of the order in row i of ``perm``,
+    then +inf pads.  The value depends on g0 only through each stage's
+    acceptance index and, for ``tvd``, the switch stage: through where each
+    target g_t lies among the stage's atoms and ``emax_after[t]``,
+    E[max of the boxes after stage t].  Up to rounding,
+    inverse_target(d, g) > y exactly when g > E[max(v, y)] + TARGET_SLACK, so
+    each such level is carried back to g0 stage by stage, all orders at once.
+    Levels only grow on the way, so one reaching ``top`` is dropped at once.
+    For ``tvd`` a target above emax_after[t] switches the walk at stage t,
+    after which no target from stage t on is used, so only levels up to
+    emax_after[t] are kept there.
+    """
+    levels = np.empty((len(perm), 0))
+    for t in range(perm.shape[1] - 1, -1, -1):
+        boxes = perm[:, t]
+        atoms = tables.values[boxes]
+        levels = np.concatenate((levels, atoms), axis=1)
         if policy_kind == "tvd":
-            switch_level = emax_after[t]
-            levels = {y for y in levels if y <= switch_level}
-            levels.add(switch_level)
-        pulled = (expected_max_with(d, y) + TARGET_SLACK for y in levels if y < top)
-        levels = {y for y in pulled if y < top}
-    return sorted(levels)
+            switch_level = emax_after[:, t, None]
+            levels[levels > switch_level] = math.inf
+            levels = np.concatenate((levels, switch_level), axis=1)
+        dropped = levels >= top
+        levels[dropped] = 0.0
+        # Atoms below each level, as bisect_left counts them; +inf pads never are.
+        idx = sum(atoms[:, k, None] < levels for k in range(atoms.shape[1]))
+        rows = boxes[:, None]
+        levels = levels * tables.head_mass[rows, idx] + tables.tail_mean[rows, idx] + TARGET_SLACK
+        levels[dropped | (levels >= top)] = math.inf
+        levels = _distinct(levels)
+    return levels
 
 
-def _mixture_pieces(
+def _distinct(levels: np.ndarray) -> np.ndarray:
+    """Each row's distinct finite entries, sorted, then +inf pads, as wide as the widest row.
+
+    Equal neighbours are masked after a sort; ``np.unique`` would import numpy.ma.
+    """
+    levels = np.sort(levels, axis=1)
+    levels[:, 1:][levels[:, 1:] == levels[:, :-1]] = math.inf
+    levels.sort(axis=1)
+    return levels[:, : np.count_nonzero(levels < math.inf, axis=1).max(initial=0)]
+
+
+class MixturePieces(NamedTuple):
+    counts: np.ndarray  # pieces of each order, in the orders' order
+    weights: np.ndarray  # each piece's mass under the density
+    mids: np.ndarray  # each piece's midpoint starting target
+
+
+def _lane_mixture_pieces(
     instance: Instance,
-    boxes: Sequence[int],
-    emax_after: Sequence[float] | None,
+    perm: np.ndarray,
+    emax_after: np.ndarray | None,
     density: DensitySpec,
     policy_kind: str,
-) -> tuple[list[float], list[float]]:
-    """Weight and midpoint starting target of each piece of the mixture.
+) -> MixturePieces:
+    """The pieces of every order's mixture, flat, order after order.
 
-    ``boxes`` are the order's indices into ``instance.boxes`` and
-    ``emax_after`` its row of ``_lane_emax_after`` (``tvd`` only).  The value
-    is piecewise constant in g0 (see ``value_cuts``): each piece is weighted
-    by its mass under the analytic density CDF and valued at its midpoint.
-    A point mass is one piece of weight 1.
+    ``perm`` holds each order's indices into ``instance.boxes`` and
+    ``emax_after`` its rows of ``_lane_emax_after`` (``tvd`` only).  The
+    value is piecewise constant in g0 (see ``_lane_value_cuts``): each piece
+    is weighted by its mass under the analytic density CDF and valued at its
+    midpoint.  A point mass is one piece of weight 1.
     """
-    if policy_kind not in ("tva", "tvd"):
-        raise ValueError(f"randomized mixture needs tva or tvd, got {policy_kind!r}")
     prophet = prophet_value(instance)
+    orders = len(perm)
     if density.point_mass is not None:
-        return [1.0], [density.point_mass * prophet]
+        mids = np.full(orders, density.point_mass * prophet)
+        return MixturePieces(np.ones(orders, dtype=int), np.ones(orders), mids)
     positive = [p for p in density.pieces if p.kind != PIECE_ZERO]
     lo, hi = positive[0].lo, positive[-1].hi
-    dists = [instance.dists[b] for b in boxes]
-    cuts = value_cuts(dists, emax_after, policy_kind, hi * prophet)
-    edges = [lo, *(y / prophet for y in cuts if y > lo * prophet), hi]
-    cdf = [density_cdf(density, x) for x in edges]
-    weights = [b - a for a, b in zip(cdf, cdf[1:])]
-    mids = [0.5 * (a + b) * prophet for a, b in zip(edges, edges[1:])]
-    return weights, mids
+    cuts = _lane_value_cuts(instance.box_tables, perm, emax_after, policy_kind, hi * prophet)
+    inside = (cuts > lo * prophet) & (cuts < math.inf)
+    counts = np.count_nonzero(inside, axis=1) + 1
+    # Each order's edges: lo, its cuts above lo, hi; flat, order after order.
+    ends = np.ones((orders, 1), dtype=bool)
+    edges = np.concatenate((np.full(ends.shape, lo), cuts / prophet, np.full(ends.shape, hi)), 1)
+    edges = edges[np.concatenate((ends, inside, ends), axis=1)]
+    cdf = density_cdf(density, edges)
+    # Every pair of neighbouring edges but an order's last edge and the next one's first.
+    within = np.ones(len(edges) - 1, dtype=bool)
+    within[np.cumsum(counts + 1)[:-1] - 1] = False
+    weights = (cdf[1:] - cdf[:-1])[within]
+    mids = (0.5 * (edges[:-1] + edges[1:]) * prophet)[within]
+    return MixturePieces(counts, weights, mids)
 
 
 def _mix(weights: list[float], values: list[float]) -> float:
@@ -463,34 +511,25 @@ def lane_randomized_values(
 
     Row i of ``perm`` holds the box indices of one order.  For ``tvd`` the
     rows' emax_after table is built once, for the cuts and the passes alike.
-    Pieces are built order by order (see ``_mixture_pieces``) and valued by
-    ``lane_values`` in passes of ``max_lanes`` lanes (the last pass may be
-    shorter), so one order's pieces may span several passes and at most one
-    pass of pieces waits at a time.  An order's piece values are mixed as
-    soon as the last of them is valued.
+    Every row's pieces are built together (see ``_lane_mixture_pieces``) and
+    valued by ``lane_values`` in passes of ``max_lanes`` lanes (the last pass
+    may be shorter), so one order's pieces may span several passes.  Each
+    order's piece values are then mixed by ``_mix``.
     """
+    if policy_kind not in ("tva", "tvd"):
+        raise ValueError(f"randomized mixture needs tva or tvd, got {policy_kind!r}")
     emax_after = _lane_emax_after(instance.suffix_tables, perm) if policy_kind == "tvd" else None
-    emax_rows = [None] * len(perm) if emax_after is None else emax_after.tolist()
-    open_weights: deque[list[float]] = deque()  # orders not yet mixed
-    values: list[float] = []  # their pieces valued so far
-    rows: list[int] = []  # pieces not yet valued: row of perm and g0
-    starts: list[float] = []
-    last = len(perm) - 1
-    for i, boxes in enumerate(perm.tolist()):
-        weights, mids = _mixture_pieces(instance, boxes, emax_rows[i], density, policy_kind)
-        open_weights.append(weights)
-        rows += [i] * len(mids)
-        starts += mids
-        while len(starts) >= max_lanes or (i == last and starts):
-            at = np.array(rows[:max_lanes])
-            window = slice(at[0], at[-1] + 1)
-            part, g0 = perm[window], np.array(starts[:max_lanes])
-            emax = None if emax_after is None else emax_after[window]
-            lanes = lane_values(policy_kind, instance, part, at - at[0], g0, emax_after=emax)
-            values += lanes.stages[:, 0].tolist()
-            del lanes  # so the next pass does not hold this one's arrays
-            del rows[:max_lanes], starts[:max_lanes]
-            while open_weights and len(values) >= len(open_weights[0]):
-                weights = open_weights.popleft()
-                yield _mix(weights, values[: len(weights)])
-                del values[: len(weights)]
+    counts, weights, mids = _lane_mixture_pieces(instance, perm, emax_after, density, policy_kind)
+    rows = np.repeat(np.arange(len(perm)), counts)
+    values = np.empty(len(mids))
+    for start in range(0, len(mids), max_lanes):
+        part = slice(start, start + max_lanes)
+        at = rows[part]
+        window = slice(at[0], at[-1] + 1)
+        emax = None if emax_after is None else emax_after[window]
+        lanes = lane_values(policy_kind, instance, perm[window], at - at[0], mids[part], emax)
+        values[part] = lanes.stages[:, 0]
+        del lanes  # so the next pass does not hold this one's arrays
+    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+    for a, b in zip(bounds, bounds[1:]):
+        yield _mix(weights[a:b].tolist(), values[a:b].tolist())

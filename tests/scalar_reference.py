@@ -21,9 +21,10 @@ from ocselect import (
     Instance,
     ThresholdChoice,
 )
-from ocselect.benchmarks import ArrivalOrder, order_indices
-from ocselect.distributions import PROB_TOL, expected_max_with, inverse_target
-from ocselect.policies import EXACT_POLICIES, PolicyError, _mix, _mixture_pieces
+from ocselect.benchmarks import ArrivalOrder, order_indices, prophet_value
+from ocselect.densities import PIECE_ZERO, WEIGHT_ONE, integrate_weighted
+from ocselect.distributions import PROB_TOL, TARGET_SLACK, inverse_target
+from ocselect.policies import EXACT_POLICIES, PolicyError, _mix
 
 
 def as_probability(p: float) -> float:
@@ -31,6 +32,14 @@ def as_probability(p: float) -> float:
     if not (-PROB_TOL <= p <= 1.0 + PROB_TOL):
         raise ValueError(f"not a probability within tolerance: {p!r}")
     return min(1.0, max(0.0, p))
+
+
+def expected_max_with(dist: DiscreteDistribution, x: float) -> float:
+    """E[max(v, x)] for a fallback value x >= 0."""
+    if x < 0.0:
+        raise ValueError(f"fallback value must be >= 0: {x!r}")
+    idx = bisect_left(dist.values, x)
+    return x * dist.head_mass[idx] + dist.tail_mean[idx]
 
 
 def max_distribution(dists: Sequence[DiscreteDistribution]) -> DiscreteDistribution:
@@ -236,6 +245,61 @@ def tvd_exact(instance: Instance, order: ArrivalOrder, g0: float) -> EvaluationR
 
 
 EVALUATORS = {"sta": sta_exact, "tva": tva_exact, "tvd": tvd_exact}
+
+
+def value_cuts(
+    dists: Sequence[DiscreteDistribution],
+    emax_after: Sequence[float] | None,
+    policy_kind: str,
+    top: float,
+) -> list[float]:
+    """Starting targets below ``top`` where the value can jump, pulled back one level at a time."""
+    if policy_kind not in ("tva", "tvd"):
+        raise ValueError(f"value profile needs tva or tvd, got {policy_kind!r}")
+    levels: set[float] = set()
+    for t in range(len(dists) - 1, -1, -1):
+        d = dists[t]
+        levels.update(d.values)
+        if policy_kind == "tvd":
+            switch_level = emax_after[t]
+            levels = {y for y in levels if y <= switch_level}
+            levels.add(switch_level)
+        pulled = (expected_max_with(d, y) + TARGET_SLACK for y in levels if y < top)
+        levels = {y for y in pulled if y < top}
+    return sorted(levels)
+
+
+def density_cdf(spec: DensitySpec, x: float) -> float:
+    """CDF at x: the density integrated from 1/2 piece by piece."""
+    if spec.point_mass is not None:
+        return 1.0 if x >= spec.point_mass else 0.0
+    if x <= 0.5:
+        return 0.0
+    return min(1.0, integrate_weighted(spec, WEIGHT_ONE, 0.5, min(x, 1.0)))
+
+
+def _mixture_pieces(
+    instance: Instance,
+    boxes: Sequence[int],
+    emax_after: Sequence[float] | None,
+    density: DensitySpec,
+    policy_kind: str,
+) -> tuple[list[float], list[float]]:
+    """Weight and midpoint starting target of each piece of one order's mixture."""
+    if policy_kind not in ("tva", "tvd"):
+        raise ValueError(f"randomized mixture needs tva or tvd, got {policy_kind!r}")
+    prophet = prophet_value(instance)
+    if density.point_mass is not None:
+        return [1.0], [density.point_mass * prophet]
+    positive = [p for p in density.pieces if p.kind != PIECE_ZERO]
+    lo, hi = positive[0].lo, positive[-1].hi
+    dists = [instance.dists[b] for b in boxes]
+    cuts = value_cuts(dists, emax_after, policy_kind, hi * prophet)
+    edges = [lo, *(y / prophet for y in cuts if y > lo * prophet), hi]
+    cdf = [density_cdf(density, x) for x in edges]
+    weights = [b - a for a, b in zip(cdf, cdf[1:])]
+    mids = [0.5 * (a + b) * prophet for a, b in zip(edges, edges[1:])]
+    return weights, mids
 
 
 def randomized_value(

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from ocselect import (
     DensityPiece,
     DensitySpec,
@@ -252,3 +253,34 @@ class TestCdfPpfSampling:
         rng = np.random.default_rng(3)
         spec = point_density(0.9)
         assert all(sample_density(spec, rng) == 0.9 for _ in range(20))
+
+
+def cdf_probes(spec: DensitySpec) -> list[float]:
+    """x at and below 1/2, at and next to each piece edge, above 1, and at random."""
+    edges = sorted({p.lo for p in spec.pieces} | {p.hi for p in spec.pieces} | {2.0 / 3.0})
+    near = [math.nextafter(e, d) for e in edges for d in (0.0, 2.0)]
+    rng = np.random.default_rng(14)
+    return [-1.0, 0.0, 0.25, 0.5, *edges, *near, 1.0 + 1e-9, 1.5, *rng.uniform(0.45, 1.05, 2000)]
+
+
+class TestArrayCdf:
+    @pytest.mark.parametrize("spec_factory", [rho_656, rho_732])
+    def test_equals_the_scalar_reference_bit_for_bit(self, spec_factory):
+        spec = spec_factory()
+        xs = cdf_probes(spec)
+        want = [ref.density_cdf(spec, x) for x in xs]
+        assert density_cdf(spec, np.array(xs)).tolist() == want
+        assert [density_cdf(spec, x) for x in xs] == want
+
+    def test_point_mass(self):
+        spec = point_density(0.7)
+        xs = [0.0, 0.5, math.nextafter(0.7, 0.0), 0.7, math.nextafter(0.7, 1.0), 1.0, 2.0]
+        want = [ref.density_cdf(spec, x) for x in xs]
+        assert want == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]
+        assert density_cdf(spec, np.array(xs)).tolist() == want
+
+    @pytest.mark.parametrize("spec", [rho_656(), rho_732(), point_density(0.7)])
+    def test_a_scalar_gives_a_python_float(self, spec):
+        for x in (0.3, 0.6, 0.9, 1.2, np.float64(0.8)):
+            got = density_cdf(spec, x)
+            assert type(got) is float and got == ref.density_cdf(spec, float(x))

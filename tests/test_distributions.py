@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_reference as ref
+from scalar_reference import expected_max_with
 from ocselect import Box, DiscreteDistribution, Instance, best_single_threshold, sta_lower_bound
 from ocselect.distributions import (
-    expected_max_with,
     inverse_cdf,
     inverse_target,
     max_distribution,

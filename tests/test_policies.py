@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -24,6 +26,7 @@ from ocselect import (
     density_pdf,
     load_instance,
     opt_online,
+    parse_instance,
     point_density,
     prophet_value,
     randomized_value,
@@ -50,7 +53,8 @@ from ocselect.policies import (
     lane_values,
 )
 
-DATA_DIR = Path(__file__).resolve().parents[1] / "data"
+ROOT = Path(__file__).resolve().parents[1]
+DATA_DIR = ROOT / "data"
 
 RISKY = DiscreteDistribution(((0.0, 0.5), (2.0, 0.5)))
 UNIT = DiscreteDistribution(((1.0, 1.0),))
@@ -399,6 +403,75 @@ class TestValueProfile:
         assert pieces == 103
 
 
+def gen_instance(seed: int, boxes: int = 12, atoms: int = 6) -> Instance:
+    """An instance from the benchmark's generator: distinct six-decimal values, 1/1024 masses."""
+    spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    payload = gen.make_instance(gen.workload_rng("cuts", seed), boxes=boxes, atoms=atoms)
+    return parse_instance(json.dumps(payload))
+
+
+def batched_cuts(inst: Instance, perm: np.ndarray, kind: str, top: float):
+    """``_lane_value_cuts`` of every row of ``perm`` as lists, and the reference's."""
+    emax = policies._lane_emax_after(inst.suffix_tables, perm)
+    got = policies._lane_value_cuts(inst.box_tables, perm, emax, kind, top)
+    want = [
+        ref.value_cuts([inst.dists[b] for b in boxes], row, kind, top)
+        for boxes, row in zip(perm.tolist(), emax.tolist())
+    ]
+    return [row[row < math.inf].tolist() for row in got], want
+
+
+class TestBatchedCuts:
+    @settings(max_examples=150, deadline=None)
+    @given(small_instances(), st.sampled_from(("tva", "tvd")))
+    def test_every_order_equals_the_reference(self, inst, kind):
+        perm = np.array([order_indices(inst, order) for order in all_orders(inst)])
+        prophet = prophet_value(inst)
+        for top in (0.0, 0.5 * prophet, prophet, 2.0 * prophet, math.inf):
+            got, want = batched_cuts(inst, perm, kind, top)
+            assert got == want
+
+    def test_zero_and_shared_atoms(self):
+        zero_first = DiscreteDistribution(((0.0, 0.25), (1.0, 0.25), (3.0, 0.5)))
+        inst = Instance((Box("z", ZERO), Box("c", COIN), Box("r", RISKY), Box("s", zero_first)))
+        perm = np.array([order_indices(inst, order) for order in all_orders(inst)])
+        for kind in ("tva", "tvd"):
+            got, want = batched_cuts(inst, perm, kind, prophet_value(inst))
+            assert got == want and any(got)
+            # A top on an atom or a cut drops the level that reaches it.
+            atoms = {v for d in inst.dists for v in d.values}
+            for top in sorted(atoms | set(batched_cuts(inst, perm, kind, math.inf)[1][0])):
+                got, want = batched_cuts(inst, perm, kind, top)
+                assert got == want
+
+    @pytest.mark.parametrize("name", ["four_box.json", "two_box.json"])
+    def test_every_order_of_the_bundled_instances(self, name):
+        inst = load_instance(DATA_DIR / name)
+        perm = np.array([order_indices(inst, order) for order in all_orders(inst)])
+        for kind in ("tva", "tvd"):
+            for top in (prophet_value(inst), math.inf):
+                got, want = batched_cuts(inst, perm, kind, top)
+                assert got == want
+
+    @pytest.mark.parametrize("kind", ["tva", "tvd"])
+    def test_one_chunk_of_twelve_box_orders(self, kind):
+        # Rows of one chunk reach different widths, so most carry +inf pads.
+        inst = gen_instance(14)
+        rng = np.random.default_rng(14)
+        perm = np.array([rng.permutation(inst.n) for _ in range(LANE_CHUNK)])
+        got, want = batched_cuts(inst, perm, kind, prophet_value(inst))
+        assert got == want
+        assert len({len(cuts) for cuts in got}) > 1
+
+    def test_one_order_call_is_the_batched_row(self):
+        inst = load_instance(DATA_DIR / "four_box.json")
+        order = all_orders(inst)[5]
+        got, want = batched_cuts(inst, np.array([order_indices(inst, order)]), "tvd", 3.0)
+        assert cuts_of(inst, order, "tvd", 3.0) == got[0] == want[0]
+
+
 class TestRandomizedValue:
     def test_point_mass_equals_exact(self):
         spec = point_density(1.0 / PHI)
@@ -678,7 +751,7 @@ def mixture_lanes(inst: Instance, orders, density: DensitySpec, kind: str):
     mids = []
     for boxes, order in zip(perm.tolist(), orders):
         emax_after = ref.emax_after(ref.ordered_dists(inst, order))
-        mids.append(policies._mixture_pieces(inst, boxes, emax_after, density, kind)[1])
+        mids.append(ref._mixture_pieces(inst, boxes, emax_after, density, kind)[1])
     rows = np.repeat(np.arange(len(orders)), [len(m) for m in mids])
     return perm, rows, np.array([g for m in mids for g in m])
 
@@ -720,6 +793,29 @@ class TestLaneRandomizedValues:
         perm = np.array([[0, 1]])
         with pytest.raises(ValueError, match="randomized mixture needs tva or tvd"):
             list(lane_randomized_values(AB, perm, rho_732(), "sta", 8))
+
+
+class TestMixturePieces:
+    @pytest.mark.parametrize("kind,density", [("tva", rho_656()), ("tvd", rho_732())])
+    def test_one_chunk_stays_within_a_dozen_arrays_per_piece(self, kind, density):
+        # Building the pieces of one LANE_CHUNK chunk of 12-box orders, cuts
+        # and CDF included, peaks within twelve float64 arrays of one entry
+        # per piece (96 bytes a piece); about 58 pieces per order here.
+        inst = gen_instance(15)
+        rng = np.random.default_rng(15)
+        perm = np.array([rng.permutation(inst.n) for _ in range(LANE_CHUNK)])
+        emax = policies._lane_emax_after(inst.suffix_tables, perm) if kind == "tvd" else None
+        prophet_value(inst), inst.box_tables  # both cached on the instance
+        tracemalloc.start()
+        try:
+            pieces = policies._lane_mixture_pieces(inst, perm, emax, density, kind)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pieces.weights.dtype == pieces.mids.dtype == np.float64
+        assert pieces.counts.sum() == pieces.mids.size == pieces.weights.size
+        assert pieces.mids.size > 40 * LANE_CHUNK
+        assert peak <= 12 * 8 * pieces.mids.size
 
 
 class TestSharedOrderTables:
