@@ -19,9 +19,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .distributions import (
+    BoxTables,
     DiscreteDistribution,
+    _atom_rows,
     _cdf_row,
     _grid,
+    _head_tail_sums,
     as_probability,
     max_distribution,
 )
@@ -87,7 +90,7 @@ class Instance:
         return {box_id: i for i, box_id in enumerate(self.ids)}
 
     @cached_property
-    def box_tables(self) -> "BoxTables":
+    def box_tables(self) -> BoxTables:
         return BoxTables.build(self.dists)
 
     @cached_property
@@ -108,49 +111,6 @@ def order_indices(instance: Instance, order: ArrivalOrder) -> list[int]:
     return [instance.index[box_id] for box_id in order]
 
 
-class BoxTables(NamedTuple):
-    """Every box's lookup tables as rows of a common width, for lane-batched passes.
-
-    A lane is one (order, g0) pair; a chunk of lanes is a box-index array
-    ``perm`` of shape (lanes, n), and stage t gathers rows ``perm[:, t]``.
-    Row b holds box b's tables: ``values`` and ``emax_at_values`` end in at
-    least one +inf pad, so counting a row's entries below x is ``bisect_left``
-    over the real entries, and ``head_mass``/``tail_mean`` keep their
-    one-past-the-end entry.
-    """
-
-    values: np.ndarray
-    head_mass: np.ndarray
-    tail_mean: np.ndarray
-    emax_at_values: np.ndarray
-    mean: np.ndarray
-    total_mass: np.ndarray
-
-    @staticmethod
-    def build(dists: Sequence[DiscreteDistribution]) -> "BoxTables":
-        width = max(len(d.atoms) for d in dists) + 1
-
-        def rows(pick, pad: float) -> np.ndarray:
-            out = np.full((len(dists), width), pad)
-            for b, d in enumerate(dists):
-                row = pick(d)
-                out[b, : len(row)] = row
-            return out
-
-        return BoxTables(
-            values=rows(lambda d: d.values, math.inf),
-            head_mass=rows(lambda d: d.head_mass, 0.0),
-            tail_mean=rows(lambda d: d.tail_mean, 0.0),
-            emax_at_values=rows(lambda d: d.emax_at_values, math.inf),
-            mean=np.array([d.mean for d in dists]),
-            total_mass=np.array([d.total_mass for d in dists]),
-        )
-
-    def below(self, table: np.ndarray, boxes: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Per lane, how many entries of ``table[boxes]`` lie below ``x``."""
-        return np.count_nonzero(table[boxes] < x[:, None], axis=1)
-
-
 class SuffixTables(NamedTuple):
     """The tables ``tvd`` folds suffixes of an order over, built only when it runs.
 
@@ -168,15 +128,9 @@ class SuffixTables(NamedTuple):
     @staticmethod
     def build(dists: Sequence[DiscreteDistribution]) -> "SuffixTables":
         grid = _grid(dists)
-        cdf = np.zeros((len(dists), len(grid)))
-        values = np.zeros((len(dists), max(len(d.atoms) for d in dists)))
-        probs = np.zeros_like(values)
-        for b, d in enumerate(dists):
-            cdf[b] = _cdf_row(d, grid)
-            values[b, : len(d.atoms)] = d.values
-            # The raw probabilities, as ``max_distribution`` returns one input as is.
-            probs[b, : len(d.atoms)] = d.probs
-        return SuffixTables(grid, cdf, _best_thresholds(values, probs)[0])
+        cdf = np.array([_cdf_row(d, grid) for d in dists])
+        # The raw probabilities, as ``max_distribution`` returns one input as is.
+        return SuffixTables(grid, cdf, _best_thresholds(*_atom_rows(dists))[0])
 
 
 @dataclass(frozen=True)
@@ -224,8 +178,9 @@ def sta_lower_bound(instance: Instance, tau: float) -> float:
     if not (tau >= 0.0):
         raise ValueError(f"threshold must be >= 0: {tau!r}")
     md = instance.max_dist
+    head_mass, tail_mass, tail_mean = _head_tail_sums(*_atom_rows([md]))
     idx = bisect_left(md.values, tau)
-    return float(_threshold_bound(md.tail_mass[idx], md.head_mass[idx], md.tail_mean[idx], tau))
+    return float(_threshold_bound(tail_mass[0, idx], head_mass[0, idx], tail_mean[0, idx], tau))
 
 
 class ThresholdChoice(NamedTuple):
@@ -246,7 +201,7 @@ def best_single_threshold(
     if not dists:
         raise ValueError("need at least one distribution")
     md = max_distribution(list(dists))
-    tau, value = _best_thresholds(md._values_arr, np.array([md.probs]))
+    tau, value = _best_thresholds(*_atom_rows([md]))
     return ThresholdChoice(float(tau[0]), float(value[0]))
 
 
@@ -269,17 +224,11 @@ def _best_thresholds(values: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, 
     """The best single threshold and its bound for each row of atom masses.
 
     Row i of ``mass`` holds the masses of one maximum's distribution at the
-    values in row i of ``values`` (a single row serves every row of
-    ``mass``), in increasing order of value wherever the mass is positive
-    and an exact 0.0 elsewhere.  Every tail and head sum is sequential, so
-    it equals the sum over the row's own atoms bit for bit.  The candidates
-    are 0 and each atom, and the first maximum wins.
+    values in row i of ``values``, laid out as ``_head_tail_sums`` takes
+    them.  The candidates are 0 and each atom, and the first maximum wins.
     """
+    head_mass, tail_mass, tail_mean = _head_tail_sums(values, mass)
     values = np.broadcast_to(values, mass.shape)
-    tail_mass = np.cumsum(mass[:, ::-1], axis=1)[:, ::-1]
-    tail_mean = np.cumsum((mass * values)[:, ::-1], axis=1)[:, ::-1]
-    head_mass = np.zeros_like(mass)
-    np.cumsum(mass[:, :-1], axis=1, out=head_mass[:, 1:])
     atom = mass > 0.0
     bound = np.full((len(mass), 1 + mass.shape[1]), -math.inf)
     # Every atom is at or above tau = 0.

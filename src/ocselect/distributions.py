@@ -9,11 +9,10 @@ linear function.  No quadrature, no iteration.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,8 +48,9 @@ class DiscreteDistribution:
 
     ``atoms`` is a tuple of (value, probability) pairs sorted by strictly
     increasing value, with probabilities in (0, 1] summing to 1 within
-    1e-12.  Derived lookup tables are cached on first use; the dataclass is
-    frozen so the tables can never go stale.
+    1e-12.  ``tables`` holds its lookup tables (head mass, tail mean and
+    E[max] at each atom) as a one-row ``BoxTables``.  Derived values are
+    cached on first use; the dataclass is frozen so they can never go stale.
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -84,46 +84,13 @@ class DiscreteDistribution:
         return math.fsum(self.probs)
 
     @cached_property
-    def tail_mass(self) -> tuple[float, ...]:
-        """tail_mass[i] = P[v >= values[i]]; one trailing 0 sentinel."""
-        out = [0.0] * (len(self.atoms) + 1)
-        acc = 0.0
-        for i in range(len(self.atoms) - 1, -1, -1):
-            acc += self.probs[i]
-            out[i] = acc
-        return tuple(out)
-
-    @cached_property
-    def tail_mean(self) -> tuple[float, ...]:
-        """tail_mean[i] = sum of p*v over atoms with index >= i; 0 sentinel."""
-        out = [0.0] * (len(self.atoms) + 1)
-        acc = 0.0
-        for i in range(len(self.atoms) - 1, -1, -1):
-            acc += self.probs[i] * self.values[i]
-            out[i] = acc
-        return tuple(out)
-
-    @cached_property
-    def head_mass(self) -> tuple[float, ...]:
-        """head_mass[i] = P[v < values[i]]; one extra entry = total mass."""
-        out = [0.0] * (len(self.atoms) + 1)
-        acc = 0.0
-        for i, p in enumerate(self.probs):
-            acc += p
-            out[i + 1] = acc
-        return tuple(out)
-
-    @cached_property
-    def emax_at_values(self) -> tuple[float, ...]:
-        """E[max(v, values[i])] at every atom; nondecreasing by construction."""
-        return tuple(
-            self.values[i] * self.head_mass[i] + self.tail_mean[i]
-            for i in range(len(self.atoms))
-        )
+    def tables(self) -> BoxTables:
+        """This distribution's own lookup tables, as the one row of a ``BoxTables``."""
+        return BoxTables.build([self])
 
     @cached_property
     def mean(self) -> float:
-        return self.tail_mean[0]
+        return float(self.tables.mean[0])
 
     @cached_property
     def _values_arr(self) -> np.ndarray:
@@ -136,6 +103,69 @@ class DiscreteDistribution:
         return cum / cum[-1]
 
 
+class BoxTables(NamedTuple):
+    """Every box's lookup tables as rows of a common width, for lane-batched passes.
+
+    A lane is one (order, g0) pair; a chunk of lanes is a box-index array
+    ``perm`` of shape (lanes, n), and stage t gathers rows ``perm[:, t]``.
+    Row b holds box b's tables, one entry per atom and one past the end:
+    ``head_mass`` is P[v < values[i]] and ``tail_mean`` the sum of p*v over
+    the atoms at or above values[i].  ``values`` and ``emax_at_values``
+    (E[max(v, values[i])], nondecreasing) read +inf from the row's first pad
+    on, so counting a row's entries below x is ``bisect_left`` over the real
+    entries.  Entries past a row's own width are never read.
+    """
+
+    values: np.ndarray
+    head_mass: np.ndarray
+    tail_mean: np.ndarray
+    emax_at_values: np.ndarray
+    mean: np.ndarray
+    total_mass: np.ndarray
+
+    @staticmethod
+    def build(dists: Sequence[DiscreteDistribution]) -> "BoxTables":
+        values, probs = _atom_rows(dists)
+        head_mass, _, tail_mean = _head_tail_sums(values, probs)
+        emax_at_values = values * head_mass + tail_mean
+        pad = probs == 0.0
+        values[pad] = emax_at_values[pad] = math.inf
+        total_mass = np.array([d.total_mass for d in dists])
+        return BoxTables(values, head_mass, tail_mean, emax_at_values, tail_mean[:, 0], total_mass)
+
+    def below(self, table: np.ndarray, boxes: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Per lane, how many entries of ``table[boxes]`` lie below ``x``."""
+        return np.count_nonzero(table[boxes] < x[:, None], axis=1)
+
+
+def _atom_rows(dists: Sequence[DiscreteDistribution]) -> tuple[np.ndarray, np.ndarray]:
+    """Each box's atom values and probabilities as a row, then 0.0 pads: at least one per row."""
+    values = np.zeros((len(dists), max(len(d.atoms) for d in dists) + 1))
+    probs = np.zeros_like(values)
+    for b, d in enumerate(dists):
+        values[b, : len(d.atoms)] = d.values
+        probs[b, : len(d.atoms)] = d.probs
+    return values, probs
+
+
+def _head_tail_sums(values: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each row's head mass, tail mass and tail mean at every column.
+
+    Row i of ``mass`` holds masses at the values in row i of ``values`` (a
+    single row serves every row of ``mass``), in increasing order of value
+    wherever the mass is positive and an exact 0.0 elsewhere.  The head mass
+    at column j sums the masses before it; the tail mass and tail mean sum
+    the masses (and mass times value) from it on.  Every sum is sequential,
+    so it equals the sum over the row's own atoms bit for bit.
+    """
+    values = np.broadcast_to(values, mass.shape)
+    tail_mass = np.cumsum(mass[:, ::-1], axis=1)[:, ::-1]
+    tail_mean = np.cumsum((mass * values)[:, ::-1], axis=1)[:, ::-1]
+    head_mass = np.zeros_like(mass)
+    np.cumsum(mass[:, :-1], axis=1, out=head_mass[:, 1:])
+    return head_mass, tail_mass, tail_mean
+
+
 def inverse_target(dist: DiscreteDistribution, g_prev: float) -> float:
     """Smallest x >= 0 with E[max(v, x)] >= g_prev (within 1e-12 slack).
 
@@ -146,25 +176,27 @@ def inverse_target(dist: DiscreteDistribution, g_prev: float) -> float:
     ``g_prev - TARGET_SLACK``: the tiny downward bias keeps an atom lying
     exactly on the solution on the accept side of later >= comparisons,
     which is what makes running the recursion at g0 = OPT reproduce the
-    optimal policy bit for bit.
+    optimal policy bit for bit.  One lane of ``_lane_inverse_target``.
     """
     if not (g_prev >= 0.0):
         raise ValueError(f"target must be >= 0: {g_prev!r}")
+    return float(_lane_inverse_target(dist.tables, np.zeros(1, dtype=int), np.array([g_prev]))[0])
+
+
+def _lane_inverse_target(tables: BoxTables, boxes: np.ndarray, g_prev: np.ndarray) -> np.ndarray:
+    """``inverse_target`` of each lane's box, row ``boxes[i]`` of ``tables``, at ``g_prev[i]``."""
     target = g_prev - TARGET_SLACK
-    if dist.mean >= target:
-        return 0.0
-    marks = dist.emax_at_values
-    i = bisect_left(marks, target)
-    if i == len(marks):
-        # Above the support the map is x * total_mass.
-        x = target / dist.total_mass
-    else:
-        # Segment (values[i-1], values[i]]; i >= 1 because marks[0] is the
-        # mean, already handled above.  Slope is P[v < x] on the segment.
-        slope = dist.head_mass[i]
-        x = (target - dist.tail_mean[i]) / slope
-        x = min(max(x, dist.values[i - 1]), dist.values[i])
-    return min(max(x, 0.0), g_prev)
+    i = tables.below(tables.emax_at_values, boxes, target)
+    # Past the last mark the map is x * total_mass; there i is the row's first
+    # pad.  Otherwise the solve is on the segment (values[i-1], values[i]],
+    # whose slope is P[v < x], and i >= 1 wherever the mean is below the target.
+    above_support = tables.values[boxes, i] == math.inf
+    i = np.maximum(i, 1)
+    segment = (target - tables.tail_mean[boxes, i]) / tables.head_mass[boxes, i]
+    segment = np.minimum(np.maximum(segment, tables.values[boxes, i - 1]), tables.values[boxes, i])
+    x = np.where(above_support, target / tables.total_mass[boxes], segment)
+    x = np.minimum(np.maximum(x, 0.0), g_prev)
+    return np.where(tables.mean[boxes] >= target, 0.0, x)
 
 
 def max_distribution(dists: Sequence[DiscreteDistribution]) -> DiscreteDistribution:
@@ -220,7 +252,12 @@ def _suffix_max_means(grid: np.ndarray, rows: Iterable[np.ndarray]) -> Iterator[
     suffix's supports add an exact 0.0.
     """
     for running in accumulate(rows, np.multiply):
-        yield np.cumsum(grid * _atom_masses(running), axis=-1)[..., -1]
+        yield _max_mean(grid, running)
+
+
+def _max_mean(grid: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """Mean of the maximum whose CDF on ``grid`` is ``cdf`` (on the last axis), summed in order."""
+    return np.cumsum(grid * _atom_masses(cdf), axis=-1)[..., -1]
 
 
 def inverse_cdf(dist: DiscreteDistribution, u: np.ndarray) -> np.ndarray:

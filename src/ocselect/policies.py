@@ -26,7 +26,6 @@ import numpy as np
 from .benchmarks import (
     ArrivalOrder,
     VALUE_TOL,
-    BoxTables,
     EvaluationResult,
     Instance,
     SuffixTables,
@@ -38,12 +37,16 @@ from .benchmarks import (
 from .densities import PIECE_ZERO, DensitySpec, density_cdf
 from .distributions import (
     TARGET_SLACK,
+    BoxTables,
     DiscreteDistribution,
     _atom_masses,
+    _cdf_row,
+    _grid,
+    _lane_inverse_target,
+    _max_mean,
     _suffix_max_means,
     inverse_cdf,
     inverse_target,
-    suffix_expected_max,
 )
 
 TARGETED = "targeted"
@@ -127,7 +130,12 @@ def tvd_step(
         )
         return new, Decision(accept)
     g = inverse_target(box_dist, state.target)
-    future = suffix_expected_max(remaining_dists)[0]
+    future = 0.0
+    if remaining_dists:
+        # The remaining boxes folded back to front, as ``_lane_emax_after`` folds them.
+        grid = _grid(remaining_dists)
+        cdf = reduce(np.multiply, (_cdf_row(d, grid) for d in reversed(remaining_dists)))
+        future = float(_max_mean(grid, cdf))
     if g <= future:
         accept = realized_value >= g
         new = replace(
@@ -288,26 +296,11 @@ def lane_values(
     return LaneValues(stages, thresholds, switch, switch_target)
 
 
-def _lane_inverse_target(tables: BoxTables, boxes: np.ndarray, g_prev: np.ndarray) -> np.ndarray:
-    """``inverse_target`` of each lane's box at its target, same expressions in the same order."""
-    target = g_prev - TARGET_SLACK
-    i = tables.below(tables.emax_at_values, boxes, target)
-    # Past the last mark; i is the row's first pad there, and i >= 1 wherever
-    # the mean is below the target.
-    above_support = tables.values[boxes, i] == math.inf
-    i = np.maximum(i, 1)
-    segment = (target - tables.tail_mean[boxes, i]) / tables.head_mass[boxes, i]
-    segment = np.minimum(np.maximum(segment, tables.values[boxes, i - 1]), tables.values[boxes, i])
-    x = np.where(above_support, target / tables.total_mass[boxes], segment)
-    x = np.minimum(np.maximum(x, 0.0), g_prev)
-    return np.where(tables.mean[boxes] >= target, 0.0, x)
-
-
 def _lane_emax_after(tables: SuffixTables, perm: np.ndarray) -> np.ndarray:
     """``emax_after`` of every lane: E[max of the boxes after stage t].
 
     One back-to-front fold of the lanes' CDF rows, as ``suffix_expected_max``
-    folds one order's.
+    and ``tvd_step`` fold one order's.
     """
     lanes, n = perm.shape
     out = np.zeros((lanes, n))

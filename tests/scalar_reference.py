@@ -2,16 +2,19 @@
 
 Each function here works one Python float at a time: the distribution of a
 maximum is a merge of two sorted CDF lists, the best single threshold a loop
-over the atoms of that maximum, and each policy walks one arrival order
-through the distributions' own tables and ``inverse_target``.  The folds
-and the lane pass in ``ocselect`` repeat the same IEEE operations in the
-same order, so the tests compare the two under ``==``, every field of each
-``EvaluationResult`` included.
+over the atoms of that maximum, a distribution's lookup tables running sums
+over its atoms, and each policy walks one arrival order through those tables
+and the one-segment solve of ``inverse_target``.  The table builder, the
+folds and the lane pass in ``ocselect`` repeat the same IEEE operations in
+the same order, so the tests compare the two under ``==``, every field of
+each ``EvaluationResult`` included.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
+from functools import cache
 from typing import NamedTuple, Sequence
 
 from ocselect import (
@@ -23,7 +26,7 @@ from ocselect import (
 )
 from ocselect.benchmarks import ArrivalOrder, order_indices, prophet_value
 from ocselect.densities import PIECE_ZERO, WEIGHT_ONE, integrate_weighted
-from ocselect.distributions import PROB_TOL, TARGET_SLACK, inverse_target
+from ocselect.distributions import PROB_TOL, TARGET_SLACK
 from ocselect.policies import EXACT_POLICIES, PolicyError, _mix
 
 
@@ -34,12 +37,72 @@ def as_probability(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
+class Tables(NamedTuple):
+    """One distribution's lookup tables; all but ``emax_at_values`` end one past the last atom."""
+
+    head_mass: tuple[float, ...]  # P[v < values[i]]; the last entry is the total mass
+    tail_mass: tuple[float, ...]  # P[v >= values[i]]; the last entry is 0
+    tail_mean: tuple[float, ...]  # sum of p*v over atoms with index >= i; the last entry is 0
+    emax_at_values: tuple[float, ...]  # E[max(v, values[i])]
+    mean: float
+    total_mass: float
+
+
+@cache
+def tables(dist: DiscreteDistribution) -> Tables:
+    """``dist``'s lookup tables, one running sum at a time."""
+    k = len(dist.atoms)
+    head_mass = [0.0] * (k + 1)
+    tail_mass = [0.0] * (k + 1)
+    tail_mean = [0.0] * (k + 1)
+    acc = 0.0
+    for i, p in enumerate(dist.probs):
+        acc += p
+        head_mass[i + 1] = acc
+    mass = mean = 0.0
+    for i in range(k - 1, -1, -1):
+        mass += dist.probs[i]
+        mean += dist.probs[i] * dist.values[i]
+        tail_mass[i] = mass
+        tail_mean[i] = mean
+    emax = [dist.values[i] * head_mass[i] + tail_mean[i] for i in range(k)]
+    return Tables(
+        tuple(head_mass),
+        tuple(tail_mass),
+        tuple(tail_mean),
+        tuple(emax),
+        tail_mean[0],
+        math.fsum(dist.probs),
+    )
+
+
+def inverse_target(dist: DiscreteDistribution, g_prev: float) -> float:
+    """Smallest x >= 0 with E[max(v, x)] >= g_prev - TARGET_SLACK, solved on one segment."""
+    if not (g_prev >= 0.0):
+        raise ValueError(f"target must be >= 0: {g_prev!r}")
+    tab = tables(dist)
+    target = g_prev - TARGET_SLACK
+    if tab.mean >= target:
+        return 0.0
+    i = bisect_left(tab.emax_at_values, target)
+    if i == len(dist.atoms):
+        # Above the support the map is x * total_mass.
+        x = target / tab.total_mass
+    else:
+        # Segment (values[i-1], values[i]]; i >= 1 because the first mark is
+        # the mean.  Slope is P[v < x] on the segment.
+        x = (target - tab.tail_mean[i]) / tab.head_mass[i]
+        x = min(max(x, dist.values[i - 1]), dist.values[i])
+    return min(max(x, 0.0), g_prev)
+
+
 def expected_max_with(dist: DiscreteDistribution, x: float) -> float:
     """E[max(v, x)] for a fallback value x >= 0."""
     if x < 0.0:
         raise ValueError(f"fallback value must be >= 0: {x!r}")
     idx = bisect_left(dist.values, x)
-    return x * dist.head_mass[idx] + dist.tail_mean[idx]
+    tab = tables(dist)
+    return x * tab.head_mass[idx] + tab.tail_mean[idx]
 
 
 def max_distribution(dists: Sequence[DiscreteDistribution]) -> DiscreteDistribution:
@@ -141,9 +204,10 @@ def best_single_threshold(dists: Sequence[DiscreteDistribution]) -> ThresholdCho
 def _threshold_bound(md: DiscreteDistribution, tau: float) -> float:
     """P[M >= tau] * tau + P[M < tau] * E[(M - tau)^+] for M ~ md."""
     idx = bisect_left(md.values, tau)
-    p_ge = as_probability(md.tail_mass[idx])
-    p_lt = as_probability(md.head_mass[idx])
-    plus = max(0.0, md.tail_mean[idx] - tau * md.tail_mass[idx])
+    tab = tables(md)
+    p_ge = as_probability(tab.tail_mass[idx])
+    p_lt = as_probability(tab.head_mass[idx])
+    plus = max(0.0, tab.tail_mean[idx] - tau * tab.tail_mass[idx])
     return p_ge * tau + p_lt * plus
 
 
@@ -165,7 +229,8 @@ def threshold_run_values(
     acc = 0.0
     for d, threshold in zip(reversed(dists), reversed(thresholds)):
         idx = bisect_left(d.values, threshold)
-        acc = d.tail_mean[idx] + d.head_mass[idx] * acc
+        tab = tables(d)
+        acc = tab.tail_mean[idx] + tab.head_mass[idx] * acc
         stages.append(acc)
     return tuple(reversed(stages))
 

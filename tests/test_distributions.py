@@ -13,6 +13,8 @@ import scalar_reference as ref
 from scalar_reference import expected_max_with
 from ocselect import Box, DiscreteDistribution, Instance, best_single_threshold, sta_lower_bound
 from ocselect.distributions import (
+    TARGET_SLACK,
+    BoxTables,
     inverse_cdf,
     inverse_target,
     max_distribution,
@@ -206,6 +208,63 @@ class TestScalarReference:
             bound = sta_lower_bound(inst, t)
             assert bound == ref.sta_lower_bound(inst, t)
             assert type(bound) is float
+
+
+def boxes_of_mixed_widths():
+    """Lists of boxes from one to four atoms wide, with atoms at 0 common."""
+    return st.lists(st.one_of(dist_with_zero(1), dist_with_zero(4)), min_size=1, max_size=6)
+
+
+def targets_around(d: DiscreteDistribution) -> list[float]:
+    """0, the mean, each E[max] mark and one ulp either side of it, and some above the support.
+
+    Each mark comes twice: as the target itself and shifted up by the slack
+    that ``inverse_target`` takes off, so that the slackened target lands on it.
+    """
+    marks = [y for m in ref.tables(d).emax_at_values for y in (m, m + TARGET_SLACK)]
+    around = [math.nextafter(m, side) for m in marks for side in (0.0, math.inf)]
+    top = d.values[-1]
+    return [0.0, d.mean, *marks, *around, top + 1.0, 2.0 * top + 3.0, 1e6]
+
+
+class TestBoxTables:
+    @settings(max_examples=300, deadline=None)
+    @given(boxes_of_mixed_widths())
+    def test_rows_equal_the_scalar_tables(self, dists):
+        tables = BoxTables.build(dists)
+        assert tables.values.shape == (len(dists), max(len(d.atoms) for d in dists) + 1)
+        for b, d in enumerate(dists):
+            k = len(d.atoms)
+            want = ref.tables(d)
+            for got, row in ((tables, b), (d.tables, 0)):
+                assert got.values[row, :k].tolist() == list(d.values)
+                assert got.head_mass[row, : k + 1].tolist() == list(want.head_mass)
+                assert got.tail_mean[row, : k + 1].tolist() == list(want.tail_mean)
+                assert got.emax_at_values[row, :k].tolist() == list(want.emax_at_values)
+                assert got.mean[row] == want.mean
+                assert got.total_mass[row] == want.total_mass
+                assert np.all(got.values[row, k:] == math.inf)
+                assert np.all(got.emax_at_values[row, k:] == math.inf)
+            assert d.mean == want.mean and type(d.mean) is float
+            assert d.total_mass == want.total_mass
+
+
+class TestInverseTargetMatchesScalar:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(dist_with_zero(1), dist_with_zero(5), dist_strategy(6, 1e3)))
+    def test_equals_the_scalar_reference(self, d):
+        for g in targets_around(d):
+            got = inverse_target(d, g)
+            assert got == ref.inverse_target(d, g), g
+            assert type(got) is float
+
+    @pytest.mark.parametrize("g", [-0.1, -math.inf, math.nan])
+    def test_rejects_a_bad_target_with_the_same_message(self, g):
+        with pytest.raises(ValueError) as got:
+            inverse_target(ZERO_TWO, g)
+        with pytest.raises(ValueError) as want:
+            ref.inverse_target(ZERO_TWO, g)
+        assert str(got.value) == str(want.value)
 
 
 class TestSample:
