@@ -32,7 +32,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -84,9 +84,12 @@ POLICY_KINDS = EXACT_POLICIES + tuple(MIXTURE_POLICIES)
 
 ENUMERATION_LIMIT = 9
 # Orders per lane-evaluator chunk of ``eval``, and lanes per pass: one per
-# order for the exact kinds, one per piece for the mixtures.  Chunk
-# temporaries stay well under the CSV text of a full 8-box enumeration.
-LANE_CHUNK = 512
+# order for the exact kinds, one per piece for the mixtures.  The widest
+# power of two whose peak RSS stays within 0.1 MB of 512's, measured on the
+# perfbench commands (Python 3.11, numpy 2.4, 2-vCPU VM): all 8! orders of
+# 8 boxes peak at 38.1 MB with 512, 34.8 with 1024, 36.1 with 2048 and 39.4
+# with 4096; a 12-box mixture on 120 orders at 36.4, 36.5, 36.7 and 37.2 MB.
+LANE_CHUNK = 1024
 SIMULATION_CHUNK = 10_000
 CERTIFICATE_TOL = 1e-8
 RATIO_SLACK = 1e-9
@@ -213,17 +216,22 @@ def _starting_target(mode: str | None, instance: Instance, opt: float) -> float:
     return g0
 
 
-def _enumerate_orders(args: argparse.Namespace, instance: Instance) -> Iterator[ArrivalOrder]:
-    """The ``--orders`` list, generated lazily; every flag is checked on the call."""
+def _order_chunks(args: argparse.Namespace, instance: Instance) -> Iterator[np.ndarray]:
+    """The ``--orders`` list as chunks of rows of box indices; every flag is checked on the call.
+
+    ``all`` and ``random:K`` are permutations of the positions in
+    ``sorted(instance.ids)`` by construction, mapped through
+    ``instance.index``, so only ``file:`` orders are checked one by one.
+    """
     spec = args.orders
-    base = sorted(instance.ids)
+    base = [instance.index[box_id] for box_id in sorted(instance.ids)]
     if spec == "all":
         if instance.n > ENUMERATION_LIMIT and not args.force_enumeration:
             raise CliValidationError(
                 f"{instance.n} boxes means {math.factorial(instance.n)} orders; "
                 "pass --force-enumeration to run anyway"
             )
-        return itertools.permutations(base)
+        return _index_chunks(itertools.permutations(base), instance.n)
     if spec.startswith("random:"):
         if args.seed is None:
             raise CliValidationError("a --seed is required for any sampled mode")
@@ -233,10 +241,8 @@ def _enumerate_orders(args: argparse.Namespace, instance: Instance) -> Iterator[
             raise CliValidationError("--orders random:K needs an integer K") from None
         if count < 1:
             raise CliValidationError("--orders random:K needs K >= 1")
-        return (
-            tuple(base[j] for j in _stream(args.seed, i).permutation(len(base)))
-            for i in range(count)
-        )
+        positions = (_stream(args.seed, i).permutation(instance.n) for i in range(count))
+        return (np.array(base)[chunk] for chunk in _index_chunks(positions, instance.n))
     if not spec.startswith("file:"):
         raise CliValidationError(
             f"--orders must be 'all', 'random:K', or 'file:PATH', got {spec!r}"
@@ -248,84 +254,99 @@ def _enumerate_orders(args: argparse.Namespace, instance: Instance) -> Iterator[
         raise CliValidationError(f"cannot read orders file {path!r}: {exc}") from exc
     if not isinstance(payload, list) or not payload:
         raise CliValidationError("orders file must be a nonempty JSON list of id lists")
-    orders = []
     for entry in payload:
         if not isinstance(entry, list) or not all(isinstance(x, str) for x in entry):
             raise CliValidationError(f"orders file entry {entry!r} is not a list of ids")
-        orders.append(tuple(entry))
-    return iter(orders)
+    return _file_chunks(instance, [tuple(entry) for entry in payload])
+
+
+def _index_chunks(rows: Iterable[Sequence[int]], n: int) -> Iterator[np.ndarray]:
+    """Up to LANE_CHUNK rows of ``n`` box indices at a time, as int arrays."""
+    rows = iter(rows)
+    while chunk := list(itertools.islice(rows, LANE_CHUNK)):
+        yield np.fromiter(itertools.chain.from_iterable(chunk), np.intp).reshape(-1, n)
+
+
+def _file_chunks(instance: Instance, orders: list[ArrivalOrder]) -> Iterator[np.ndarray]:
+    """The chunks of ``file:`` orders, up to the first that is not a permutation.
+
+    Its error is raised once the orders before it are yielded, so any error
+    they raise comes first, as it would order by order.
+    """
+    rows: list[list[int]] = []
+    try:
+        for order in orders:
+            rows.append(order_indices(instance, order))
+    finally:
+        yield from _index_chunks(rows, instance.n)
 
 
 def _order_values(
-    args: argparse.Namespace, instance: Instance, orders: Iterator[ArrivalOrder]
-) -> Iterator[tuple[ArrivalOrder, float, float]]:
-    """(order, online optimum, policy value) for each order, in order.
+    args: argparse.Namespace, instance: Instance, perm: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The online optimum and the policy value of each row of ``perm``.
 
-    Every policy runs LANE_CHUNK orders at a time through the lane
+    Every policy runs one chunk of orders at a time through the lane
     evaluator.  The randomized mixtures value all of a chunk's pieces as
     lanes, LANE_CHUNK pieces per pass.
     """
     policy = args.policy
-    for chunk, perm in _lane_chunks(instance, orders):
-        rows = np.arange(len(chunk))
-        opt = lane_values("opt", instance, perm, rows, None).stages[:, 0]
-        if policy in MIXTURE_POLICIES:
-            kind, density, _ = MIXTURES[MIXTURE_POLICIES[policy]]
-            value = lane_randomized_values(instance, perm, density(), kind, LANE_CHUNK)
-        else:
-            g0 = args.tau if policy == "sta" else _starting_target(args.g0, instance, opt)
-            g0 = np.broadcast_to(g0, opt.shape)
-            value = lane_values(policy, instance, perm, rows, g0).stages[:, 0].tolist()
-        yield from zip(chunk, opt.tolist(), value)
-
-
-def _lane_chunks(
-    instance: Instance, orders: Iterator[ArrivalOrder]
-) -> Iterator[tuple[list[ArrivalOrder], np.ndarray]]:
-    """Up to LANE_CHUNK orders at a time, with their rows of box indices.
-
-    An order that is not a permutation ends the stream after the orders
-    before it are yielded, so any error they raise comes first, as it would
-    order by order.
-    """
-    chunk: list[ArrivalOrder] = []
-    rows: list[list[int]] = []
-    for order in orders:
-        try:
-            rows.append(order_indices(instance, order))
-        except OrderError:
-            if chunk:
-                yield chunk, np.array(rows)
-            raise
-        chunk.append(order)
-        if len(chunk) == LANE_CHUNK:
-            yield chunk, np.array(rows)
-            chunk, rows = [], []
-    if chunk:
-        yield chunk, np.array(rows)
+    rows = np.arange(len(perm))
+    opt = lane_values("opt", instance, perm, rows, None).stages[:, 0]
+    if policy in MIXTURE_POLICIES:
+        kind, density, _ = MIXTURES[MIXTURE_POLICIES[policy]]
+        mixed = lane_randomized_values(instance, perm, density(), kind, LANE_CHUNK)
+        return opt, np.fromiter(mixed, float, len(perm))
+    g0 = args.tau if policy == "sta" else _starting_target(args.g0, instance, opt)
+    g0 = np.broadcast_to(g0, opt.shape)
+    return opt, lane_values(policy, instance, perm, rows, g0).stages[:, 0]
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
     _check_policy_flags(args)
-    orders = _enumerate_orders(args, instance)
-    buffer, writer = _csv_buffer(("order_id", "opt", "value", "ratio"))
+    chunks = _order_chunks(args, instance)
+    names, template = _order_id_cells(instance)
+    texts = [_csv_text([("order_id", "opt", "value", "ratio")])]
     count, min_ratio, argmin = 0, math.inf, ""
-    for order, opt, value in _order_values(args, instance, orders):
-        order_id = "|".join(order)
-        ratio = 1.0 if opt <= 0.0 else value / opt
-        if not (-RATIO_SLACK <= ratio <= 1.0 + RATIO_SLACK):
-            raise ValueError(f"ratio {ratio!r} for order {order_id!r} is outside [0, 1]")
-        if ratio < min_ratio:
-            min_ratio, argmin = ratio, order_id
-        writer.writerow((order_id, _fmt(opt), _fmt(value), _fmt(ratio)))
-        count += 1
-    _write_text(args.out, buffer.getvalue())
+    for perm in chunks:
+        opt, value = _order_values(args, instance, perm)
+        ratio = np.divide(value, opt, out=np.ones_like(opt), where=~(opt <= 0.0))
+        bad = ~((-RATIO_SLACK <= ratio) & (ratio <= 1.0 + RATIO_SLACK))
+        # The first order out of range, or else the first with the chunk's least ratio.
+        i = int(bad.argmax() if bad.any() else ratio.argmin())
+        order_id = "|".join(instance.ids[j] for j in perm[i])
+        if bad[i]:
+            raise ValueError(f"ratio {float(ratio[i])!r} for order {order_id!r} is outside [0, 1]")
+        if ratio[i] < min_ratio:
+            min_ratio, argmin = float(ratio[i]), order_id
+        order_ids = ["|".join(row) for row in names[perm].tolist()]
+        texts.append(_format_rows(template, order_ids, opt, value, ratio))
+        count += len(perm)
+    _write_lines(args.out, texts)
     print(
         f"orders={count} min_ratio={_fmt(min_ratio)} argmin={argmin}",
         file=_summary_stream(args.out),
     )
     return EXIT_OK
+
+
+def _order_id_cells(instance: Instance) -> tuple[np.ndarray, str]:
+    """Box ids to join into ``order_id`` cells, and the template of one ``eval`` row.
+
+    ``csv.writer`` quotes a cell for the characters it holds, which are the
+    same in every order: a quoted cell has each quote doubled.
+    """
+    joined = "|".join(instance.ids)
+    cell = "%s" if _csv_text([[joined]]) == joined + "\n" else '"%s"'
+    names = np.array([box_id.replace('"', '""') for box_id in instance.ids], dtype=object)
+    return names, cell + ",%.12g,%.12g,%.12g\n"
+
+
+def _format_rows(template: str, order_ids: list[str], *columns: np.ndarray) -> str:
+    """One row per order id in one ``%`` on ``template``, whose ``%.12g`` matches ``_fmt``."""
+    cells = zip(order_ids, *(column.tolist() for column in columns))
+    return (template * len(order_ids)) % tuple(itertools.chain.from_iterable(cells))
 
 
 def cmd_hardness(args: argparse.Namespace) -> int:
@@ -447,26 +468,24 @@ def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def _csv_buffer(header: Sequence[str]):
+def _csv_text(rows: Iterable[Sequence[str]]) -> str:
     buffer = _io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    return buffer, writer
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
 def _write_csv(out: str | None, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    buffer, writer = _csv_buffer(header)
-    writer.writerows(rows)
-    _write_text(out, buffer.getvalue())
+    _write_lines(out, [_csv_text([header, *rows])])
 
 
-def _write_text(out: str | None, text: str) -> None:
-    """Write the whole CSV at once, so a run that fails leaves no --out file."""
+def _write_lines(out: str | None, texts: list[str]) -> None:
+    """Write the whole CSV at once, from its parts, so a run that fails leaves no --out file."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
         return
     try:
-        Path(out).write_text(text)
+        with open(out, "w") as file:
+            file.writelines(texts)
     except OSError as exc:
         raise CliValidationError(f"cannot write --out {out!r}: {exc}") from exc
 

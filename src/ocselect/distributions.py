@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -217,13 +216,6 @@ def max_distribution(dists: Sequence[DiscreteDistribution]) -> DiscreteDistribut
     return DiscreteDistribution(tuple(zip(grid[atom].tolist(), mass[atom].tolist())))
 
 
-def suffix_expected_max(dists: Sequence[DiscreteDistribution]) -> list[float]:
-    """E[max(dists[t:])] for every t, with 0.0 for the empty suffix at the end."""
-    grid = _grid(dists)
-    means = _suffix_max_means(grid, (_cdf_row(d, grid) for d in reversed(dists)))
-    return [float(m) for m in means][::-1] + [0.0]
-
-
 def _grid(dists: Sequence[DiscreteDistribution]) -> np.ndarray:
     """The sorted union of the atom values of ``dists``."""
     # sorted(set()) rather than np.unique, which imports numpy.ma.
@@ -241,18 +233,6 @@ def _atom_masses(cdf: np.ndarray) -> np.ndarray:
     mass = cdf.copy()
     mass[..., 1:] -= cdf[..., :-1]
     return mass
-
-
-def _suffix_max_means(grid: np.ndarray, rows: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """E[max] of ever longer suffixes, folding in CDF rows on ``grid`` from the last box back.
-
-    ``rows`` yields the last box's row first, then the one before it, and so
-    on; a row may be a stack of rows, one per lane.  Each mean is a
-    sequential sum (``cumsum``) over the grid, where points outside the
-    suffix's supports add an exact 0.0.
-    """
-    for running in accumulate(rows, np.multiply):
-        yield _max_mean(grid, running)
 
 
 def _max_mean(grid: np.ndarray, cdf: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import reduce
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -44,7 +45,6 @@ from .distributions import (
     _grid,
     _lane_inverse_target,
     _max_mean,
-    _suffix_max_means,
     inverse_cdf,
     inverse_target,
 )
@@ -299,14 +299,15 @@ def lane_values(
 def _lane_emax_after(tables: SuffixTables, perm: np.ndarray) -> np.ndarray:
     """``emax_after`` of every lane: E[max of the boxes after stage t].
 
-    One back-to-front fold of the lanes' CDF rows, as ``suffix_expected_max``
-    and ``tvd_step`` fold one order's.
+    One back-to-front fold of the lanes' CDF rows, as ``tvd_step`` folds one
+    order's.  Each mean is a sequential sum over the grid, where points
+    outside the suffix's supports add an exact 0.0.
     """
     lanes, n = perm.shape
     out = np.zeros((lanes, n))
     rows = (tables.cdf[perm[:, t]] for t in range(n - 1, 0, -1))
-    for t, mean in zip(range(n - 2, -1, -1), _suffix_max_means(tables.grid, rows)):
-        out[:, t] = mean
+    for t, running in zip(range(n - 2, -1, -1), accumulate(rows, np.multiply)):
+        out[:, t] = _max_mean(tables.grid, running)
     return out
 
 

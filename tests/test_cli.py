@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -266,8 +267,9 @@ class TestEvalCommand:
         assert capsys.readouterr().out == expected.getvalue()
 
     def test_chunked_mixture_matches_the_scalar_mixture(self, monkeypatch, capsys):
-        # Enough orders that their pieces fill more than one LANE_CHUNK pass.
-        count, seed = 150, 5
+        # About four pieces an order, so these orders' pieces fill more than
+        # one LANE_CHUNK pass.
+        count, seed = cli.LANE_CHUNK // 3, 5
         passes = []
         lane_values = policies.lane_values
 
@@ -291,6 +293,50 @@ class TestEvalCommand:
             cells = (opt, value, value / opt)
             writer.writerow(["|".join(order), *(format(v, ".12g") for v in cells)])
         assert capsys.readouterr().out == expected.getvalue()
+
+    @pytest.mark.parametrize("ids", [("a,b", 'say "hi"', "c d", "e"), ("c d", "e f", "g")])
+    def test_order_ids_are_written_as_csv_writer_writes_them(self, ids, capsys, tmp_path):
+        boxes = [
+            {"id": box_id, "atoms": [[0.0, 0.5], [1.0 + k, 0.5]]} for k, box_id in enumerate(ids)
+        ]
+        path = write_instance(tmp_path, "quoted.json", boxes)
+        instance = load_instance(path)
+        picked = list(itertools.permutations(ids))[::-5]
+        orders_path = tmp_path / "orders.json"
+        orders_path.write_text(json.dumps(picked))
+        argv = ["eval", "--instance", path, "--policy", "tvd", "--g0", "1.5"]
+        for spec, orders in (
+            ("all", list(itertools.permutations(sorted(ids)))),
+            (f"file:{orders_path}", picked),
+        ):
+            assert main(argv + ["--orders", spec]) == 0
+            expected = io.StringIO()
+            writer = csv.writer(expected, lineterminator="\n")
+            writer.writerow(["order_id", "opt", "value", "ratio"])
+            ratios = []
+            for order in orders:
+                opt = opt_online(instance, order).total
+                value = tvd_exact(instance, order, 1.5).total
+                ratios.append(value / opt)
+                cells = (opt, value, ratios[-1])
+                writer.writerow(["|".join(order), *(format(v, ".12g") for v in cells)])
+            captured = capsys.readouterr()
+            assert captured.out == expected.getvalue()
+            argmin = "|".join(orders[ratios.index(min(ratios))])
+            assert captured.err.endswith(f" argmin={argmin}\n")
+
+    def test_batch_formatter_equals_fmt_on_edge_doubles(self):
+        tiny, huge = 5e-324, sys.float_info.max
+        edges = [0.0, -0.0, math.inf, -math.inf, math.nan, tiny, -tiny, huge, -huge]
+        edges += [sys.float_info.min, 1.0, 0.1, 1 / 3, 999999999999.5, 1e16, 0.5 - 1e-17]
+        bits = np.random.default_rng(16).integers(0, 2**64, 3000, dtype=np.uint64)
+        values = np.concatenate((edges, bits.view(np.float64)))
+        columns = values, values[::-1], np.roll(values, 1)
+        ids = [f"o{i}" for i in range(values.size)]
+        got = cli._format_rows("%s,%.12g,%.12g,%.12g\n", ids, *columns)
+        rows = zip(ids, *(column.tolist() for column in columns))
+        want = "".join(f"{i},{cli._fmt(a)},{cli._fmt(b)},{cli._fmt(c)}\n" for i, a, b, c in rows)
+        assert got == want
 
     def test_cli_paths_leave_numpy_ma_unimported(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

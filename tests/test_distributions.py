@@ -18,7 +18,6 @@ from ocselect.distributions import (
     inverse_cdf,
     inverse_target,
     max_distribution,
-    suffix_expected_max,
 )
 
 ZERO_TWO = DiscreteDistribution(((0.0, 0.5), (2.0, 0.5)))
@@ -199,7 +198,6 @@ class TestScalarReference:
     def test_folds_and_picker_equal_the_scalar_reference(self, dists, tau):
         md = max_distribution(dists)
         assert md.atoms == ref.max_distribution(dists).atoms
-        assert suffix_expected_max(dists) == ref.suffix_expected_max(dists)
         choice = best_single_threshold(dists)
         assert choice == ref.best_single_threshold(dists)
         assert type(choice.tau) is float and type(choice.value) is float

@@ -843,7 +843,9 @@ class TestSharedOrderTables:
         # building them once per lane, on the instance's grid, took 3.4x more.
         rng = np.random.default_rng(8)
         inst = random_instance(rng, 12, max_atoms=6)
-        orders = [tuple(inst.ids[j] for j in rng.permutation(inst.n)) for _ in range(60)]
+        # About 27 pieces an order, so the first pass ends well before the last order.
+        count = LANE_CHUNK // 16
+        orders = [tuple(inst.ids[j] for j in rng.permutation(inst.n)) for _ in range(count)]
         perm, rows, g0 = mixture_lanes(inst, orders, rho_732(), "tvd")
         rows, g0 = rows[:LANE_CHUNK], g0[:LANE_CHUNK]
         assert rows.size == LANE_CHUNK and rows[-1] + 1 < len(orders)
