@@ -13,8 +13,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 validation error (bad file, bad
 combination of flags, refused enumeration), 3 certificate violation,
-4 internal numerical failure (a solution failing the simplex post-check, the
-pivot limit).
+4 internal numerical failure (a solution failing the simplex feasibility or
+optimality post-check, the pivot limit).
 
 All CSV output uses LF newlines and ``%.12g`` floats, so a rerun with the
 same flags is byte-identical.  Randomness comes from the single ``--seed``,
@@ -95,7 +95,8 @@ CERTIFICATE_TOL = 1e-8
 RATIO_SLACK = 1e-9
 
 DEFAULT_LP_STEP = 0.02
-# --refine --lp-step 0.001 needs 93.5 MB at its finest step.
+# --refine --lp-step 0.001 needs 93.5 MB at its finest step, and the solver's
+# delayed pivots 1.5 MB more.
 MAX_TABLEAU_MB = 128.0
 
 

@@ -235,24 +235,6 @@ def integrate_weighted(spec: DensitySpec, weight: str, lo: float, hi: float) -> 
     return sum(_piece_integral(p, weight, lo, hi) for p in spec.pieces)
 
 
-def density_pdf(spec: DensitySpec, x: float) -> float:
-    """pdf at x; pieces are half-open [lo, hi) except the last (closed)."""
-    if spec.point_mass is not None:
-        raise ValueError("a point mass has no density function")
-    if not (0.5 - EDGE_TOL <= x <= 1.0 + EDGE_TOL):
-        raise ValueError(f"pdf argument outside [1/2, 1]: {x!r}")
-    x = min(max(x, 0.5), 1.0)
-    for i, piece in enumerate(spec.pieces):
-        closing = i == len(spec.pieces) - 1
-        if piece.lo <= x < piece.hi or (closing and x == piece.hi):
-            if piece.kind == PIECE_ZERO:
-                return 0.0
-            if piece.kind == PIECE_INV_SHIFTED:
-                return piece.coefficient / (2.0 * x - 1.0)
-            return piece.coefficient / x
-    return 0.0
-
-
 def density_cdf(spec: DensitySpec, x: float | np.ndarray) -> float | np.ndarray:
     """CDF at x, or at each entry of an array x: the density integrated from 1/2 piece by piece.
 
@@ -284,33 +266,6 @@ def density_cdf(spec: DensitySpec, x: float | np.ndarray) -> float | np.ndarray:
         np.minimum(cdf, 1.0, out=cdf)
         cdf[xs <= 0.5] = 0.0
     return float(cdf) if cdf.ndim == 0 else cdf
-
-
-def density_ppf(spec: DensitySpec, u: float) -> float:
-    """Inverse CDF; u=0 maps to the left edge of the positive part."""
-    if not (-EDGE_TOL <= u <= 1.0 + EDGE_TOL):
-        raise ValueError(f"quantile outside [0, 1]: {u!r}")
-    if spec.point_mass is not None:
-        return spec.point_mass
-    u = min(max(u, 0.0), 1.0)
-    cum = 0.0
-    positive = [p for p in spec.pieces if p.kind != PIECE_ZERO]
-    for piece in positive:
-        mass = _piece_integral(piece, WEIGHT_ONE, piece.lo, piece.hi)
-        if u <= cum + mass or piece is positive[-1]:
-            m = max(0.0, u - cum)
-            k = piece.coefficient
-            if piece.kind == PIECE_INV_SHIFTED:
-                x = ((2.0 * piece.lo - 1.0) * math.exp(2.0 * m / k) + 1.0) / 2.0
-            else:
-                x = piece.lo * math.exp(m / k)
-            return min(max(x, piece.lo), piece.hi)
-        cum += mass
-    raise AssertionError("density has no positive piece")
-
-
-def sample_density(spec: DensitySpec, rng: np.random.Generator) -> float:
-    return density_ppf(spec, rng.random())
 
 
 def _floor(envelope: str, x: float) -> float:

@@ -137,6 +137,8 @@ def primal_tableau_mb(grid_step: float) -> float:
     cells+3 rows, each with a slack, over cells+2 variables, plus the cost row
     and the rhs column; no rhs is negative, so there is no artificial column.
     The detection program has fewer cells at any step, since 1-c < phi-1.
+    The solver's delayed pivots and flush tile come on top: 3 * DELAY columns
+    and DELAY rows, 0.38 MB at step 0.001 and 1.5 MB beside 93.5 MB at 0.00025.
     """
     cells = float(_general_cells(grid_step))
     return (cells + 4.0) * (2.0 * cells + 6.0) * 8.0 / 2**20

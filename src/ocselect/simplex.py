@@ -3,8 +3,8 @@
 The linear programs here have at most a few thousand variables, so a plain
 dense tableau with Bland's anti-cycling rule is both sufficient and easy
 to audit.  Problems are stated as: maximize objective . z subject to
-rows . z <= rhs and z >= 0.  The tableau is column-major, and a pivot
-updates only the columns where its pivot row is nonzero.
+rows . z <= rhs and z >= 0.  The tableau is column-major, and pivots reach
+it in blocks of DELAY, each block through one matrix product.
 """
 
 from __future__ import annotations
@@ -15,10 +15,12 @@ from typing import NamedTuple
 import numpy as np
 
 FEASIBILITY_TOL = 1e-9
+# Largest dual infeasibility and duality gap the optimality post-check accepts.
+DUALITY_TOL = 1e-9
 PIVOT_TOL = 1e-10
 PHASE1_TOL = 1e-8
-# Columns per multiply/subtract pass of a pivot.
-PIVOT_BLOCK = 64
+# Pivots held back before one matrix product applies them all (see _Delayed).
+DELAY = 16
 
 
 class InfeasibleError(ValueError):
@@ -82,14 +84,13 @@ def simplex_solve(lp: FiniteLP) -> LPSolution:
     """Two-phase dense simplex with Bland's rule.
 
     Raises InfeasibleError / UnboundedError, and ArithmeticError if the
-    returned point fails the independent feasibility post-check.
+    returned point fails the independent feasibility or optimality post-check.
     """
-    n = lp.n_vars
-    m = lp.rhs.size
+    n, m = lp.n_vars, lp.rhs.size
 
     # Ax + s = b with slacks; flip rows with negative rhs and add artificials.
     # One column-major tableau holds [A | slacks | artificials | b] over the
-    # cost row, so each column a pivot updates is contiguous.
+    # cost row, so each column tile a block of pivots updates is contiguous.
     flip = lp.rhs < 0.0
     art_rows = np.flatnonzero(flip)
     n_art = art_rows.size
@@ -102,26 +103,22 @@ def simplex_solve(lp: FiniteLP) -> LPSolution:
     basis = n + np.arange(m)
     basis[art_rows] = n + m + np.arange(n_art)
 
+    phase1 = 0
     if n_art:
         cost = tableau[m]
         cost[n + m : -1] = 1.0
-        for i in art_rows:
-            cost -= tableau[i]
+        cost -= tableau[art_rows].sum(axis=0)
         phase1 = _iterate(tableau, basis)
         if tableau[-1, -1] < -PHASE1_TOL:
             raise InfeasibleError(f"phase-1 infeasibility {-tableau[-1, -1]:.3e}")
         tableau, basis = _drop_artificials(tableau, basis, n + m)
-    else:
-        phase1 = 0
 
-    # Phase 2: minimize -objective.
+    # Phase 2: minimize -objective, priced out on the rows where z is basic.
     cost = tableau[-1]
     cost[:] = 0.0
     cost[:n] = -lp.objective
-    for i in np.flatnonzero(basis < n):
-        coef = -lp.objective[basis[i]]
-        if coef != 0.0:
-            cost -= coef * tableau[i]
+    priced = np.flatnonzero(basis < n)
+    cost += lp.objective[basis[priced]] @ tableau[priced]
     phase2 = _iterate(tableau, basis)
 
     z = np.zeros(tableau.shape[1] - 1)
@@ -132,53 +129,68 @@ def simplex_solve(lp: FiniteLP) -> LPSolution:
     if residual > FEASIBILITY_TOL or float(np.min(solution, initial=0.0)) < -FEASIBILITY_TOL:
         raise ArithmeticError(f"solution fails post-check, residual {residual:.3e}")
     value = float(np.dot(lp.objective, solution))
+    # The slacks' reduced costs y prove value the maximum by weak duality.
+    y = tableau[-1, n : n + m]
+    worst = np.max([-y.min(initial=0.0), np.max(lp.objective - y @ lp.rows), lp.rhs @ y - value])
+    if not worst <= DUALITY_TOL:
+        raise ArithmeticError(f"solution fails the optimality post-check, duality {worst:.3e}")
     return LPSolution(value, tuple(float(v) for v in solution), residual, (phase1, phase2))
 
 
 def _iterate(tableau: np.ndarray, basis: np.ndarray) -> int:
     """Pivot until no reduced cost is negative; returns the number of pivots."""
-    m = tableau.shape[0] - 1
-    limit = 200 * (tableau.shape[0] + tableau.shape[1])
-    for pivots in range(limit):
-        entering = tableau[-1, :-1] < -PIVOT_TOL
+    delayed = _Delayed(tableau, basis)
+    for pivots in range(200 * (tableau.shape[0] + tableau.shape[1])):
+        entering = delayed.read(-1, slice(-1)) < -PIVOT_TOL
         col = int(entering.argmax())  # Bland: lowest eligible index enters
         if not entering[col]:
+            delayed.flush()
             return pivots
-        column = tableau[:m, col]
+        column, rhs = delayed.read(slice(-1), [col, -1]).T
         positive = np.flatnonzero(column > PIVOT_TOL)
         if positive.size == 0:
             raise UnboundedError(f"column {col} unbounded")
-        ratios = tableau[positive, -1] / column[positive]
-        best = ratios.min()
-        ties = positive[ratios <= best + 1e-15]
+        ratios = rhs[positive] / column[positive]
+        ties = positive[ratios <= ratios.min() + 1e-15]
         row = int(ties[basis[ties].argmin()])  # Bland: lowest basis leaves
-        _pivot(tableau, basis, row, col)
+        delayed.pivot(row, col)
     raise ArithmeticError("pivot limit exceeded")
 
 
-def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    """Eliminate column ``col`` with pivot row ``row`` of a column-major tableau.
+class _Delayed:
+    """A tableau and up to DELAY pivots not yet applied to it.
 
-    Each updated entry gets t - f * p, rounded as the dense rank-1 update
-    rounds it.  Columns where the pivot row is exactly zero would only have
-    zero subtracted, so they are skipped; the nonzero runs are updated
-    PIVOT_BLOCK columns at a time through one scratch buffer.
+    The current tableau is tableau - etas @ rows: pivot j's eta column is the
+    entering column with the pivot minus one in the pivot row, and rows[j] is
+    its pivot row over the pivot.  ``flush`` applies them in column tiles.
     """
-    tableau[row] /= tableau[row, col]
-    pivot_row = tableau[row].copy()
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    scratch = np.empty((factors.size, PIVOT_BLOCK), order="F")
-    nonzero = np.zeros(pivot_row.size + 2, dtype=bool)
-    nonzero[1:-1] = pivot_row != 0.0
-    edges = np.flatnonzero(nonzero[1:] != nonzero[:-1]).tolist()
-    for start, stop in zip(edges[::2], edges[1::2]):
-        for a in range(start, stop, PIVOT_BLOCK):
-            b = min(a + PIVOT_BLOCK, stop)
-            block = scratch[:, : b - a]
-            np.multiply(factors[:, None], pivot_row[a:b], out=block)
-            tableau[:, a:b] -= block
-    basis[row] = col
+
+    def __init__(self, tableau: np.ndarray, basis: np.ndarray) -> None:
+        self.tableau, self.basis, self.k = tableau, basis, 0
+        self.etas = np.empty((tableau.shape[0], DELAY), order="F")
+        self.rows = np.empty((DELAY, tableau.shape[1]))
+        self.tile = np.empty((tableau.shape[0], 2 * DELAY), order="F")
+
+    def read(self, i, j) -> np.ndarray:
+        """The current tableau[i, j], for one row i or a few columns j."""
+        return self.tableau[i, j] - self.etas[i, : self.k] @ self.rows[: self.k, j]
+
+    def pivot(self, row: int, col: int) -> None:
+        pivot_row, eta = self.read(row, slice(None)), self.read(slice(None), col)
+        eta[row] = pivot_row[col] - 1.0
+        self.rows[self.k], self.etas[:, self.k] = pivot_row / pivot_row[col], eta
+        self.basis[row], self.k = col, self.k + 1
+        if self.k == DELAY:
+            self.flush()
+
+    def flush(self) -> None:
+        etas, rows, width = self.etas[:, : self.k], self.rows[: self.k], self.tile.shape[1]
+        for a in range(0, self.tableau.shape[1], width):
+            block = self.tableau[:, a : a + width]
+            product = self.tile[:, : block.shape[1]]
+            np.matmul(etas, rows[:, a : a + width], out=product)
+            block -= product
+        self.k = 0
 
 
 def _drop_artificials(
@@ -187,15 +199,16 @@ def _drop_artificials(
     """Pivot zero-level artificials out of the basis, then cut their columns.
 
     No row is ever redundant here.  A flipped row's slack column starts as
-    the exact negation of its artificial's column, and every pivot rounds
-    both the same way (division and t - f * p are symmetric under negation),
-    so they stay exact negations.  A basic artificial's column is the unit
-    vector of the row it is basic in, so that row holds -1 in the
-    artificial's slack column, below ``first_art``, and always has a pivot.
+    the negation of its artificial's column, and pivots apply the same row
+    operations to both, so they stay negations up to rounding.  A basic
+    artificial's column is the unit vector of its row, so that row holds
+    about -1 in the slack column, below ``first_art``: it always has a pivot.
     """
+    delayed = _Delayed(tableau, basis)
     for i in np.flatnonzero(basis >= first_art):
-        pivots = np.flatnonzero(np.abs(tableau[i, :first_art]) > PIVOT_TOL)
-        _pivot(tableau, basis, i, int(pivots[0]))
+        pivots = np.flatnonzero(np.abs(delayed.read(i, slice(first_art))) > PIVOT_TOL)
+        delayed.pivot(i, int(pivots[0]))
+    delayed.flush()
     # Move b next to the last kept column; the slice stays column-major.
     tableau[:, first_art] = tableau[:, -1]
     return tableau[:, : first_art + 1], basis

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import json
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import simplex_reference
 
 from ocselect import (
     GuaranteeCheck,
@@ -30,7 +32,7 @@ from ocselect import (
     solve_c_detection,
     tvd_exact,
 )
-from ocselect import cli, policies
+from ocselect import cli, policies, simplex
 from ocselect.cli import main
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
@@ -604,6 +606,15 @@ class TestHardnessCommand:
         monkeypatch.setattr(cli, "simplex_solve", failing)
         assert main(["hardness"]) == 4
         assert "post-check" in capsys.readouterr().err
+
+    def test_a_solve_stopped_short_of_the_optimum_exits_4(self, monkeypatch, capsys):
+        # Phase 2 stops after 10 pivots at a feasible vertex: the primal
+        # post-check passes it and the duality check refuses it.
+        monkeypatch.setattr(
+            simplex, "_iterate", functools.partial(simplex_reference._iterate, stop_after=10)
+        )
+        assert main(["hardness"]) == 4
+        assert "optimality post-check" in capsys.readouterr().err
 
     def test_rejects_bad_lp_step(self):
         assert main(["hardness", "--lp-step", "0.2"]) == 2

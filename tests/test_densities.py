@@ -1,4 +1,4 @@
-"""Closed-form starting-target densities: constants, pdf, guarantees, sampling."""
+"""Closed-form starting-target densities: constants, pieces, guarantees, CDF."""
 
 from __future__ import annotations
 
@@ -13,18 +13,21 @@ from ocselect import (
     DensityPiece,
     DensitySpec,
     density_cdf,
-    density_pdf,
-    density_ppf,
     integrate_weighted,
     point_density,
     rho_656,
     rho_732,
-    sample_density,
     solve_c_656,
     solve_c_732,
     verify_guarantee,
 )
-from ocselect.densities import ENVELOPE_TVA, ENVELOPE_TVD, _envelope_integral
+from ocselect.densities import (
+    ENVELOPE_TVA,
+    ENVELOPE_TVD,
+    PIECE_INV_SHIFTED,
+    PIECE_ZERO,
+    _envelope_integral,
+)
 
 
 class TestConstants656:
@@ -58,36 +61,34 @@ class TestConstants732:
         assert abs(1.0 / (6.0 * c - 3.0) - math.exp(2.0 * c)) < 1e-10
 
 
+def pdf(spec: DensitySpec, x: float) -> float:
+    """The density at x from its pieces' closed forms; pieces are [lo, hi)."""
+    piece = next(p for p in spec.pieces if p.lo <= x < p.hi or x == p.hi == 1.0)
+    if piece.kind == PIECE_ZERO:
+        return 0.0
+    return piece.coefficient / (2.0 * x - 1.0 if piece.kind == PIECE_INV_SHIFTED else x)
+
+
 class TestDensityPdf:
     def test_656_zero_below_c(self):
-        assert density_pdf(rho_656(), 0.5) == 0.0
-        assert density_pdf(rho_656(), 0.51) == 0.0
+        assert pdf(rho_656(), 0.5) == 0.0
+        assert pdf(rho_656(), 0.51) == 0.0
 
     def test_656_at_one(self):
         _, gamma = solve_c_656()
-        assert density_pdf(rho_656(), 1.0) == pytest.approx(gamma, abs=1e-12)
+        assert pdf(rho_656(), 1.0) == pytest.approx(gamma, abs=1e-12)
 
     def test_732_at_one(self):
         _, gamma = solve_c_732()
-        assert density_pdf(rho_732(), 1.0) == pytest.approx(2.0 * gamma, abs=1e-12)
+        assert pdf(rho_732(), 1.0) == pytest.approx(2.0 * gamma, abs=1e-12)
 
     def test_732_has_jump_at_two_thirds(self):
         spec = rho_732()
         gamma = spec.gamma
-        left = density_pdf(spec, 2.0 / 3.0)
-        right = density_pdf(spec, 2.0 / 3.0 + 1e-9)
+        left = pdf(spec, 2.0 / 3.0)
+        right = pdf(spec, 2.0 / 3.0 + 1e-9)
         assert left == pytest.approx(gamma / (2.0 * (2.0 / 3.0) - 1.0), rel=1e-6)
         assert right == pytest.approx(2.0 * gamma / (2.0 / 3.0), rel=1e-6)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            density_pdf(rho_656(), 0.4)
-        with pytest.raises(ValueError):
-            density_pdf(rho_656(), 1.1)
-
-    def test_point_mass_has_no_pdf(self):
-        with pytest.raises(ValueError):
-            density_pdf(point_density(0.75), 0.75)
 
 
 class TestNormalization:
@@ -216,20 +217,7 @@ class TestGuaranteeAgainstDenseScan:
         assert check.min_ratio <= grid_min + 4 * math.ulp(grid_min)
 
 
-class TestCdfPpfSampling:
-    @pytest.mark.parametrize("spec_factory", [rho_656, rho_732])
-    def test_ppf_edges(self, spec_factory):
-        spec = spec_factory()
-        assert density_ppf(spec, 0.0) == pytest.approx(spec.c, abs=1e-12)
-        assert density_ppf(spec, 1.0) == pytest.approx(1.0, abs=1e-12)
-
-    @pytest.mark.parametrize("spec_factory", [rho_656, rho_732])
-    def test_cdf_ppf_round_trip(self, spec_factory):
-        spec = spec_factory()
-        for u in np.linspace(0.001, 0.999, 97):
-            x = density_ppf(spec, float(u))
-            assert density_cdf(spec, x) == pytest.approx(float(u), abs=1e-9)
-
+class TestCdf:
     def test_cdf_monotone_and_normalized(self):
         spec = rho_732()
         xs = np.linspace(0.5, 1.0, 501)
@@ -237,22 +225,6 @@ class TestCdfPpfSampling:
         assert vals[0] == 0.0
         assert vals[-1] == pytest.approx(1.0, abs=1e-9)
         assert all(b - a >= -1e-12 for a, b in zip(vals, vals[1:]))
-
-    @pytest.mark.parametrize("spec_factory", [rho_656, rho_732])
-    def test_kolmogorov_smirnov(self, spec_factory):
-        spec = spec_factory()
-        rng = np.random.default_rng(20260822)
-        n = 1_000_000
-        draws = np.sort([sample_density(spec, rng) for _ in range(n)])
-        cdf_vals = np.array([density_cdf(spec, float(x)) for x in draws[:: n // 5000]])
-        ranks = np.arange(0, n, n // 5000) / n
-        ks = float(np.max(np.abs(cdf_vals - ranks)))
-        assert ks <= 2e-3
-
-    def test_point_mass_sampling(self):
-        rng = np.random.default_rng(3)
-        spec = point_density(0.9)
-        assert all(sample_density(spec, rng) == 0.9 for _ in range(20))
 
 
 def cdf_probes(spec: DensitySpec) -> list[float]:

@@ -23,7 +23,6 @@ from ocselect import (
     PolicyError,
     PolicyState,
     density_cdf,
-    density_pdf,
     load_instance,
     opt_online,
     parse_instance,
@@ -511,7 +510,11 @@ class TestRandomizedValue:
         edges = [lo * prophet, *cuts, hi * prophet]
         pieces = values_at(kind, inst, order, [0.5 * (a + b) for a, b in zip(edges, edges[1:])])
         jump = max((abs(b - a) for a, b in zip(pieces, pieces[1:])), default=0.0)
-        sup_pdf = max(density_pdf(spec, p.lo) for p in positive)  # both kernels decrease
+        # Both kernels decrease, so each piece's sup is at its left end.
+        sup_pdf = max(
+            p.coefficient / (2.0 * p.lo - 1.0 if p.kind == "reciprocal_2x_minus_1" else p.lo)
+            for p in positive
+        )
         bound = len(cuts) * jump * (hi - lo) / cells * sup_pdf / mass
         assert len(cuts) >= 1 and jump > 0.0
         got = randomized_value(inst, order, spec, policy_kind=kind)

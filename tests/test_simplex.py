@@ -2,15 +2,40 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 import pytest
+import simplex_reference as reference
 
-from ocselect import FiniteLP, InfeasibleError, LPSolution, UnboundedError, simplex, simplex_solve
-from ocselect.simplex import PIVOT_BLOCK
+from ocselect import (
+    FiniteLP,
+    InfeasibleError,
+    LPSolution,
+    UnboundedError,
+    build_primal_general,
+    build_primal_tvd,
+    simplex,
+    simplex_solve,
+    solve_c_detection,
+)
+from ocselect.simplex import FEASIBILITY_TOL
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+# simplex_solve against the dense reference: the largest difference in the
+# value or any coordinate of the solution (seen: 1e-14 on the hardness
+# programs), and the largest relative gap between two ratios that count as
+# a ratio-test tie within rounding (seen: 1.3e-15).
+VALUE_BOUND = 1e-12
+RATIO_TIE = 1e-12
+# Against scipy's HiGHS, whose own feasibility tolerance is 1e-7.
+HIGHS_BOUND = 1e-7
+# How far a flipped row's slack column may stray from the negation of its
+# artificial's column under the delayed updates (seen: 1.8e-15).
+NEGATION_BOUND = 1e-12
+# Phase 2 stopped after 10 pivots: a feasible vertex that is not optimal.
+stop_early = functools.partial(reference._iterate, stop_after=10)
 
 
 class TestValidation:
@@ -166,54 +191,76 @@ class TestPivotCounts:
         assert simplex_solve(lp).pivots == (1, 0)
 
     def test_counts_repeat_exactly_across_reruns(self):
-        from ocselect import build_primal_general
-
         lp = build_primal_general(0.02)
         first = simplex_solve(lp).pivots
         assert first[0] == 0 and first[1] > 0
         assert all(simplex_solve(lp).pivots == first for _ in range(3))
 
 
-def dense_pivot(tableau, basis, row, col):
-    """Rank-1 update over every column: the reference ``simplex._pivot`` must match."""
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= factors[:, None] * tableau[row]
-    basis[row] = col
+def outcome(solve, lp):
+    try:
+        return solve(lp)
+    except (InfeasibleError, UnboundedError) as err:
+        return f"{type(err).__name__}: {err}"
 
 
-def row_with_zero_runs(rng, width, col):
-    """Nonzero entries with zero runs between random cut points; nonzero at ``col``."""
-    cuts = np.sort(rng.choice(np.arange(1, width), size=min(width - 1, 6), replace=False))
-    row = rng.uniform(0.5, 2.0, size=width) * rng.choice([-1.0, 1.0], size=width)
-    first_zero = bool(rng.integers(2))
-    for k, (a, b) in enumerate(zip(np.r_[0, cuts], np.r_[cuts, width])):
-        if (k % 2 == 0) == first_zero:
-            row[a:b] = 0.0
-    row[col] = rng.uniform(0.5, 2.0)
-    return row
+def pivot_paths(lp):
+    """The (row, col) pivots of simplex_solve and of the reference, in order.
+
+    Each reference pivot also carries the tableau it was taken on.
+    """
+    delayed, dense = [], []
+    pivot, dense_pivot = simplex._Delayed.pivot, reference.dense_pivot
+
+    def recorded(self, row, col):
+        delayed.append((row, col))
+        pivot(self, row, col)
+
+    def recorded_dense(tableau, basis, row, col):
+        dense.append((row, col, tableau.copy()))
+        dense_pivot(tableau, basis, row, col)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simplex._Delayed, "pivot", recorded)
+        patch.setattr(reference, "dense_pivot", recorded_dense)
+        outcome(simplex_solve, lp), outcome(reference.solve, lp)
+    return delayed, dense
 
 
-class TestPivotKernel:
-    @pytest.mark.parametrize(
-        "width", [5, PIVOT_BLOCK - 1, PIVOT_BLOCK, PIVOT_BLOCK + 1, 3 * PIVOT_BLOCK + 7]
-    )
-    def test_matches_the_dense_update(self, width):
-        rng = np.random.default_rng(width)
-        for _ in range(20):
-            height = int(rng.integers(2, 12))
-            dense = rng.uniform(-3.0, 3.0, size=(height, width))
-            dense[rng.random((height, width)) < 0.2] = 0.0
-            row, col = int(rng.integers(height)), int(rng.integers(width - 1))
-            dense[row] = row_with_zero_runs(rng, width, col)
-            runs = np.asfortranarray(dense)
-            dense_basis, runs_basis = np.arange(height), np.arange(height)
-            dense_pivot(dense, dense_basis, row, col)
-            simplex._pivot(runs, runs_basis, row, col)
-            assert runs.flags.f_contiguous
-            assert (runs == dense).all()
-            assert (runs_basis == dense_basis).all()
+def assert_parted_at_a_ratio_tie(lp):
+    """The two pivot paths first differ in the leaving row, at a ratio-test
+    tie: both rows' ratios agree within RATIO_TIE, so either may leave."""
+    delayed, dense = pivot_paths(lp)
+    step = next(j for j, (a, b) in enumerate(zip(delayed, dense)) if a != b[:2])
+    (row, col), (ref_row, ref_col, tableau) = delayed[step], dense[step]
+    assert col == ref_col and row != ref_row
+    ratios = tableau[[row, ref_row], -1] / tableau[[row, ref_row], col]
+    assert abs(ratios[0] - ratios[1]) <= RATIO_TIE * max(1.0, abs(ratios[1]))
+
+
+class TestReferenceSolver:
+    """simplex_solve against the dense Bland tableau of tests/simplex_reference.py.
+
+    Both take the same pivots, so they return the same outcome, pivot counts
+    and values within VALUE_BOUND.  The only room left is a ratio-test tie
+    within rounding, where the two sums of the same terms pick different rows.
+    """
+
+    def assert_same(self, lps, max_ties=0):
+        ties = 0
+        for lp in lps:
+            got, expected = outcome(simplex_solve, lp), outcome(reference.solve, lp)
+            if isinstance(expected, str):
+                if got != expected:
+                    assert got.split(":")[0] == expected.split(":")[0]
+                    assert_parted_at_a_ratio_tie(lp)
+                    ties += 1
+                continue
+            assert isinstance(got, LPSolution) and got.pivots == expected.pivots
+            assert abs(got.value - expected.value) <= VALUE_BOUND
+            assert np.abs(np.subtract(got.solution, expected.solution)).max() <= VALUE_BOUND
+            assert got.residual <= FEASIBILITY_TOL
+        assert ties <= max_ties
 
     @pytest.mark.parametrize(
         "lp",
@@ -228,7 +275,7 @@ class TestPivotKernel:
             FiniteLP((1.0,), ((-1.0,), (-1.0,), (1.0,)), (-1.0, -1.0, 1.0)),
         ],
     )
-    def test_phase_one_with_redundant_rows_matches_dense_pivots(self, lp, monkeypatch):
+    def test_phase_one_with_redundant_rows(self, lp, monkeypatch):
         drop = simplex._drop_artificials
         basic_artificials = []
 
@@ -237,12 +284,10 @@ class TestPivotKernel:
             return drop(tableau, basis, first_art)
 
         monkeypatch.setattr(simplex, "_drop_artificials", spy)
-        runs = simplex_solve(lp)
-        monkeypatch.setattr(simplex, "_pivot", dense_pivot)
-        assert simplex_solve(lp) == runs
+        self.assert_same([lp])
         assert basic_artificials[0] > 0
 
-    def test_random_programs_match_dense_pivots(self, monkeypatch):
+    def test_random_programs(self):
         rng = np.random.default_rng(23)
         programs = []
         for _ in range(60):
@@ -250,29 +295,141 @@ class TestPivotKernel:
             rows = rng.uniform(-1.0, 2.0, size=(m, n))
             rows[rng.random((m, n)) < 0.3] = 0.0
             programs.append(FiniteLP(rng.uniform(-1.0, 1.0, size=n), rows, rng.uniform(-1.0, 3.0, size=m)))
-
-        def outcomes():
-            results = []
-            for lp in programs:
-                try:
-                    results.append(simplex_solve(lp))
-                except (InfeasibleError, UnboundedError) as err:
-                    results.append(str(err))
-            return results
-
-        runs = outcomes()
-        monkeypatch.setattr(simplex, "_pivot", dense_pivot)
-        assert outcomes() == runs
+        self.assert_same(programs)
+        runs = [outcome(simplex_solve, lp) for lp in programs]
         assert sum(isinstance(r, LPSolution) and r.pivots[0] > 0 for r in runs) >= 5
+
+    def test_duplicated_rows(self):
+        # The one program here whose paths part (an unbounded one) does so
+        # at a ratio tie of 1 against 1 + 1.3e-15.
+        self.assert_same(duplicated_row_programs(), max_ties=3)
+
+    @pytest.mark.parametrize("step", [0.02, 0.005, 0.001])
+    def test_hardness_programs(self, step):
+        lps = [build_primal_general(step), build_primal_tvd(solve_c_detection(), step)]
+        self.assert_same(lps)
+
+    @pytest.mark.parametrize("step", [0.02, 0.005])
+    def test_values_match_highs(self, step):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        for lp in (build_primal_general(step), build_primal_tvd(solve_c_detection(), step)):
+            highs = linprog(-lp.objective, A_ub=lp.rows, b_ub=lp.rhs, method="highs")
+            assert highs.status == 0
+            assert abs(simplex_solve(lp).value + highs.fun) <= HIGHS_BOUND
+
+
+class TestDelayedPivots:
+    """_Delayed against the dense rank-1 update, pivot for pivot.
+
+    The tableau is 45 columns wide, so the last flush tile is partial.
+    """
+
+    @pytest.mark.parametrize("n_pivots", [1, simplex.DELAY - 1, simplex.DELAY, 2 * simplex.DELAY + 3])
+    def test_reads_and_flushes_equal_the_dense_pivots(self, n_pivots):
+        rng = np.random.default_rng(5)
+        dense = np.asfortranarray(rng.uniform(-1.0, 1.0, size=(13, 45)))
+        tableau, basis, dense_basis = dense.copy(order="F"), np.arange(12), np.arange(12)
+        delayed = simplex._Delayed(tableau, basis)
+        for _ in range(n_pivots):
+            row = int(rng.integers(12))
+            col = int(np.abs(dense[row, :-1]).argmax())
+            reference.dense_pivot(dense, dense_basis, row, col)
+            delayed.pivot(row, col)
+        assert delayed.k == n_pivots % simplex.DELAY
+        assert np.abs(delayed.read(slice(None), slice(None)) - dense).max() <= VALUE_BOUND
+        delayed.flush()
+        assert delayed.k == 0 and tableau.flags.f_contiguous
+        assert np.abs(tableau - dense).max() <= VALUE_BOUND
+        assert (basis == dense_basis).all()
+
+    @pytest.mark.parametrize("delay", [1, 5])
+    def test_the_delay_does_not_change_the_solve(self, delay, monkeypatch):
+        lps = [
+            build_primal_general(0.02),
+            FiniteLP((1.0, 2.0), ((-1.0, -1.0), (-1.0, -1.0), (1.0, 1.0), (1.0, 0.0)), (-2.0, -2.0, 2.0, 1.5)),
+        ]
+        expected = [simplex_solve(lp) for lp in lps]
+        monkeypatch.setattr(simplex, "DELAY", delay)
+        for lp, want in zip(lps, expected):
+            got = simplex_solve(lp)
+            assert got.pivots == want.pivots
+            assert abs(got.value - want.value) <= VALUE_BOUND
+            assert np.abs(np.subtract(got.solution, want.solution)).max() <= VALUE_BOUND
+
+
+class TestOptimalityCheck:
+    def test_an_early_stop_is_feasible_but_not_optimal(self, monkeypatch):
+        lp = build_primal_general(0.02)
+        optimum = simplex_solve(lp)
+        monkeypatch.setattr(simplex, "_iterate", stop_early)
+        monkeypatch.setattr(simplex, "DUALITY_TOL", math.inf)
+        stopped = simplex_solve(lp)
+        assert stopped.pivots == (0, 10) and stopped.residual <= FEASIBILITY_TOL
+        assert stopped.value < optimum.value - 1e-3
+
+    def test_the_dual_check_catches_an_early_stop(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_iterate", stop_early)
+        with pytest.raises(ArithmeticError, match="optimality post-check"):
+            simplex_solve(build_primal_general(0.02))
+
+    def test_a_negative_dual_alone_is_caught(self, monkeypatch):
+        # max x s.t. x <= 4 and x >= 1/2.  Phase 1 ends at x = 1/2; a phase 2
+        # that stops there leaves y = (0, -1/2), which meets A^T y >= c and
+        # b . y = c . z, so only y >= 0 fails.
+        stops = iter([None, 0])
+        monkeypatch.setattr(
+            simplex, "_iterate", lambda t, b: reference._iterate(t, b, stop_after=next(stops))
+        )
+        with pytest.raises(ArithmeticError, match="optimality post-check"):
+            simplex_solve(FiniteLP((1.0,), ((1.0,), (-2.0,)), (4.0, -1.0)))
+
+    def test_a_duality_gap_alone_is_caught(self, monkeypatch):
+        # The general program's last row caps the probabilities' sum at 1 and
+        # has no negative coefficient: raising its dual (its slack's reduced
+        # cost, the cost row's last entry before b) by 1 keeps y >= 0 and
+        # A^T y >= c, and opens a gap of 1.
+        iterate = simplex._iterate
+
+        def loosened(tableau, basis):
+            pivots = iterate(tableau, basis)
+            tableau[-1, -2] += 1.0
+            return pivots
+
+        monkeypatch.setattr(simplex, "_iterate", loosened)
+        with pytest.raises(ArithmeticError, match=r"duality 1\.0"):
+            simplex_solve(build_primal_general(0.02))
+
+
+def duplicated_row_programs():
+    """Seed 41's integer programs with one row repeated: phase 1 often ends
+    with an artificial basic at zero level."""
+    rng = np.random.default_rng(41)
+    for _ in range(3000):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        rows = rng.integers(-3, 4, size=(m, n)).astype(float)
+        rhs = rng.integers(-4, 5, size=m).astype(float)
+        dup = int(rng.integers(m))
+        rows, rhs = np.vstack([rows, rows[dup]]), np.append(rhs, rhs[dup])
+        yield FiniteLP(rng.integers(-2, 3, size=n).astype(float), rows, rhs)
 
 
 class TestDropArtificials:
-    def test_duplicated_rows_pivot_below_the_artificials_and_keep_every_row(self, monkeypatch):
-        # Integer programs with one row repeated: phase 1 often ends with an
-        # artificial basic at zero level.  Its row must hold -1 in the
-        # artificial's slack column, so it pivots out there and no row goes.
-        rng = np.random.default_rng(41)
-        drop, pivot = simplex._drop_artificials, simplex._pivot
+    """A basic artificial's row must hold -1 in the artificial's slack
+    column, so it pivots out there and no row goes.
+
+    Under the dense rank-1 update the slack column stays the exact negation
+    of its artificial's column.  Under the delayed updates it does so only
+    up to NEGATION_BOUND: the rows and columns a Bland step rebuilds are
+    matrix-vector products, whose rounding depends on a column's position.
+    """
+
+    @pytest.mark.parametrize("delayed", [False, True], ids=["dense-reference", "delayed"])
+    def test_duplicated_rows_pivot_below_the_artificials_and_keep_every_row(
+        self, delayed, monkeypatch
+    ):
+        module, solve = (simplex, simplex_solve) if delayed else (reference, reference.solve)
+        hook = (simplex._Delayed, "pivot") if delayed else (reference, "dense_pivot")
+        drop, pivot = module._drop_artificials, getattr(*hook)
         flipped = np.zeros(0, dtype=int)
         basic_artificials = 0
 
@@ -280,38 +437,38 @@ class TestDropArtificials:
             nonlocal basic_artificials
             m = basis.size
             slack, art = first_art - m + flipped, first_art + np.arange(flipped.size)
-            assert (tableau[:m, slack] == -tableau[:m, art]).all()
+            if delayed:
+                assert np.abs(tableau[:m, slack] + tableau[:m, art]).max(initial=0.0) <= NEGATION_BOUND
+            else:
+                assert (tableau[:m, slack] == -tableau[:m, art]).all()
             for i in np.flatnonzero(basis >= first_art):
-                assert tableau[i, slack[basis[i] - first_art]] == -1.0
+                if delayed:
+                    assert abs(tableau[i, slack[basis[i] - first_art]] + 1.0) <= NEGATION_BOUND
+                else:
+                    assert tableau[i, slack[basis[i] - first_art]] == -1.0
                 basic_artificials += 1
             columns = []
 
-            def recorded(tableau, basis, row, col):
-                columns.append(col)
-                pivot(tableau, basis, row, col)
+            def recorded(*args):
+                columns.append(args[-1])
+                pivot(*args)
 
-            monkeypatch.setattr(simplex, "_pivot", recorded)
+            monkeypatch.setattr(*hook, recorded)
             try:
                 out, kept = drop(tableau, basis, first_art)
             finally:
-                monkeypatch.setattr(simplex, "_pivot", pivot)
+                monkeypatch.setattr(*hook, pivot)
             assert all(col < first_art for col in columns)
             assert out.shape == (m + 1, first_art + 1) and out.flags.f_contiguous
             assert kept.size == m and (kept < first_art).all()
             return out, kept
 
-        monkeypatch.setattr(simplex, "_drop_artificials", spy)
+        monkeypatch.setattr(module, "_drop_artificials", spy)
         solved = 0
-        for _ in range(3000):
-            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-            rows = rng.integers(-3, 4, size=(m, n)).astype(float)
-            rhs = rng.integers(-4, 5, size=m).astype(float)
-            dup = int(rng.integers(m))
-            rows, rhs = np.vstack([rows, rows[dup]]), np.append(rhs, rhs[dup])
-            lp = FiniteLP(rng.integers(-2, 3, size=n).astype(float), rows, rhs)
+        for lp in duplicated_row_programs():
             flipped = np.flatnonzero(lp.rhs < 0.0)
             try:
-                simplex_solve(lp)
+                solve(lp)
             except (InfeasibleError, UnboundedError):
                 continue
             solved += 1
