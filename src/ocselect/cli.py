@@ -44,8 +44,6 @@ from .benchmarks import (
     prophet_value,
 )
 from .densities import (
-    ENVELOPE_TVA,
-    ENVELOPE_TVD,
     PHI,
     rho_656,
     rho_732,
@@ -76,10 +74,10 @@ EXIT_CERTIFICATE = 3
 EXIT_NUMERICAL = 4
 
 # Each randomized mixture by its density's key: the exact kind it runs from a
-# starting target drawn from that density, and the envelope the density's
-# guarantee is checked against.
-MIXTURES = {"656": ("tva", rho_656, ENVELOPE_TVA), "732": ("tvd", rho_732, ENVELOPE_TVD)}
-MIXTURE_POLICIES = {f"{kind}-rand-{key}": key for key, (kind, _, _) in MIXTURES.items()}
+# starting target drawn from that density.  The kind also names the envelope
+# the density's guarantee is checked against.
+MIXTURES = {"656": ("tva", rho_656), "732": ("tvd", rho_732)}
+MIXTURE_POLICIES = {f"{kind}-rand-{key}": key for key, (kind, _) in MIXTURES.items()}
 POLICY_KINDS = EXACT_POLICIES + tuple(MIXTURE_POLICIES)
 
 ENUMERATION_LIMIT = 9
@@ -295,7 +293,7 @@ def _order_values(
     rows = np.arange(len(perm))
     opt = lane_values("opt", instance, perm, rows, None).stages[:, 0]
     if policy in MIXTURE_POLICIES:
-        kind, density, _ = MIXTURES[MIXTURE_POLICIES[policy]]
+        kind, density = MIXTURES[MIXTURE_POLICIES[policy]]
         mixed = lane_randomized_values(instance, perm, density(), kind, LANE_CHUNK)
         return opt, np.fromiter(mixed, float, len(perm))
     g0 = args.tau if policy == "sta" else _starting_target(args.g0, instance, opt)
@@ -441,10 +439,10 @@ def cmd_verify_density(args: argparse.Namespace) -> int:
     keys = MIXTURES if args.density == "both" else [args.density]
     rows: list[list[str]] = []
     exit_code = EXIT_OK
-    for _, density, envelope in (MIXTURES[key] for key in keys):
+    for kind, density in (MIXTURES[key] for key in keys):
         spec = density()
         mass_residual = integrate_weighted(spec, "one", 0.5, 1.0) - 1.0
-        check = verify_guarantee(spec, envelope)
+        check = verify_guarantee(spec, kind)
         assert spec.gamma is not None and spec.c is not None
         # Written as "not within bounds" so that a NaN reads as a violation.
         if not (check.min_ratio >= spec.gamma - 1e-6 and abs(mass_residual) <= CERTIFICATE_TOL):

@@ -31,7 +31,6 @@ from .benchmarks import (
     Instance,
     SuffixTables,
     _best_thresholds,
-    best_single_threshold,
     order_indices,
     prophet_value,
 )
@@ -41,8 +40,6 @@ from .distributions import (
     BoxTables,
     DiscreteDistribution,
     _atom_masses,
-    _cdf_row,
-    _grid,
     _lane_inverse_target,
     _max_mean,
     inverse_cdf,
@@ -88,6 +85,15 @@ class PolicyState:
         return PolicyState(stage=0, mode=TARGETED, target=g0)
 
 
+def _advance(
+    state: PolicyState, accept_at: float, realized_value: float, mode: str, **changes
+) -> tuple[PolicyState, Decision]:
+    """Step past one box: accept a value at or above ``accept_at``, else stay in ``mode``."""
+    accept = realized_value >= accept_at
+    new = replace(state, stage=state.stage + 1, mode=TERMINATED if accept else mode, **changes)
+    return new, Decision(accept)
+
+
 def tva_step(
     state: PolicyState, box_dist: DiscreteDistribution, realized_value: float
 ) -> tuple[PolicyState, Decision]:
@@ -95,67 +101,44 @@ def tva_step(
     if state.mode != TARGETED:
         raise PolicyError(f"targeted step in mode {state.mode!r}")
     g = inverse_target(box_dist, state.target)
-    accept = realized_value >= g
-    new = replace(
-        state,
-        stage=state.stage + 1,
-        mode=TERMINATED if accept else TARGETED,
-        target=g,
-    )
-    return new, Decision(accept)
+    return _advance(state, g, realized_value, TARGETED, target=g)
 
 
 def tvd_step(
-    state: PolicyState,
-    box_dist: DiscreteDistribution,
-    remaining_dists: Sequence[DiscreteDistribution],
-    realized_value: float,
+    state: PolicyState, instance: Instance, boxes: Sequence[int], realized_value: float
 ) -> tuple[PolicyState, Decision]:
     """Advance the detecting targeted policy by one box.
 
-    ``remaining_dists`` are the boxes strictly after the current one.  The
-    switch test compares the updated target against the expected maximum of
-    those remaining boxes; a tie stays targeted.  The conservative threshold
-    is computed over the suffix including the current box, and the switch is
-    permanent.
+    ``boxes`` holds indices into ``instance.boxes``: the current box, then
+    the boxes still to come in arrival order.  Box ids, not distributions,
+    because two boxes may share one distribution.  The switch test compares
+    the updated target against E[max of the boxes still to come], the
+    stage-0 value of ``_lane_emax_after``; a tie stays targeted.  The
+    conservative threshold is ``_lane_switch_tau`` over all of ``boxes``,
+    and the switch is permanent.
     """
+    boxes = np.asarray(boxes)
+    if boxes.ndim != 1 or len(boxes) == 0:
+        raise PolicyError(f"tvd_step needs the current box id: boxes={boxes.tolist()!r}")
+    outside = (boxes < 0) | (boxes >= instance.n)
+    if outside.any():
+        raise PolicyError(f"box id outside range({instance.n}): {int(boxes[outside][0])!r}")
     if state.mode == TERMINATED:
         raise PolicyError("stepping a terminated policy")
     if state.mode == CONSERVATIVE:
-        accept = realized_value >= state.threshold
-        new = replace(
-            state,
-            stage=state.stage + 1,
-            mode=TERMINATED if accept else CONSERVATIVE,
-        )
-        return new, Decision(accept)
-    g = inverse_target(box_dist, state.target)
+        return _advance(state, state.threshold, realized_value, CONSERVATIVE)
+    g = float(_lane_inverse_target(instance.box_tables, boxes[:1], np.array([state.target]))[0])
+    tables = instance.suffix_tables
     future = 0.0
-    if remaining_dists:
-        # The remaining boxes folded back to front, as ``_lane_emax_after`` folds them.
-        grid = _grid(remaining_dists)
-        cdf = reduce(np.multiply, (_cdf_row(d, grid) for d in reversed(remaining_dists)))
-        future = float(_max_mean(grid, cdf))
+    if len(boxes) > 1:
+        # The boxes still to come folded back to front, as ``_lane_emax_after`` folds them.
+        future = float(_max_mean(tables.grid, np.multiply.reduce(tables.cdf[boxes[:0:-1]])))
     if g <= future:
-        accept = realized_value >= g
-        new = replace(
-            state,
-            stage=state.stage + 1,
-            mode=TERMINATED if accept else TARGETED,
-            target=g,
-        )
-        return new, Decision(accept)
-    choice = best_single_threshold([box_dist, *remaining_dists])
-    accept = realized_value >= choice.tau
-    new = replace(
-        state,
-        stage=state.stage + 1,
-        mode=TERMINATED if accept else CONSERVATIVE,
-        target=g,
-        switch_stage=state.stage,
-        threshold=choice.tau,
+        return _advance(state, g, realized_value, TARGETED, target=g)
+    tau = float(_lane_switch_tau(tables, boxes[None])[0])
+    return _advance(
+        state, tau, realized_value, CONSERVATIVE, target=g, switch_stage=state.stage, threshold=tau
     )
-    return new, Decision(accept)
 
 
 # ---------------------------------------------------------------------------
@@ -357,22 +340,18 @@ def sample_runs(
 
 
 def value_cuts(
-    dists: Sequence[DiscreteDistribution],
-    emax_after: Sequence[float] | None,
-    policy_kind: str,
-    top: float,
+    instance: Instance, order: ArrivalOrder, policy_kind: str, top: float
 ) -> list[float]:
-    """Sorted starting targets below ``top`` where the policy value can jump.
+    """Sorted starting targets below ``top`` where the policy value of ``order`` can jump.
 
-    ``dists`` are the boxes in arrival order, and ``emax_after`` is the
-    order's row of ``_lane_emax_after`` (unused by ``tva``).  One order's
-    ``_lane_value_cuts``.
+    One order's ``_lane_value_cuts``, with ``tvd``'s emax_after row built
+    from ``instance.suffix_tables`` as ``randomized_value`` builds it.
     """
     if policy_kind not in ("tva", "tvd"):
         raise ValueError(f"value profile needs tva or tvd, got {policy_kind!r}")
-    perm = np.arange(len(dists))[None]
-    emax = None if emax_after is None else np.array([emax_after], float)
-    levels = _lane_value_cuts(BoxTables.build(dists), perm, emax, policy_kind, top)[0]
+    perm = np.array([order_indices(instance, order)])
+    emax = _lane_emax_after(instance.suffix_tables, perm) if policy_kind == "tvd" else None
+    levels = _lane_value_cuts(instance.box_tables, perm, emax, policy_kind, top)[0]
     return levels[levels < math.inf].tolist()
 
 

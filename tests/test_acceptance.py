@@ -336,8 +336,8 @@ class TestCriterion9DetectionLimits:
 
 def enumerate_policy_value(instance, order, g0: float, kind: str) -> float:
     """Exhaust every realization of the decision tree and average."""
-    by_id = {box.box_id: box.dist for box in instance.boxes}
-    dists = [by_id[box_id] for box_id in order]
+    boxes = order_indices(instance, order)
+    dists = [instance.dists[b] for b in boxes]
     terms: list[float] = []
 
     def walk(stage: int, state: PolicyState, prob: float) -> None:
@@ -347,9 +347,7 @@ def enumerate_policy_value(instance, order, g0: float, kind: str) -> float:
             if kind == "tva":
                 nxt, decision = tva_step(state, dists[stage], value)
             else:
-                nxt, decision = tvd_step(
-                    state, dists[stage], tuple(dists[stage + 1 :]), value
-                )
+                nxt, decision = tvd_step(state, instance, boxes[stage:], value)
             if decision.accept:
                 terms.append(prob * p * value)
             else:

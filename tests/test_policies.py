@@ -5,6 +5,8 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import re
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -39,7 +41,7 @@ from ocselect import (
     tvd_step,
     value_cuts,
 )
-from ocselect import policies
+from ocselect import distributions, policies
 from ocselect.benchmarks import order_indices
 from ocselect.cli import LANE_CHUNK
 from ocselect.densities import PHI, PIECE_INV, PIECE_ZERO, DensityPiece
@@ -62,6 +64,8 @@ ZERO = DiscreteDistribution(((0.0, 1.0),))
 A = Box("A", UNIT)
 B = Box("B", RISKY)
 AB = Instance((A, B))
+# Step boxes by index: 0 is UNIT, 1 and 2 share COIN, 3 is ZERO.
+STEPS = Instance(tuple(Box(name, d) for name, d in zip("uczx", (UNIT, COIN, COIN, ZERO))))
 
 
 class TestTvaStep:
@@ -89,33 +93,62 @@ class TestTvaStep:
 
 class TestTvdStep:
     def test_stays_targeted_when_future_covers(self):
-        state, decision = tvd_step(PolicyState.initial(0.9), UNIT, [COIN], 1.0)
+        state, decision = tvd_step(PolicyState.initial(0.9), STEPS, [0, 1], 1.0)
         assert decision.accept
         assert state.switch_stage is None
         assert state.target == 0.0
 
     def test_switches_on_dead_box(self):
-        zero = DiscreteDistribution(((0.0, 1.0),))
-        state, decision = tvd_step(PolicyState.initial(0.9), zero, [COIN], 0.0)
+        state, decision = tvd_step(PolicyState.initial(0.9), STEPS, [3, 1], 0.0)
         assert state.switch_stage == 0
         assert state.mode in (CONSERVATIVE, TERMINATED)
         assert state.threshold == pytest.approx(1.0, abs=1e-12)
         assert not decision.accept
 
     def test_last_stage_with_positive_target_switches(self):
-        state, decision = tvd_step(PolicyState.initial(0.8), COIN, [], 1.0)
+        state, decision = tvd_step(PolicyState.initial(0.8), STEPS, [1], 1.0)
         assert state.switch_stage == 0
         assert state.threshold == pytest.approx(1.0, abs=1e-12)
         assert decision.accept  # threshold over the lone box is 1.0 and v = 1
 
     def test_conservative_mode_is_permanent(self):
-        zero = DiscreteDistribution(((0.0, 1.0),))
-        state, _ = tvd_step(PolicyState.initial(0.9), zero, [COIN, COIN], 0.0)
+        state, _ = tvd_step(PolicyState.initial(0.9), STEPS, [3, 1, 2], 0.0)
         assert state.mode == CONSERVATIVE
-        follow, decision = tvd_step(state, COIN, [COIN], 0.0)
+        follow, decision = tvd_step(state, STEPS, [1, 2], 0.0)
         assert follow.mode == CONSERVATIVE
         assert follow.threshold == state.threshold
         assert not decision.accept
+
+    @pytest.mark.parametrize(
+        "boxes, named",
+        [([], "boxes=[]"), ([0, 4], "4"), ([0, -1], "-1")],
+        ids=("empty", "past_the_end", "negative"),
+    )
+    def test_rejects_bad_box_ids(self, boxes, named):
+        # numpy would wrap -1 to the last box, so negative ids are checked too.
+        with pytest.raises(PolicyError, match=f": {re.escape(named)}$"):
+            tvd_step(PolicyState.initial(0.9), STEPS, boxes, 0.0)
+
+    def test_a_run_builds_the_cdf_rows_once(self, monkeypatch):
+        # Each step reads the instance's suffix tables, so a whole run calls
+        # _cdf_row only to build them: once per box, not once per remaining
+        # box at every step.
+        inst = random_instance(np.random.default_rng(3), 60)
+        state = PolicyState.initial(prophet_value(inst) / 5)
+        real = distributions._cdf_row
+        calls = []
+
+        def spy(dist, grid):
+            calls.append(dist)
+            return real(dist, grid)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("ocselect") and getattr(module, "_cdf_row", None) is real:
+                monkeypatch.setattr(module, "_cdf_row", spy)  # each importer's own name
+        for t in range(inst.n):
+            state, _ = tvd_step(state, inst, range(t, inst.n), -math.inf)
+        assert state.stage == inst.n
+        assert len(calls) == inst.n
 
 
 def through_zero_box(level: float) -> float:
@@ -142,6 +175,7 @@ class TestStepAgreesWithEvaluator:
         for _ in range(300):
             inst = random_instance(rng, int(rng.integers(2, 7)))
             dists = inst.dists
+            with_zero = Instance((*inst.boxes, Box("zero", ZERO)))
             emax_after = ref.emax_after(dists)
             for t, level in enumerate(emax_after):
                 stages += 1
@@ -150,7 +184,8 @@ class TestStepAgreesWithEvaluator:
                 while inverse_target(ZERO, above) == level:
                     above = math.nextafter(above, math.inf)
                 for g0, switches in ((g, False), (above, True)):
-                    state, _ = tvd_step(PolicyState.initial(g0), ZERO, dists[t + 1 :], -math.inf)
+                    boxes = [inst.n, *range(t + 1, inst.n)]
+                    state, _ = tvd_step(PolicyState.initial(g0), with_zero, boxes, -math.inf)
                     assert (state.mode == CONSERVATIVE) == switches, (t, level)
         assert stages == 1206
 
@@ -350,9 +385,8 @@ CUT_MARGIN_ULPS = 8
 
 
 def cuts_of(inst: Instance, order, kind: str, top: float) -> list[float]:
-    """``value_cuts`` of one order, with its emax_after row from the reference."""
-    dists = ref.ordered_dists(inst, order)
-    return value_cuts(dists, ref.emax_after(dists), kind, top)
+    """``value_cuts`` of one order."""
+    return value_cuts(inst, order, kind, top)
 
 
 def values_at(kind: str, inst: Instance, order, g0: list[float]) -> list[float]:
@@ -386,7 +420,7 @@ class TestValueProfile:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            value_cuts(AB.dists, None, "sta", 2.0)
+            value_cuts(AB, AB.ids, "sta", 2.0)
 
     def test_four_box_tvd_piece_count(self):
         # tvd levels above emax_after[t] are dropped at stage t: 148 pieces
@@ -523,7 +557,8 @@ class TestRandomizedValue:
 
 def replay_run(kind, g0, inst, order, rng):
     """One run the slow way: sample every box, then step the policy box by box."""
-    dists = [inst.by_id[box_id].dist for box_id in order]
+    boxes = order_indices(inst, order)
+    dists = [inst.dists[b] for b in boxes]
     values = [float(inverse_cdf(d, rng.random())) for d in dists]
     if kind == "sta":
         return next((v for v in values if v >= g0), 0.0)
@@ -532,7 +567,7 @@ def replay_run(kind, g0, inst, order, rng):
         if kind == "tva":
             state, decision = tva_step(state, d, v)
         else:
-            state, decision = tvd_step(state, d, dists[i + 1 :], v)
+            state, decision = tvd_step(state, inst, boxes[i:], v)
         if decision.accept:
             return v
     return 0.0
