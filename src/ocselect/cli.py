@@ -17,22 +17,30 @@ combination of flags, refused enumeration), 3 certificate violation,
 optimality post-check, the pivot limit).
 
 All CSV output uses LF newlines and ``%.12g`` floats, so a rerun with the
-same flags is byte-identical.  Randomness comes from the single ``--seed``,
-split per order index (``eval --orders random:K``) and per 10,000-run chunk
-(``simulate``), never shared across streams.
+same flags is byte-identical.  Each subcommand writes its CSV to an
+anonymous temporary file as it runs, so ``eval`` holds one chunk's text at
+a time whatever the number of orders, at the cost of the CSV's size on disk
+in ``$TMPDIR``.  The file is copied to ``--out`` or stdout once the run has
+passed every check: a run that fails prints no CSV and leaves ``--out`` as
+it was.  Randomness comes from the single ``--seed``, split per order index
+(``eval --orders random:K``) and per 10,000-run chunk (``simulate``), never
+shared across streams.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io as _io
 import itertools
 import json
 import math
+import shutil
 import sys
+import tempfile
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -82,11 +90,13 @@ POLICY_KINDS = EXACT_POLICIES + tuple(MIXTURE_POLICIES)
 
 ENUMERATION_LIMIT = 9
 # Orders per lane-evaluator chunk of ``eval``, and lanes per pass: one per
-# order for the exact kinds, one per piece for the mixtures.  The widest
-# power of two whose peak RSS stays within 0.1 MB of 512's, measured on the
-# perfbench commands (Python 3.11, numpy 2.4, 2-vCPU VM): all 8! orders of
-# 8 boxes peak at 38.1 MB with 512, 34.8 with 1024, 36.1 with 2048 and 39.4
-# with 4096; a 12-box mixture on 120 orders at 36.4, 36.5, 36.7 and 37.2 MB.
+# order for the exact kinds, one per piece for the mixtures.  Measured on the
+# perfbench commands (Python 3.11, numpy 2.4, 2-vCPU VM; medians of 12 runs
+# of peak RSS and wall time), all 8! orders of 8 boxes take 31.1 MB and
+# 0.87 s with 512, 31.9 MB and 0.76 s with 1024, 34.0 MB and 0.75 s with
+# 2048, 38.3 MB and 0.74 s with 4096; the two 12-box mixtures on 120 orders
+# 36.4, 36.4, 36.8 and 37.3 MB in 0.64, 0.59, 0.62 and 0.57 s.  512 is
+# slower on both; the wider chunks cost megabytes for a few percent.
 LANE_CHUNK = 1024
 SIMULATION_CHUNK = 10_000
 CERTIFICATE_TOL = 1e-8
@@ -267,17 +277,19 @@ def _index_chunks(rows: Iterable[Sequence[int]], n: int) -> Iterator[np.ndarray]
 
 
 def _file_chunks(instance: Instance, orders: list[ArrivalOrder]) -> Iterator[np.ndarray]:
-    """The chunks of ``file:`` orders, up to the first that is not a permutation.
+    """The ``file:`` orders as index rows, LANE_CHUNK orders at a time, up to the first bad one.
 
-    Its error is raised once the orders before it are yielded, so any error
-    they raise comes first, as it would order by order.
+    The error of an order that is not a permutation is raised once the rows
+    before it are yielded, so any error they raise comes first, as it would
+    order by order.
     """
-    rows: list[list[int]] = []
-    try:
-        for order in orders:
-            rows.append(order_indices(instance, order))
-    finally:
-        yield from _index_chunks(rows, instance.n)
+    for start in range(0, len(orders), LANE_CHUNK):
+        rows: list[list[int]] = []
+        try:
+            for order in orders[start : start + LANE_CHUNK]:
+                rows.append(order_indices(instance, order))
+        finally:
+            yield from _index_chunks(rows, instance.n)
 
 
 def _order_values(
@@ -306,23 +318,25 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _check_policy_flags(args)
     chunks = _order_chunks(args, instance)
     names, template = _order_id_cells(instance)
-    texts = [_csv_text([("order_id", "opt", "value", "ratio")])]
     count, min_ratio, argmin = 0, math.inf, ""
-    for perm in chunks:
-        opt, value = _order_values(args, instance, perm)
-        ratio = np.divide(value, opt, out=np.ones_like(opt), where=~(opt <= 0.0))
-        bad = ~((-RATIO_SLACK <= ratio) & (ratio <= 1.0 + RATIO_SLACK))
-        # The first order out of range, or else the first with the chunk's least ratio.
-        i = int(bad.argmax() if bad.any() else ratio.argmin())
-        order_id = "|".join(instance.ids[j] for j in perm[i])
-        if bad[i]:
-            raise ValueError(f"ratio {float(ratio[i])!r} for order {order_id!r} is outside [0, 1]")
-        if ratio[i] < min_ratio:
-            min_ratio, argmin = float(ratio[i]), order_id
-        order_ids = ["|".join(row) for row in names[perm].tolist()]
-        texts.append(_format_rows(template, order_ids, opt, value, ratio))
-        count += len(perm)
-    _write_lines(args.out, texts)
+    with _spooled(args.out) as spool:
+        spool.write(_csv_text([("order_id", "opt", "value", "ratio")]))
+        for perm in chunks:
+            opt, value = _order_values(args, instance, perm)
+            ratio = np.divide(value, opt, out=np.ones_like(opt), where=~(opt <= 0.0))
+            bad = ~((-RATIO_SLACK <= ratio) & (ratio <= 1.0 + RATIO_SLACK))
+            # The first order out of range, or else the first with the chunk's least ratio.
+            i = int(bad.argmax() if bad.any() else ratio.argmin())
+            order_id = "|".join(instance.ids[j] for j in perm[i])
+            if bad[i]:
+                raise ValueError(
+                    f"ratio {float(ratio[i])!r} for order {order_id!r} is outside [0, 1]"
+                )
+            if ratio[i] < min_ratio:
+                min_ratio, argmin = float(ratio[i]), order_id
+            order_ids = ["|".join(row) for row in names[perm].tolist()]
+            spool.write(_format_rows(template, order_ids, opt, value, ratio))
+            count += len(perm)
     print(
         f"orders={count} min_ratio={_fmt(min_ratio)} argmin={argmin}",
         file=_summary_stream(args.out),
@@ -474,19 +488,28 @@ def _csv_text(rows: Iterable[Sequence[str]]) -> str:
 
 
 def _write_csv(out: str | None, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    _write_lines(out, [_csv_text([header, *rows])])
+    with _spooled(out) as spool:
+        spool.write(_csv_text([header, *rows]))
 
 
-def _write_lines(out: str | None, texts: list[str]) -> None:
-    """Write the whole CSV at once, from its parts, so a run that fails leaves no --out file."""
-    if out is None:
-        sys.stdout.writelines(texts)
-        return
-    try:
-        with open(out, "w") as file:
-            file.writelines(texts)
-    except OSError as exc:
-        raise CliValidationError(f"cannot write --out {out!r}: {exc}") from exc
+@contextlib.contextmanager
+def _spooled(out: str | None) -> Iterator[TextIO]:
+    """A temporary file for the CSV, copied to ``out`` (or stdout) once the block succeeds.
+
+    A block that raises writes nothing.  The spool translates no newline and
+    round-trips any ``str``, so the copy is the text as written.
+    """
+    with tempfile.TemporaryFile("w+", encoding="utf-8", errors="surrogatepass", newline="") as spool:
+        yield spool
+        spool.seek(0)
+        if out is None:
+            shutil.copyfileobj(spool, sys.stdout)
+            return
+        try:
+            with open(out, "w") as file:
+                shutil.copyfileobj(spool, file)
+        except OSError as exc:
+            raise CliValidationError(f"cannot write --out {out!r}: {exc}") from exc
 
 
 def _summary_stream(out: str | None):
