@@ -21,10 +21,11 @@ same flags is byte-identical.  Each subcommand writes its CSV to an
 anonymous temporary file as it runs, so ``eval`` holds one chunk's text at
 a time whatever the number of orders, at the cost of the CSV's size on disk
 in ``$TMPDIR``.  The file is copied to ``--out`` or stdout once the run has
-passed every check: a run that fails prints no CSV and leaves ``--out`` as
-it was.  Randomness comes from the single ``--seed``, split per order index
-(``eval --orders random:K``) and per 10,000-run chunk (``simulate``), never
-shared across streams.
+passed every check: a run that fails, a CSV that the destination cannot
+encode included, prints no CSV and leaves ``--out`` as it was.  Randomness
+comes from the single ``--seed``, split per order index (``eval --orders
+random:K``) and per 10,000-run chunk (``simulate``), never shared across
+streams.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from .hardness import (
 from .io import load_instance
 from .policies import (
     EXACT_POLICIES,
+    LANE_CHUNK,
     lane_randomized_values,
     lane_values,
     sample_runs,
@@ -89,15 +91,6 @@ MIXTURE_POLICIES = {f"{kind}-rand-{key}": key for key, (kind, _) in MIXTURES.ite
 POLICY_KINDS = EXACT_POLICIES + tuple(MIXTURE_POLICIES)
 
 ENUMERATION_LIMIT = 9
-# Orders per lane-evaluator chunk of ``eval``, and lanes per pass: one per
-# order for the exact kinds, one per piece for the mixtures.  Measured on the
-# perfbench commands (Python 3.11, numpy 2.4, 2-vCPU VM; medians of 12 runs
-# of peak RSS and wall time), all 8! orders of 8 boxes take 31.1 MB and
-# 0.87 s with 512, 31.9 MB and 0.76 s with 1024, 34.0 MB and 0.75 s with
-# 2048, 38.3 MB and 0.74 s with 4096; the two 12-box mixtures on 120 orders
-# 36.4, 36.4, 36.8 and 37.3 MB in 0.64, 0.59, 0.62 and 0.57 s.  512 is
-# slower on both; the wider chunks cost megabytes for a few percent.
-LANE_CHUNK = 1024
 SIMULATION_CHUNK = 10_000
 CERTIFICATE_TOL = 1e-8
 RATIO_SLACK = 1e-9
@@ -306,7 +299,7 @@ def _order_values(
     opt = lane_values("opt", instance, perm, rows, None).stages[:, 0]
     if policy in MIXTURE_POLICIES:
         kind, density = MIXTURES[MIXTURE_POLICIES[policy]]
-        mixed = lane_randomized_values(instance, perm, density(), kind, LANE_CHUNK)
+        mixed = lane_randomized_values(instance, perm, density(), kind)
         return opt, np.fromiter(mixed, float, len(perm))
     g0 = args.tau if policy == "sta" else _starting_target(args.g0, instance, opt)
     g0 = np.broadcast_to(g0, opt.shape)
@@ -496,11 +489,17 @@ def _write_csv(out: str | None, header: Sequence[str], rows: Sequence[Sequence[s
 def _spooled(out: str | None) -> Iterator[TextIO]:
     """A temporary file for the CSV, copied to ``out`` (or stdout) once the block succeeds.
 
-    A block that raises writes nothing.  The spool translates no newline and
-    round-trips any ``str``, so the copy is the text as written.
+    The spool encodes as its destination will, so text the destination cannot
+    take fails the block, and a failed block writes nothing.  No newline is
+    translated, so the copy is the text as written.
     """
-    with tempfile.TemporaryFile("w+", encoding="utf-8", errors="surrogatepass", newline="") as spool:
-        yield spool
+    encoding, errors = (sys.stdout.encoding, sys.stdout.errors) if out is None else (None, None)
+    with tempfile.TemporaryFile("w+", encoding=encoding, errors=errors, newline="") as spool:
+        try:
+            yield spool
+        except UnicodeEncodeError as exc:
+            where = "stdout" if out is None else f"--out {out!r}"
+            raise CliValidationError(f"cannot write the CSV to {where}: {exc}") from exc
         spool.seek(0)
         if out is None:
             shutil.copyfileobj(spool, sys.stdout)

@@ -26,11 +26,10 @@ EDGE_TOL = 1e-12
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
-PIECE_ZERO = "zero"
 PIECE_INV_SHIFTED = "reciprocal_2x_minus_1"
 PIECE_INV = "reciprocal_x"
 
-_PIECE_KINDS = (PIECE_ZERO, PIECE_INV_SHIFTED, PIECE_INV)
+_PIECE_KINDS = (PIECE_INV_SHIFTED, PIECE_INV)
 
 WEIGHT_ONE = "one"
 WEIGHT_X = "x"
@@ -51,22 +50,19 @@ ENVELOPE_TVD = "tvd"
 
 @dataclass(frozen=True)
 class DensityPiece:
-    """One smooth piece: pdf(x) = coefficient * kernel(kind) on [lo, hi)."""
+    """One smooth positive piece: pdf(x) = coefficient * kernel(kind) on [lo, hi)."""
 
     kind: str
     lo: float
     hi: float
-    coefficient: float = 0.0
+    coefficient: float
 
     def __post_init__(self) -> None:
         if self.kind not in _PIECE_KINDS:
             raise ValueError(f"unknown piece kind: {self.kind!r}")
         if not (0.5 - EDGE_TOL <= self.lo < self.hi <= 1.0 + EDGE_TOL):
             raise ValueError(f"piece [{self.lo}, {self.hi}] not inside [1/2, 1]")
-        if self.kind == PIECE_ZERO:
-            if self.coefficient != 0.0:
-                raise ValueError("zero piece with nonzero coefficient")
-        elif not (self.coefficient > 0.0):
+        if not (self.coefficient > 0.0):
             raise ValueError(f"coefficient must be positive: {self.coefficient!r}")
         if self.kind == PIECE_INV_SHIFTED and self.lo <= 0.5:
             raise ValueError("kernel 1/(2x-1) needs lo > 1/2")
@@ -76,14 +72,14 @@ class DensityPiece:
 class DensitySpec:
     """A density on [1/2, 1], or a single point mass.
 
-    ``pieces`` must partition [1/2, 1] contiguously and integrate to one.
+    ``pieces`` are the density's positive pieces, sorted and not
+    overlapping; the density is zero off them.  They must integrate to one.
     A point-mass spec carries no pieces; it represents the deterministic
     choice of the target fraction and is exempt from the pdf machinery.
     """
 
     name: str
     pieces: tuple[DensityPiece, ...]
-    c: float | None = None
     gamma: float | None = None
     point_mass: float | None = None
 
@@ -98,16 +94,17 @@ class DensitySpec:
             return
         if not self.pieces:
             raise ValueError("density needs pieces or a point mass")
-        if abs(self.pieces[0].lo - 0.5) > EDGE_TOL:
-            raise ValueError("pieces must start at 1/2")
-        if abs(self.pieces[-1].hi - 1.0) > EDGE_TOL:
-            raise ValueError("pieces must end at 1")
         for left, right in zip(self.pieces, self.pieces[1:]):
-            if left.hi != right.lo:
-                raise ValueError("pieces must be contiguous")
+            if right.lo < left.hi:
+                pair = f"[{left.lo}, {left.hi}] then [{right.lo}, {right.hi}]"
+                raise ValueError(f"pieces must be sorted and must not overlap: {pair}")
         mass = sum(_piece_integral(p, WEIGHT_ONE, p.lo, p.hi) for p in self.pieces)
         if abs(mass - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"density mass {mass!r} is not 1")
+
+    @property
+    def c(self) -> float | None:  # the left edge of the positive part
+        return self.pieces[0].lo if self.pieces else None
 
 
 class GuaranteeCheck(NamedTuple):
@@ -164,11 +161,7 @@ def rho_656() -> DensitySpec:
     c, gamma = solve_c_656()
     return DensitySpec(
         name="rho-656",
-        pieces=(
-            DensityPiece(PIECE_ZERO, 0.5, c),
-            DensityPiece(PIECE_INV_SHIFTED, c, 1.0, gamma),
-        ),
-        c=c,
+        pieces=(DensityPiece(PIECE_INV_SHIFTED, c, 1.0, gamma),),
         gamma=gamma,
     )
 
@@ -179,11 +172,9 @@ def rho_732() -> DensitySpec:
     return DensitySpec(
         name="rho-732",
         pieces=(
-            DensityPiece(PIECE_ZERO, 0.5, c),
             DensityPiece(PIECE_INV_SHIFTED, c, 2.0 / 3.0, gamma),
             DensityPiece(PIECE_INV, 2.0 / 3.0, 1.0, 2.0 * gamma),
         ),
-        c=c,
         gamma=gamma,
     )
 
@@ -197,7 +188,7 @@ def _piece_integral(piece: DensityPiece, weight: str, lo: float, hi: float) -> f
     """Closed-form integral of weight(x) * pdf over [lo, hi] ∩ piece."""
     a = max(lo, piece.lo)
     b = min(hi, piece.hi)
-    if b <= a or piece.kind == PIECE_ZERO:
+    if b <= a:
         return 0.0
     k = piece.coefficient
 
@@ -241,8 +232,7 @@ def density_cdf(spec: DensitySpec, x: float | np.ndarray) -> float | np.ndarray:
     Pieces add their terms in piece order, as ``integrate_weighted`` sums
     them.  A piece wholly below x adds its whole integral, computed once, and
     the partial piece takes ``math.log`` of each entry.  The exact 0.0 term of
-    a zero piece, or of a piece wholly above x, would leave the sum as it is,
-    so it is not added.
+    a piece wholly above x would leave the sum as it is, so it is not added.
     """
     xs = np.asarray(x, dtype=float)
     if spec.point_mass is not None:
@@ -251,8 +241,6 @@ def density_cdf(spec: DensitySpec, x: float | np.ndarray) -> float | np.ndarray:
         top = np.minimum(xs, 1.0)
         cdf = np.zeros(xs.shape)
         for piece in spec.pieces:
-            if piece.kind == PIECE_ZERO:
-                continue
             cdf[top >= piece.hi] += _piece_integral(piece, WEIGHT_ONE, 0.5, piece.hi)
             a = max(0.5, piece.lo)
             part = (a < top) & (top < piece.hi)
@@ -296,11 +284,11 @@ def verify_guarantee(spec: DensitySpec, lower_envelope: str) -> GuaranteeCheck:
     overestimation floor applies: 1-x under tva, max(1-x, x/2) under tvd.
     With F(y) that bound, F' = (2y-1)ρ, or (y/2)ρ above 2/3 under tvd, and
     (F/y)' has the sign of G = yF' - F, where G' = yF''.  Per piece, cut at
-    2/3 under tvd: a zero piece keeps F constant, so F/y falls; coef/(2y-1)
-    below the cut and coef/y above it make F affine, so F/y is monotone;
-    coef/(2y-1) above 2/3 has F'' < 0, so F/y rises, then falls; coef/y
-    below the cut has F'' > 0, so F/y falls, then rises, bottoming out at
-    yF' = F, y* = lo exp(F(lo)/coef - 2 lo + 1).  F is continuous, so the
+    2/3 under tvd: coef/(2y-1) below the cut and coef/y above it make F
+    affine, so F/y is monotone; coef/(2y-1) above 2/3 has F'' < 0, so F/y
+    rises, then falls; coef/y below the cut has F'' > 0, so F/y falls, then
+    rises, bottoming out at yF' = F, y* = lo exp(F(lo)/coef - 2 lo + 1).  F is
+    constant off the pieces, so F/y falls there.  F is continuous, so the
     minimum is at 1/2, 1, a piece edge, 2/3 (tvd) or a y* inside its piece.
     A point mass p makes F/y fall on [1/2, p) and on [p, 1]: the infimum is
     at 1/2, at 1, or the left limit floor(p)/p at y = p, never attained.

@@ -198,6 +198,18 @@ def _lane_inverse_target(tables: BoxTables, boxes: np.ndarray, g_prev: np.ndarra
     return np.where(tables.mean[boxes] >= target, 0.0, x)
 
 
+def _lane_jump_target(tables: BoxTables, boxes: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """The g above which ``_lane_inverse_target`` of row ``boxes[i]`` passes each level of row i.
+
+    Up to rounding, inverse_target(d, g) > y exactly when g > E[max(v, y)] + TARGET_SLACK.
+    """
+    atoms = tables.values[boxes]
+    # Atoms below each level, as bisect_left counts them; +inf pads never are.
+    idx = sum(atoms[:, k, None] < levels for k in range(atoms.shape[1]))
+    rows = boxes[:, None]
+    return levels * tables.head_mass[rows, idx] + tables.tail_mean[rows, idx] + TARGET_SLACK
+
+
 def max_distribution(dists: Sequence[DiscreteDistribution]) -> DiscreteDistribution:
     """Distribution of the maximum of independent draws, one per input.
 

@@ -1,4 +1,4 @@
-"""Shared fixtures: deterministic random instance generation.
+"""Shared fixtures: deterministic random instance generation, and test densities.
 
 Instances drawn here keep every atom probability at least MIN_ATOM_PROB so
 exact recursions stay well conditioned, and values on a modest range so
@@ -13,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from ocselect import Box, DiscreteDistribution, Instance
+from ocselect import Box, DensityPiece, DensitySpec, DiscreteDistribution, Instance
+from ocselect.densities import PIECE_INV, PIECE_INV_SHIFTED
 
 MIN_ATOM_PROB = 0.02
 
@@ -52,6 +53,28 @@ def distinct_atoms_instance() -> Instance:
     instance = Instance(tuple(boxes))
     assert len({v for d in instance.dists for v in d.values}) == 3000
     return instance
+
+
+def gapped_density() -> DensitySpec:
+    """Half the mass as coef/(2x-1) on [0.55, 0.6], half as coef/x on [0.7, 1]; none between."""
+    return DensitySpec(
+        "gapped",
+        (
+            DensityPiece(PIECE_INV_SHIFTED, 0.55, 0.6, 1.0 / math.log(2.0)),
+            DensityPiece(PIECE_INV, 0.7, 1.0, 0.5 / math.log(1.0 / 0.7)),
+        ),
+    )
+
+
+def short_density() -> DensitySpec:
+    """Half the mass as coef/(2x-1) on [0.55, 2/3], half as coef/x on [2/3, 0.9]; none above."""
+    return DensitySpec(
+        "short",
+        (
+            DensityPiece(PIECE_INV_SHIFTED, 0.55, 2.0 / 3.0, 1.0 / math.log(10.0 / 3.0)),
+            DensityPiece(PIECE_INV, 2.0 / 3.0, 0.9, 0.5 / math.log(1.35)),
+        ),
+    )
 
 
 def all_orders(instance: Instance):

@@ -25,7 +25,7 @@ from ocselect import (
     ThresholdChoice,
 )
 from ocselect.benchmarks import ArrivalOrder, order_indices, prophet_value
-from ocselect.densities import PIECE_ZERO, WEIGHT_ONE, integrate_weighted
+from ocselect.densities import WEIGHT_ONE, integrate_weighted
 from ocselect.distributions import PROB_TOL, TARGET_SLACK
 from ocselect.policies import EXACT_POLICIES, PolicyError, _mix
 
@@ -356,8 +356,7 @@ def _mixture_pieces(
     prophet = prophet_value(instance)
     if density.point_mass is not None:
         return [1.0], [density.point_mass * prophet]
-    positive = [p for p in density.pieces if p.kind != PIECE_ZERO]
-    lo, hi = positive[0].lo, positive[-1].hi
+    lo, hi = density.pieces[0].lo, density.pieces[-1].hi
     dists = [instance.dists[b] for b in boxes]
     cuts = value_cuts(dists, emax_after, policy_kind, hi * prophet)
     edges = [lo, *(y / prophet for y in cuts if y > lo * prophet), hi]

@@ -44,7 +44,7 @@ from ocselect import (
     verify_guarantee,
 )
 from ocselect.benchmarks import order_indices
-from ocselect.cli import LANE_CHUNK, main
+from ocselect.cli import main
 from ocselect.policies import (
     PolicyState,
     lane_randomized_values,
@@ -186,7 +186,7 @@ class TestCriterion4RandomizedGuarantees:
             opt = lane_values("opt", instance, perm, np.arange(len(perm)), None).stages[:, 0]
             perm, opt = perm[opt > 0.0], opt[opt > 0.0]
             for spec, kind in picks:
-                values = lane_randomized_values(instance, perm, spec, kind, LANE_CHUNK)
+                values = lane_randomized_values(instance, perm, spec, kind)
                 for value, order_opt in zip(values, opt.tolist()):
                     worst[spec.name] = min(worst[spec.name], value / order_opt)
         for spec, _ in picks:

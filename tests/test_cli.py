@@ -559,6 +559,27 @@ class TestEvalValidation:
         assert captured.out == "" and captured.err.count("outside [0, 1]") == 2
         assert out.read_bytes() == b"earlier,report\r\n\xff"
 
+    def test_unencodable_id_leaves_out_and_stdout_untouched(self, capsys, tmp_path):
+        # A lone surrogate is valid JSON, but no strict encoder takes it.
+        boxes = [
+            {"id": "x\ud800", "atoms": [[1.0, 1.0]]},
+            {"id": "y", "atoms": [[0.0, 0.5], [2.0, 0.5]]},
+        ]
+        path = write_instance(tmp_path, "surrogate.json", boxes)
+        assert load_instance(path).ids == ("x\ud800", "y")
+        out = tmp_path / "report.csv"
+        out.write_bytes(b"earlier,report\r\n\xff")
+        argv = ["eval", "--instance", path, "--policy", "tva", "--g0", "auto"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert out.read_bytes() == b"earlier,report\r\n\xff"
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: cannot write the CSV to --out")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: cannot write the CSV to stdout")
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
+from conftest import gapped_density, short_density
 from ocselect import (
     DensityPiece,
     DensitySpec,
@@ -24,8 +25,9 @@ from ocselect import (
 from ocselect.densities import (
     ENVELOPE_TVA,
     ENVELOPE_TVD,
+    PIECE_INV,
     PIECE_INV_SHIFTED,
-    PIECE_ZERO,
+    _WEIGHTS,
     _envelope_integral,
 )
 
@@ -62,9 +64,9 @@ class TestConstants732:
 
 
 def pdf(spec: DensitySpec, x: float) -> float:
-    """The density at x from its pieces' closed forms; pieces are [lo, hi)."""
-    piece = next(p for p in spec.pieces if p.lo <= x < p.hi or x == p.hi == 1.0)
-    if piece.kind == PIECE_ZERO:
+    """The density at x from its pieces' closed forms; pieces are [lo, hi), 0.0 off them."""
+    piece = next((p for p in spec.pieces if p.lo <= x < p.hi or x == p.hi == 1.0), None)
+    if piece is None:
         return 0.0
     return piece.coefficient / (2.0 * x - 1.0 if piece.kind == PIECE_INV_SHIFTED else x)
 
@@ -98,24 +100,49 @@ class TestNormalization:
         assert mass == pytest.approx(1.0, abs=1e-8)
 
     def test_spec_validation_rejects_bad_mass(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="is not 1"):
             DensitySpec(
                 name="broken",
-                pieces=(
-                    DensityPiece("zero", 0.5, 0.75),
-                    DensityPiece("reciprocal_x", 0.75, 1.0, coefficient=1.0),
-                ),
+                pieces=(DensityPiece("reciprocal_x", 0.75, 1.0, coefficient=1.0),),
             )
 
-    def test_pieces_must_tile_the_interval(self):
-        with pytest.raises(ValueError):
+    def test_pieces_must_not_overlap(self):
+        with pytest.raises(ValueError, match="must not overlap"):
             DensitySpec(
-                name="gappy",
+                name="overlapping",
                 pieces=(
-                    DensityPiece("zero", 0.5, 0.7),
+                    DensityPiece("reciprocal_x", 0.7, 0.85, coefficient=3.47),
                     DensityPiece("reciprocal_x", 0.8, 1.0, coefficient=3.47),
                 ),
             )
+
+    def test_pieces_must_be_sorted(self):
+        late, early = gapped_density().pieces[::-1]
+        with pytest.raises(ValueError, match="pieces must be sorted"):
+            DensitySpec(name="unsorted", pieces=(late, early))
+
+    def test_zero_is_not_a_piece_kind(self):
+        with pytest.raises(ValueError, match="unknown piece kind: 'zero'"):
+            DensityPiece("zero", 0.5, 0.55, coefficient=1.0)
+
+
+ZERO_STRETCHES = [gapped_density(), short_density()]
+
+
+class TestZeroOffThePieces:
+    """A gap between two pieces, and a last piece that ends below 1."""
+
+    @pytest.mark.parametrize("spec", ZERO_STRETCHES, ids=lambda spec: spec.name)
+    @pytest.mark.parametrize("weight", list(_WEIGHTS))
+    def test_nothing_off_the_pieces(self, spec, weight):
+        # Off the pieces: from 1/2 to the first, across the gap, past the end.
+        edges = [0.5, *(e for p in spec.pieces for e in (p.lo, p.hi)), 1.0]
+        for a, b in zip(edges[::2], edges[1::2]):
+            assert integrate_weighted(spec, weight, a, b) == 0.0
+            assert density_cdf(spec, np.array([a, b])).tolist() == [density_cdf(spec, a)] * 2
+        pieces = [integrate_weighted(spec, weight, p.lo, p.hi) for p in spec.pieces]
+        assert integrate_weighted(spec, weight, 0.5, 1.0) == sum(pieces)
+        assert all(part > 0.0 for part in pieces)
 
 
 class TestVerifyGuarantee:
@@ -155,14 +182,11 @@ def dense_scan(spec, envelope, points=200_001):
 
 
 def reciprocal_tail(lo):
-    """Zero on [1/2, lo), coef/x on [lo, 1]: under tva, F/y has an interior minimum."""
+    """coef/x on [lo, 1], zero below: under tva, F/y has an interior minimum."""
     coefficient = 1.0 / math.log(1.0 / lo)
     return DensitySpec(
         name=f"reciprocal-from-{lo}",
-        pieces=(
-            DensityPiece("zero", 0.5, lo),
-            DensityPiece("reciprocal_x", lo, 1.0, coefficient=coefficient),
-        ),
+        pieces=(DensityPiece("reciprocal_x", lo, 1.0, coefficient=coefficient),),
     )
 
 
@@ -175,8 +199,22 @@ class TestGuaranteeAgainstDenseScan:
             (rho_656, ENVELOPE_TVD),
             (functools.partial(reciprocal_tail, 0.55), ENVELOPE_TVA),
             (functools.partial(reciprocal_tail, 0.55), ENVELOPE_TVD),
+            (gapped_density, ENVELOPE_TVA),
+            (gapped_density, ENVELOPE_TVD),
+            (short_density, ENVELOPE_TVA),
+            (short_density, ENVELOPE_TVD),
         ],
-        ids=["656-tva", "732-tvd", "656-tvd", "reciprocal-tva", "reciprocal-tvd"],
+        ids=[
+            "656-tva",
+            "732-tvd",
+            "656-tvd",
+            "reciprocal-tva",
+            "reciprocal-tvd",
+            "gapped-tva",
+            "gapped-tvd",
+            "short-tva",
+            "short-tvd",
+        ],
     )
     def test_density_minimum_is_a_breakpoint_value(self, spec_factory, envelope):
         spec = spec_factory()
@@ -236,7 +274,7 @@ def cdf_probes(spec: DensitySpec) -> list[float]:
 
 
 class TestArrayCdf:
-    @pytest.mark.parametrize("spec_factory", [rho_656, rho_732])
+    @pytest.mark.parametrize("spec_factory", [rho_656, rho_732, gapped_density, short_density])
     def test_equals_the_scalar_reference_bit_for_bit(self, spec_factory):
         spec = spec_factory()
         xs = cdf_probes(spec)

@@ -15,7 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_reference as ref
-from conftest import all_orders, distinct_atoms_instance, g0_grid, random_instance
+from conftest import (
+    all_orders,
+    distinct_atoms_instance,
+    g0_grid,
+    gapped_density,
+    random_instance,
+    short_density,
+)
 from ocselect import (
     Box,
     DensitySpec,
@@ -43,12 +50,12 @@ from ocselect import (
 )
 from ocselect import distributions, policies
 from ocselect.benchmarks import order_indices
-from ocselect.cli import LANE_CHUNK
-from ocselect.densities import PHI, PIECE_INV, PIECE_ZERO, DensityPiece
+from ocselect.densities import PHI, PIECE_INV, DensityPiece
 from ocselect.distributions import TARGET_SLACK, inverse_cdf, inverse_target
 from ocselect.policies import (
     CONSERVATIVE,
     TARGETED,
+    LANE_CHUNK,
     TERMINATED,
     lane_randomized_values,
     lane_values,
@@ -427,8 +434,7 @@ class TestValueProfile:
         # over the 24 orders when every stage kept all of its levels.
         inst = load_instance(DATA_DIR / "four_box.json")
         spec = rho_732()
-        positive = [p for p in spec.pieces if p.kind != "zero"]
-        lo, hi = positive[0].lo * prophet_value(inst), positive[-1].hi * prophet_value(inst)
+        lo, hi = spec.pieces[0].lo * prophet_value(inst), spec.pieces[-1].hi * prophet_value(inst)
         pieces = sum(
             1 + sum(y > lo for y in cuts_of(inst, order, "tvd", hi))
             for order in all_orders(inst)
@@ -527,8 +533,7 @@ class TestRandomizedValue:
         inst = random_instance(rng, 3, max_atoms=3)
         order = tuple(sorted(inst.ids))
         prophet = prophet_value(inst)
-        positive = [p for p in spec.pieces if p.kind != "zero"]
-        lo, hi = positive[0].lo, positive[-1].hi
+        lo, hi = spec.pieces[0].lo, spec.pieces[-1].hi
         cells = 4000
         xs = np.linspace(lo, hi, cells + 1).tolist()
         cdf = [density_cdf(spec, x) for x in xs]
@@ -547,7 +552,7 @@ class TestRandomizedValue:
         # Both kernels decrease, so each piece's sup is at its left end.
         sup_pdf = max(
             p.coefficient / (2.0 * p.lo - 1.0 if p.kind == "reciprocal_2x_minus_1" else p.lo)
-            for p in positive
+            for p in spec.pieces
         )
         bound = len(cuts) * jump * (hi - lo) / cells * sup_pdf / mass
         assert len(cuts) >= 1 and jump > 0.0
@@ -769,11 +774,17 @@ class TestOneLaneEvaluators:
 
 def high_density(lo: float = 0.9) -> DensitySpec:
     """All mass on [lo, 1]: g0 tops the optimum of many orders, so tvd switches."""
-    zero = DensityPiece(PIECE_ZERO, 0.5, lo)
-    return DensitySpec("high", (zero, DensityPiece(PIECE_INV, lo, 1.0, -1.0 / math.log(lo))))
+    return DensitySpec("high", (DensityPiece(PIECE_INV, lo, 1.0, -1.0 / math.log(lo)),))
 
 
-MIXTURE_DENSITIES = (rho_656(), rho_732(), point_density(1.0 / PHI), high_density())
+MIXTURE_DENSITIES = (
+    rho_656(),
+    rho_732(),
+    point_density(1.0 / PHI),
+    high_density(),
+    gapped_density(),
+    short_density(),
+)
 
 
 def mixture_instances() -> list[tuple[Instance, list]]:
@@ -796,7 +807,7 @@ def mixture_lanes(inst: Instance, orders, density: DensitySpec, kind: str):
 
 class TestLaneRandomizedValues:
     @pytest.mark.parametrize("kind", ["tva", "tvd"])
-    def test_equals_the_scalar_mixture(self, kind):
+    def test_equals_the_scalar_mixture(self, kind, monkeypatch):
         widest = 0
         for inst, orders in mixture_instances():
             perm = np.array([order_indices(inst, order) for order in orders])
@@ -804,33 +815,51 @@ class TestLaneRandomizedValues:
                 want = [ref.randomized_value(inst, order, density, kind) for order in orders]
                 # Three lanes per pass, so one order's pieces often span
                 # several passes, and the CLI's pass.
-                for max_lanes in (3, LANE_CHUNK):
-                    got = lane_randomized_values(inst, perm, density, kind, max_lanes)
+                for lanes in (3, LANE_CHUNK):
+                    monkeypatch.setattr(policies, "LANE_CHUNK", lanes)
+                    got = lane_randomized_values(inst, perm, density, kind)
                     assert list(got) == want
                 rows = mixture_lanes(inst, orders, density, kind)[1]
                 widest = max(widest, np.bincount(rows).max())
         assert widest > 3
 
-    def test_tvd_pieces_that_all_switch(self):
+    def test_tvd_pieces_that_all_switch(self, monkeypatch):
         # With mass on [0.9, 1] only, every piece of an order whose optimum lies
         # below 0.9 * prophet starts above it, and tvd switches on each.
         density, switched = high_density(), 0
+        monkeypatch.setattr(policies, "LANE_CHUNK", 3)
         for inst, orders in mixture_instances():
             perm, rows, g0 = mixture_lanes(inst, orders, density, "tvd")
             opt = lane_values("opt", inst, perm, np.arange(len(orders)), None).stages[:, 0]
             over = [i for i in range(len(orders)) if g0[rows == i].min() > opt[i]]
             lanes = lane_values("tvd", inst, perm, rows, g0)
             assert (lanes.switch_stage[np.isin(rows, over)] >= 0).all()
-            got = lane_randomized_values(inst, perm, density, "tvd", 3)
+            got = lane_randomized_values(inst, perm, density, "tvd")
             want = [ref.randomized_value(inst, order, density, "tvd") for order in orders]
             assert list(got) == want
             switched += len(over)
         assert switched >= 20
 
+    @pytest.mark.parametrize("kind", ["tva", "tvd"])
+    @pytest.mark.parametrize("density", [gapped_density(), short_density()], ids=lambda d: d.name)
+    def test_no_weight_off_the_pieces(self, density, kind):
+        # Cuts inside the gap make pieces of weight exactly 0.0; past the last
+        # piece's end no piece is made.
+        lo, hi = density.pieces[0].lo, density.pieces[-1].hi
+        empty = 0
+        for inst, orders in mixture_instances():
+            perm = np.array([order_indices(inst, order) for order in orders])
+            emax = policies._lane_emax_after(inst.suffix_tables, perm) if kind == "tvd" else None
+            pieces = policies._lane_mixture_pieces(inst, perm, emax, density, kind)
+            prophet = prophet_value(inst)
+            assert (lo * prophet < pieces.mids).all() and (pieces.mids < hi * prophet).all()
+            empty += int(np.count_nonzero(pieces.weights == 0.0))
+        assert (empty > 0) == (density.name == "gapped")
+
     def test_rejects_a_kind_without_a_mixture(self):
         perm = np.array([[0, 1]])
         with pytest.raises(ValueError, match="randomized mixture needs tva or tvd"):
-            list(lane_randomized_values(AB, perm, rho_732(), "sta", 8))
+            list(lane_randomized_values(AB, perm, rho_732(), "sta"))
 
 
 class TestMixturePieces:
@@ -894,9 +923,7 @@ class TestSharedOrderTables:
             lanes = lane_values("tvd", inst, perm[: rows[-1] + 1], rows, g0)
             _, peak = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            streamed = list(
-                lane_randomized_values(inst, perm, rho_732(), "tvd", LANE_CHUNK)
-            )
+            streamed = list(lane_randomized_values(inst, perm, rho_732(), "tvd"))
             _, stream_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
