@@ -13,18 +13,20 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple, Sequence
+from functools import cached_property, reduce
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .distributions import (
     BoxTables,
     DiscreteDistribution,
+    _atom_masses,
     _atom_rows,
     _cdf_row,
     _grid,
     _head_tail_sums,
+    _max_mean,
     as_probability,
     max_distribution,
 )
@@ -95,7 +97,7 @@ class Instance:
 
     @cached_property
     def suffix_tables(self) -> "SuffixTables":
-        return SuffixTables.build(self.dists)
+        return SuffixTables(self.dists)
 
 
 # An arrival order is a permutation of the instance's box ids.
@@ -111,26 +113,61 @@ def order_indices(instance: Instance, order: ArrivalOrder) -> list[int]:
     return [instance.index[box_id] for box_id in order]
 
 
-class SuffixTables(NamedTuple):
-    """The tables ``tvd`` folds suffixes of an order over, built only when it runs.
+class SuffixTables:
+    """The tables ``tvd`` reads E[max of the boxes still to come] and its switch threshold from.
 
-    ``cdf`` is each box's normalised CDF row on ``grid``, the sorted union of
-    every atom value, so a product of rows is the CDF ``max_distribution``
-    builds, carried flat between its own atoms.  Its size is boxes times
-    distinct values.  ``alone_tau`` is each box's best single threshold on
-    its own, picked in one call from every box's atoms, padded with zero mass.
+    Built only when ``tvd`` runs.  ``cdf`` is each box's normalised CDF row
+    on ``grid``, the sorted union of every atom value, so a product of rows
+    is the CDF ``max_distribution`` builds, carried flat between its own
+    atoms.  Its size is boxes times distinct values.  ``alone_tau`` is each
+    box's best single threshold on its own, picked in one call from every
+    box's atoms, padded with zero mass.  ``set_emax`` and ``set_tau`` hold
+    the two quantities for every set of boxes, indexed by its bitmask (bit b
+    for box b).  Each has 2**n entries and is built on its first read;
+    ``policies`` reads them only up to ENUMERATION_LIMIT boxes.
     """
 
-    grid: np.ndarray
-    cdf: np.ndarray
-    alone_tau: np.ndarray
-
-    @staticmethod
-    def build(dists: Sequence[DiscreteDistribution]) -> "SuffixTables":
-        grid = _grid(dists)
-        cdf = np.array([_cdf_row(d, grid) for d in dists])
+    def __init__(self, dists: Sequence[DiscreteDistribution]) -> None:
+        self.grid = _grid(dists)
+        self.cdf = np.array([_cdf_row(d, self.grid) for d in dists])
         # The raw probabilities, as ``max_distribution`` returns one input as is.
-        return SuffixTables(grid, cdf, _best_thresholds(*_atom_rows(dists))[0])
+        self.alone_tau = _best_thresholds(*_atom_rows(dists))[0]
+
+    @cached_property
+    def set_emax(self) -> np.ndarray:
+        """E[max] of each set: its CDF rows folded back to front in box order, highest first.
+
+        The empty set's entry is 0.0.  Each mean is a sequential sum over the
+        grid, where points outside the set's supports add an exact 0.0.
+        """
+        emax = _max_mean(self.grid, self._set_cdf(reversed(range(len(self.cdf)))))
+        emax[0] = 0.0
+        return emax
+
+    @cached_property
+    def set_tau(self) -> np.ndarray:
+        """``best_single_threshold`` of each set's boxes in box order, bit for bit.
+
+        The set's CDF rows are folded front to back, lowest box first, as
+        ``max_distribution`` folds its list, and the threshold is picked from
+        their atom masses.  A one-box set keeps ``alone_tau``, as
+        ``max_distribution`` returns its single input unchanged.  The empty
+        set's entry is never read.
+        """
+        tau = _best_thresholds(self.grid, _atom_masses(self._set_cdf(range(len(self.cdf)))))[0]
+        tau[1 << np.arange(len(self.cdf))] = self.alone_tau
+        return tau
+
+    def _set_cdf(self, boxes: Iterable[int]) -> np.ndarray:
+        """Each set's CDF, one row per bitmask: its boxes' rows multiplied in ``boxes`` order.
+
+        All sets fold in one pass: every row is multiplied by each box's CDF
+        row where the box is in the set, and by 1.0, which changes no bits,
+        where it is not.
+        """
+        n = len(self.cdf)
+        member = (np.arange(2**n)[:, None] & (1 << np.arange(n))) > 0
+        return reduce(np.multiply, (np.where(member[:, b, None], self.cdf[b], 1.0) for b in boxes))
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,7 @@ from .hardness import (
 )
 from .io import load_instance
 from .policies import (
+    ENUMERATION_LIMIT,
     EXACT_POLICIES,
     LANE_CHUNK,
     lane_randomized_values,
@@ -90,7 +91,6 @@ MIXTURES = {"656": ("tva", rho_656), "732": ("tvd", rho_732)}
 MIXTURE_POLICIES = {f"{kind}-rand-{key}": key for key, (kind, _) in MIXTURES.items()}
 POLICY_KINDS = EXACT_POLICIES + tuple(MIXTURE_POLICIES)
 
-ENUMERATION_LIMIT = 9
 SIMULATION_CHUNK = 10_000
 CERTIFICATE_TOL = 1e-8
 RATIO_SLACK = 1e-9

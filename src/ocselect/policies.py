@@ -62,6 +62,13 @@ EXACT_POLICIES = ("sta", "tva", "tvd")
 # 512 is slower on both; the wider chunks cost megabytes for a few percent.
 LANE_CHUNK = 1024
 
+# The most boxes whose orders ``eval --orders all`` lists without
+# --force-enumeration, and the most for which ``tvd`` reads E[max of the boxes
+# still to come] and its switch threshold from ``SuffixTables``' tables of
+# every set of boxes (at most 512 rows, fewer than one chunk's lanes).  Past
+# it, each lane folds its own suffixes.
+ENUMERATION_LIMIT = 9
+
 
 class PolicyError(ValueError):
     """A step machine was driven outside its contract."""
@@ -122,9 +129,10 @@ def tvd_step(
     the boxes still to come in arrival order.  Box ids, not distributions,
     because two boxes may share one distribution.  The switch test compares
     the updated target against E[max of the boxes still to come], the
-    stage-0 value of ``_lane_emax_after``; a tie stays targeted.  The
-    conservative threshold is ``_lane_switch_tau`` over all of ``boxes``,
-    and the switch is permanent.
+    stage-0 value of ``_lane_emax_after`` on ``boxes``; a tie stays
+    targeted.  The conservative threshold is ``_lane_switch_tau`` over all
+    of ``boxes``, and the switch is permanent.  Up to ENUMERATION_LIMIT
+    boxes both are read from the tables of the remaining set.
     """
     boxes = np.asarray(boxes)
     if boxes.ndim != 1 or len(boxes) == 0:
@@ -138,10 +146,7 @@ def tvd_step(
         return _advance(state, state.threshold, realized_value, CONSERVATIVE)
     g = float(_lane_inverse_target(instance.box_tables, boxes[:1], np.array([state.target]))[0])
     tables = instance.suffix_tables
-    future = 0.0
-    if len(boxes) > 1:
-        # The boxes still to come folded back to front, as ``_lane_emax_after`` folds them.
-        future = float(_max_mean(tables.grid, np.multiply.reduce(tables.cdf[boxes[:0:-1]])))
+    future = float(_lane_emax_after(tables, boxes[None])[0, 0])
     if g <= future:
         return _advance(state, g, realized_value, TARGETED, target=g)
     tau = float(_lane_switch_tau(tables, boxes[None])[0])
@@ -235,12 +240,15 @@ def lane_values(
     g_t = inverse_target(d_t, g_{t-1}).  ``tvd`` walks the same targets until
     the first g_t above emax_after[t], E[max of the boxes after stage t]; from
     that switch stage on it accepts at the best single threshold over the
-    remaining boxes.  Many lanes may share one order: ``tvd``'s emax_after
-    table is built once per row of ``perm`` (or taken from the caller, one
-    row per row of ``perm``) and its switch threshold once per (row, switch
-    stage), then gathered per lane.  Each stage is one numpy pass over all
-    lanes that repeats, in the same order, the IEEE operations of the
-    one-order reference evaluators in ``tests/scalar_reference.py``.
+    remaining boxes.  Both come from ``_lane_emax_after`` and
+    ``_lane_switch_tau``: up to ENUMERATION_LIMIT boxes they are read from
+    the tables of the remaining set, so they depend on which boxes remain
+    and not on their order.  Many lanes may share one order: ``tvd``'s
+    emax_after table is built once per row of ``perm`` (or taken from the
+    caller, one row per row of ``perm``) and its switch threshold once per
+    (row, switch stage), then gathered per lane.  Each stage is one numpy
+    pass over all lanes that repeats, in the same order, the IEEE operations
+    of the one-order reference evaluators in ``tests/scalar_reference.py``.
     """
     if policy_kind not in ("opt", *EXACT_POLICIES):
         raise PolicyError(f"unknown policy kind: {policy_kind!r}")
@@ -291,11 +299,18 @@ def lane_values(
 def _lane_emax_after(tables: SuffixTables, perm: np.ndarray) -> np.ndarray:
     """``emax_after`` of every lane: E[max of the boxes after stage t].
 
-    One back-to-front fold of the lanes' CDF rows, as ``tvd_step`` folds one
-    order's.  Each mean is a sequential sum over the grid, where points
+    Up to ENUMERATION_LIMIT boxes, ``tables.set_emax`` at each lane's
+    remaining set after stage t: the back-to-front fold of the set's CDF rows
+    in box order, the fold below on a lane whose remaining boxes arrive in
+    box order.  Past it, one back-to-front fold of the lanes' CDF rows in
+    arrival order.  Each mean is a sequential sum over the grid, where points
     outside the suffix's supports add an exact 0.0.
     """
     lanes, n = perm.shape
+    if len(tables.cdf) <= ENUMERATION_LIMIT:
+        after = np.zeros_like(perm)
+        after[:, :-1] = np.bitwise_or.accumulate(1 << perm[:, :0:-1], axis=1)[:, ::-1]
+        return tables.set_emax[after]
     out = np.zeros((lanes, n))
     rows = (tables.cdf[perm[:, t]] for t in range(n - 1, 0, -1))
     for t, running in zip(range(n - 2, -1, -1), accumulate(rows, np.multiply)):
@@ -304,14 +319,19 @@ def _lane_emax_after(tables: SuffixTables, perm: np.ndarray) -> np.ndarray:
 
 
 def _lane_switch_tau(tables: SuffixTables, suffix: np.ndarray) -> np.ndarray:
-    """``best_single_threshold(dists).tau`` over each row's boxes, bit for bit.
+    """The best single threshold over each row's boxes.
 
-    The rows' CDFs are folded front to back as ``max_distribution`` folds
+    Up to ENUMERATION_LIMIT boxes, ``tables.set_tau`` at the row's set:
+    ``best_single_threshold`` of its boxes in box order, bit for bit.  Past
+    it, ``best_single_threshold(dists).tau`` of the boxes in the row's order:
+    the rows' CDFs are folded front to back as ``max_distribution`` folds
     them, and the threshold is picked from their atom masses, which hold an
     exact 0.0 at grid points outside the suffix's supports.  A one-box
     suffix keeps the box's raw probabilities, as ``max_distribution``
     returns its single input unchanged.
     """
+    if len(tables.cdf) <= ENUMERATION_LIMIT:
+        return tables.set_tau[np.bitwise_or.reduce(1 << suffix, axis=1)]
     if suffix.shape[1] == 1:
         return tables.alone_tau[suffix[:, 0]]
     running = reduce(np.multiply, (tables.cdf[suffix[:, t]] for t in range(suffix.shape[1])))
@@ -430,7 +450,8 @@ def _lane_mixture_pieces(
     ``emax_after`` its rows of ``_lane_emax_after`` (``tvd`` only).  The
     value is piecewise constant in g0 (see ``_lane_value_cuts``): each piece
     is weighted by its mass under the analytic density CDF and valued at its
-    midpoint.  A point mass is one piece of weight 1.
+    midpoint.  A piece of weight exactly 0.0, between two cuts inside a gap
+    of the density, is dropped.  A point mass is one piece of weight 1.
     """
     prophet = prophet_value(instance)
     orders = len(perm)
@@ -446,12 +467,15 @@ def _lane_mixture_pieces(
     edges = np.concatenate((np.full(ends.shape, lo), cuts / prophet, np.full(ends.shape, hi)), 1)
     edges = edges[np.concatenate((ends, inside, ends), axis=1)]
     cdf = density_cdf(density, edges)
-    # Every pair of neighbouring edges but an order's last edge and the next one's first.
-    within = np.ones(len(edges) - 1, dtype=bool)
-    within[np.cumsum(counts + 1)[:-1] - 1] = False
-    weights = (cdf[1:] - cdf[:-1])[within]
+    weights = cdf[1:] - cdf[:-1]
+    # Every pair of neighbouring edges but an order's last edge and the next
+    # one's first, where the density has mass between the two.
+    starts = np.cumsum(counts + 1) - counts - 1
+    within = weights != 0.0
+    within[starts[1:] - 1] = False
+    counts = np.add.reduceat(within, starts, dtype=int)
     mids = (0.5 * (edges[:-1] + edges[1:]) * prophet)[within]
-    return MixturePieces(counts, weights, mids)
+    return MixturePieces(counts, weights[within], mids)
 
 
 def _mix(weights: list[float], values: list[float]) -> float:

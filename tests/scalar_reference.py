@@ -7,7 +7,10 @@ over its atoms, and each policy walks one arrival order through those tables
 and the one-segment solve of ``inverse_target``.  The table builder, the
 folds and the lane pass in ``ocselect`` repeat the same IEEE operations in
 the same order, so the tests compare the two under ``==``, every field of
-each ``EvaluationResult`` included.
+each ``EvaluationResult`` included.  ``tvd``'s E[max of the boxes still to
+come] and switch threshold fold the remaining boxes in the order
+``remaining`` gives: box order on up to ENUMERATION_LIMIT boxes, where the
+package reads them from tables of every set, and arrival order past it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from ocselect import (
 from ocselect.benchmarks import ArrivalOrder, order_indices, prophet_value
 from ocselect.densities import WEIGHT_ONE, integrate_weighted
 from ocselect.distributions import PROB_TOL, TARGET_SLACK
-from ocselect.policies import EXACT_POLICIES, PolicyError, _mix
+from ocselect.policies import ENUMERATION_LIMIT, EXACT_POLICIES, PolicyError, _mix
 
 
 def as_probability(p: float) -> float:
@@ -216,9 +219,30 @@ def ordered_dists(instance: Instance, order: ArrivalOrder) -> tuple[DiscreteDist
     return tuple(instance.dists[i] for i in order_indices(instance, order))
 
 
-def emax_after(dists: Sequence[DiscreteDistribution]) -> list[float]:
-    """emax_after[t] = E[max of the boxes strictly after stage t]."""
-    return suffix_expected_max(dists[1:])
+def remaining(instance: Instance, boxes: Sequence[int]) -> list[DiscreteDistribution]:
+    """The distributions of ``boxes`` in the order ``tvd`` folds them.
+
+    Up to ENUMERATION_LIMIT boxes that is box order, so the fold depends only
+    on which boxes remain; past it, the order of ``boxes``.
+    """
+    if instance.n <= ENUMERATION_LIMIT:
+        boxes = sorted(boxes)
+    return [instance.dists[b] for b in boxes]
+
+
+def emax_after(instance: Instance, boxes: Sequence[int]) -> list[float]:
+    """emax_after[t] = E[max of the boxes strictly after stage t], each folded back to front.
+
+    ``boxes`` holds indices into ``instance.boxes`` in arrival order.
+    """
+    if instance.n > ENUMERATION_LIMIT:
+        return suffix_expected_max(remaining(instance, boxes[1:]))
+    return [_set_expected_max(instance, frozenset(boxes[t + 1 :])) for t in range(len(boxes))]
+
+
+@cache
+def _set_expected_max(instance: Instance, boxes: frozenset[int]) -> float:
+    return suffix_expected_max(remaining(instance, boxes))[0]
 
 
 def threshold_run_values(
@@ -242,31 +266,33 @@ class Thresholds(NamedTuple):
 
 
 def stage_thresholds(
-    policy_kind: str, g0: float, dists: Sequence[DiscreteDistribution]
+    policy_kind: str, g0: float, instance: Instance, boxes: Sequence[int]
 ) -> Thresholds:
     """Acceptance threshold of each stage, with the targets walked to get there.
 
-    ``sta`` accepts at g0 at every stage.  ``tva`` accepts at each target of
-    the walk g_t = inverse_target(d_t, g_{t-1}).  ``tvd`` walks the same
-    targets until the first g_t above emax_after[t]; from that switch stage on
-    it accepts at the best single threshold over the remaining boxes.
+    ``boxes`` holds indices into ``instance.boxes`` in arrival order.  ``sta``
+    accepts at g0 at every stage.  ``tva`` accepts at each target of the walk
+    g_t = inverse_target(d_t, g_{t-1}).  ``tvd`` walks the same targets until
+    the first g_t above emax_after[t]; from that switch stage on it accepts at
+    the best single threshold over the remaining boxes, taken in the order
+    ``remaining`` gives.
     """
     if policy_kind not in EXACT_POLICIES:
         raise PolicyError(f"unknown policy kind: {policy_kind!r}")
     if not (g0 >= 0.0):
         what = "threshold" if policy_kind == "sta" else "initial target"
         raise ValueError(f"{what} must be >= 0: {g0!r}")
-    n = len(dists)
+    n = len(boxes)
     if policy_kind == "sta":
         return Thresholds([g0] * n, [], None)
-    levels = emax_after(dists) if policy_kind == "tvd" else None
+    levels = emax_after(instance, boxes) if policy_kind == "tvd" else None
     targets: list[float] = []
     g = g0
-    for t, d in enumerate(dists):
-        g = inverse_target(d, g)
+    for t, b in enumerate(boxes):
+        g = inverse_target(instance.dists[b], g)
         targets.append(g)
         if levels is not None and g > levels[t]:
-            tau = best_single_threshold(dists[t:]).tau
+            tau = best_single_threshold(remaining(instance, boxes[t:])).tau
             return Thresholds(targets[:t] + [tau] * (n - t), targets, t)
     return Thresholds(targets, targets, None)
 
@@ -283,14 +309,14 @@ def opt_online(instance: Instance, order: ArrivalOrder) -> EvaluationResult:
 
 def sta_exact(instance: Instance, order: ArrivalOrder, tau: float) -> EvaluationResult:
     dists = ordered_dists(instance, order)
-    plan = stage_thresholds("sta", tau, dists)
+    plan = stage_thresholds("sta", tau, instance, order_indices(instance, order))
     return EvaluationResult("sta", threshold_run_values(dists, plan.per_stage), threshold=tau)
 
 
 def exact(policy_kind: str, instance: Instance, order: ArrivalOrder, g0: float) -> EvaluationResult:
     """``tva_exact`` or ``tvd_exact``, one stage at a time."""
     dists = ordered_dists(instance, order)
-    plan = stage_thresholds(policy_kind, g0, dists)
+    plan = stage_thresholds(policy_kind, g0, instance, order_indices(instance, order))
     switch = plan.switch_stage
     return EvaluationResult(
         policy_kind,
@@ -361,17 +387,21 @@ def _mixture_pieces(
     cuts = value_cuts(dists, emax_after, policy_kind, hi * prophet)
     edges = [lo, *(y / prophet for y in cuts if y > lo * prophet), hi]
     cdf = [density_cdf(density, x) for x in edges]
-    weights = [b - a for a, b in zip(cdf, cdf[1:])]
-    mids = [0.5 * (a + b) * prophet for a, b in zip(edges, edges[1:])]
-    return weights, mids
+    # A piece between two cuts inside a gap of the density weighs 0.0 and is dropped.
+    pieces = [
+        (b - a, 0.5 * (x + y) * prophet)
+        for a, b, x, y in zip(cdf, cdf[1:], edges, edges[1:])
+        if b - a != 0.0
+    ]
+    return [w for w, _ in pieces], [m for _, m in pieces]
 
 
 def randomized_value(
     instance: Instance, order: ArrivalOrder, density: DensitySpec, policy_kind: str = "tvd"
 ) -> float:
     """The mixture over the same pieces, each valued by the scalar evaluator at its midpoint."""
-    dists = ordered_dists(instance, order)
     boxes = order_indices(instance, order)
-    weights, mids = _mixture_pieces(instance, boxes, emax_after(dists), density, policy_kind)
+    emax = emax_after(instance, boxes)
+    weights, mids = _mixture_pieces(instance, boxes, emax, density, policy_kind)
     evaluate = EVALUATORS[policy_kind]
     return _mix(weights, [evaluate(instance, order, g0).total for g0 in mids])

@@ -8,6 +8,8 @@ import math
 import re
 import sys
 import tracemalloc
+from fractions import Fraction
+from itertools import combinations, permutations
 from pathlib import Path
 
 import numpy as np
@@ -181,9 +183,8 @@ class TestStepAgreesWithEvaluator:
         stages = 0
         for _ in range(300):
             inst = random_instance(rng, int(rng.integers(2, 7)))
-            dists = inst.dists
             with_zero = Instance((*inst.boxes, Box("zero", ZERO)))
-            emax_after = ref.emax_after(dists)
+            emax_after = ref.emax_after(inst, list(range(inst.n)))
             for t, level in enumerate(emax_after):
                 stages += 1
                 g = through_zero_box(level)
@@ -677,11 +678,11 @@ class TestLaneValues:
             tables = inst.suffix_tables
             emax_after = policies._lane_emax_after(tables, perm)
             for row, order in zip(emax_after.tolist(), orders):
-                assert row == ref.emax_after(ref.ordered_dists(inst, order))
+                assert row == ref.emax_after(inst, order_indices(inst, order))
             for s in range(inst.n):
                 taus = policies._lane_switch_tau(tables, perm[:, s:]).tolist()
                 assert taus == [
-                    ref.best_single_threshold([inst.dists[i] for i in row[s:]]).tau
+                    ref.best_single_threshold(ref.remaining(inst, row[s:])).tau
                     for row in perm.tolist()
                 ]
 
@@ -693,6 +694,161 @@ class TestLaneValues:
             lane_values("sta", AB, perm, np.arange(2), np.array([math.nan, 1.0]))
         with pytest.raises(PolicyError):
             lane_values("nope", AB, perm, np.arange(2), np.zeros(2))
+
+
+def set_mask(boxes) -> int:
+    return sum(1 << b for b in boxes)
+
+
+def set_rows(n: int, size: int) -> np.ndarray:
+    """Every set of ``size`` of ``n`` boxes, one row each, its boxes in box order."""
+    return np.array(list(combinations(range(n), size)), dtype=int).reshape(-1, size)
+
+
+# Allowance, in ulps of the exact value, for a set's E[max] from the table or
+# from any arrival-order fold, and for how far the exact bound at the table's
+# switch threshold falls below the best one.  Each atom mass is a difference
+# of rounded CDF products, so the error grows with the top atom over E[max]:
+# the lane instances' worst is 3.0 ulps for both (one box, E[max] 1.64, top
+# atom 8.52), and 0 for the threshold.
+SET_ULPS = 4
+
+
+def exact_cdf(dist: DiscreteDistribution, grid: list[float]) -> list[Fraction]:
+    """``dist``'s CDF at each grid point, exactly, with its probabilities scaled to sum to 1."""
+    probs = [Fraction(p) for p in dist.probs]
+    total, acc, out = sum(probs), Fraction(0), []
+    for v in grid:
+        acc += sum(p for x, p in zip(dist.values, probs) if x == v)
+        out.append(acc / total)
+    return out
+
+
+def exact_max_atoms(cdfs: list[list[Fraction]], grid: list[float]) -> list[tuple[Fraction, ...]]:
+    """The (value, mass) atoms of the maximum of independent draws with these exact CDFs."""
+    cdf = [math.prod(column) for column in zip(*cdfs)]
+    return [(Fraction(v), c - prev) for v, c, prev in zip(grid, cdf, [0, *cdf]) if c != prev]
+
+
+def exact_bound(atoms: list[tuple[Fraction, Fraction]], tau: Fraction) -> Fraction:
+    """P[M >= tau] * tau + P[M < tau] * E[(M - tau)^+] for M with these (value, mass) atoms."""
+    p_ge = sum(m for v, m in atoms if v >= tau)
+    plus = sum(m * (v - tau) for v, m in atoms if v >= tau)
+    return p_ge * tau + (1 - p_ge) * plus
+
+
+def ulps(x: float, exact: Fraction) -> float:
+    return float(abs(Fraction(x) - exact) / Fraction(math.ulp(float(exact))))
+
+
+def set_value_conflicts(inst: Instance) -> int:
+    """How many lanes of all orders read another value than the first lane with their set."""
+    perm = np.array([order_indices(inst, order) for order in all_orders(inst)])
+    tables = inst.suffix_tables
+    read = [
+        (set_mask(row[t + 1 :]), value)
+        for row, values in zip(perm.tolist(), policies._lane_emax_after(tables, perm).tolist())
+        for t, value in enumerate(values)
+    ]
+    for s in range(inst.n):
+        taus = policies._lane_switch_tau(tables, perm[:, s:]).tolist()
+        read += [(-set_mask(row), tau) for row, tau in zip(perm[:, s:].tolist(), taus)]
+    first: dict[int, float] = {}
+    return sum(first.setdefault(key, value) != value for key, value in read)
+
+
+class TestSetTables:
+    def test_a_remaining_set_reads_one_value_whatever_the_order(self, monkeypatch):
+        # Every order of each lane instance and of a 7-box one: lanes with the
+        # same boxes still to come read the same E[max] and switch threshold.
+        # Folding each lane's suffix in arrival order, as the fold past
+        # ENUMERATION_LIMIT does, gives some sets two values.
+        instances = [*lane_instances(), random_instance(np.random.default_rng(7), 7, max_atoms=5)]
+        assert sum(map(set_value_conflicts, instances)) == 0
+        monkeypatch.setattr(policies, "ENUMERATION_LIMIT", 0)
+        assert sum(map(set_value_conflicts, instances)) > 0
+
+    def test_every_set_equals_the_fold_in_box_order(self, monkeypatch):
+        # The tables against the arrival-order fold, run on each set's boxes
+        # in box order.  A first column of box 0 puts the set after stage 0.
+        instances = [*lane_instances(), random_instance(np.random.default_rng(8), 9, max_atoms=3)]
+        for inst in instances:
+            tables = inst.suffix_tables
+            for size in range(1, inst.n + 1):
+                sets = set_rows(inst.n, size)
+                after_first = np.concatenate((np.zeros((len(sets), 1), dtype=int), sets), axis=1)
+                table = (
+                    policies._lane_emax_after(tables, after_first)[:, 0].tolist(),
+                    policies._lane_switch_tau(tables, sets).tolist(),
+                )
+                with monkeypatch.context() as fold:
+                    fold.setattr(policies, "ENUMERATION_LIMIT", 0)
+                    folded = (
+                        policies._lane_emax_after(tables, after_first)[:, 0].tolist(),
+                        policies._lane_switch_tau(tables, sets).tolist(),
+                    )
+                assert table == folded
+                masks = [set_mask(row) for row in sets.tolist()]
+                assert tables.set_emax[masks].tolist() == folded[0]
+                assert tables.set_tau[masks].tolist() == folded[1]
+
+    def test_sets_are_within_a_few_ulps_of_the_exact_value(self, monkeypatch):
+        # The exact E[max] of every set of each lane instance, from its atoms as
+        # rationals, against the table and against the fold of every order of
+        # the set; and the exact bound at the table's threshold against the
+        # exact best bound over 0 and the maximum's atoms.
+        worst = {"table": 0.0, "fold": 0.0, "tau": 0.0}
+        for inst in lane_instances():
+            tables = inst.suffix_tables
+            grid = tables.grid.tolist()
+            cdfs = [exact_cdf(d, grid) for d in inst.dists]
+            for size in range(1, inst.n + 1):
+                sets = set_rows(inst.n, size).tolist()
+                exact = []
+                for row in sets:
+                    atoms = exact_max_atoms([cdfs[b] for b in row], grid)
+                    exact.append(sum(v * m for v, m in atoms))
+                    mask = set_mask(row)
+                    worst["table"] = max(worst["table"], ulps(tables.set_emax[mask], exact[-1]))
+                    candidates = [Fraction(0), *(v for v, _ in atoms)]
+                    best = max(exact_bound(atoms, tau) for tau in candidates)
+                    short = best - exact_bound(atoms, Fraction(tables.set_tau[mask]))
+                    short /= Fraction(math.ulp(float(best)))
+                    worst["tau"] = max(worst["tau"], float(short))
+                # Box 0 in front puts each order of the set after stage 0.
+                orders = [(i, [0, *o]) for i, row in enumerate(sets) for o in permutations(row)]
+                with monkeypatch.context() as fold:
+                    fold.setattr(policies, "ENUMERATION_LIMIT", 0)
+                    folded = policies._lane_emax_after(tables, np.array([o for _, o in orders]))
+                for (i, _), value in zip(orders, folded[:, 0].tolist()):
+                    worst["fold"] = max(worst["fold"], ulps(value, exact[i]))
+        assert max(worst.values()) <= SET_ULPS, worst
+
+    def test_past_the_limit_each_lane_folds_in_arrival_order(self):
+        # 10 boxes: no set table is built, and lanes and steps still equal the
+        # reference, which folds in arrival order there.
+        inst = random_instance(np.random.default_rng(10), policies.ENUMERATION_LIMIT + 1)
+        rng = np.random.default_rng(11)
+        orders = [tuple(np.array(inst.ids)[rng.permutation(inst.n)]) for _ in range(12)]
+        perm = np.array([order_indices(inst, order) for order in orders])
+        tables = inst.suffix_tables
+        emax_after = policies._lane_emax_after(tables, perm)
+        for row, boxes in zip(emax_after.tolist(), perm.tolist()):
+            assert row == ref.emax_after(inst, boxes)
+        for s in range(inst.n):
+            taus = policies._lane_switch_tau(tables, perm[:, s:]).tolist()
+            want = [ref.best_single_threshold(ref.remaining(inst, row[s:])).tau for row in perm]
+            assert taus == want
+        switched_suffixes = assert_lanes_match_scalar(inst, orders, (0.9, 1.1))
+        assert switched_suffixes
+        g0 = 1.25 * prophet_value(inst)
+        want = ref.tvd_exact(inst, orders[0], g0)
+        state = PolicyState.initial(g0)
+        for t in range(inst.n):
+            state, _ = tvd_step(state, inst, perm[0, t:], -math.inf)
+        assert want.switch_stage is not None
+        assert (state.switch_stage, state.threshold) == (want.switch_stage, want.threshold)
+        assert "set_emax" not in tables.__dict__ and "set_tau" not in tables.__dict__
 
 
 def raised(call, *args) -> tuple[type, str]:
@@ -799,7 +955,7 @@ def mixture_lanes(inst: Instance, orders, density: DensitySpec, kind: str):
     perm = np.array([order_indices(inst, order) for order in orders])
     mids = []
     for boxes, order in zip(perm.tolist(), orders):
-        emax_after = ref.emax_after(ref.ordered_dists(inst, order))
+        emax_after = ref.emax_after(inst, boxes)
         mids.append(ref._mixture_pieces(inst, boxes, emax_after, density, kind)[1])
     rows = np.repeat(np.arange(len(orders)), [len(m) for m in mids])
     return perm, rows, np.array([g for m in mids for g in m])
@@ -842,19 +998,34 @@ class TestLaneRandomizedValues:
 
     @pytest.mark.parametrize("kind", ["tva", "tvd"])
     @pytest.mark.parametrize("density", [gapped_density(), short_density()], ids=lambda d: d.name)
-    def test_no_weight_off_the_pieces(self, density, kind):
-        # Cuts inside the gap make pieces of weight exactly 0.0; past the last
-        # piece's end no piece is made.
+    def test_no_weight_off_the_pieces(self, density, kind, monkeypatch):
+        # Cuts inside the gap bound pieces of weight exactly 0.0; they are
+        # dropped before any lane is valued.  Past the last piece's end no
+        # piece is made.  test_equals_the_scalar_mixture checks the mixture
+        # values of both densities.
         lo, hi = density.pieces[0].lo, density.pieces[-1].hi
-        empty = 0
+        valued = []
+
+        def recording(*args):
+            valued.append(args[4])  # each lane's starting target
+            return lane_values(*args)
+
+        monkeypatch.setattr(policies, "lane_values", recording)
+        dropped = 0
         for inst, orders in mixture_instances():
             perm = np.array([order_indices(inst, order) for order in orders])
             emax = policies._lane_emax_after(inst.suffix_tables, perm) if kind == "tvd" else None
             pieces = policies._lane_mixture_pieces(inst, perm, emax, density, kind)
             prophet = prophet_value(inst)
             assert (lo * prophet < pieces.mids).all() and (pieces.mids < hi * prophet).all()
-            empty += int(np.count_nonzero(pieces.weights == 0.0))
-        assert (empty > 0) == (density.name == "gapped")
+            assert (pieces.weights > 0.0).all() and pieces.counts.sum() == pieces.mids.size
+            cuts = policies._lane_value_cuts(inst.box_tables, perm, emax, kind, hi * prophet)
+            made = np.count_nonzero((cuts > lo * prophet) & (cuts < math.inf), axis=1) + 1
+            dropped += int((made - pieces.counts).sum())
+            valued.clear()
+            list(lane_randomized_values(inst, perm, density, kind))
+            assert np.concatenate(valued).tolist() == pieces.mids.tolist()
+        assert (dropped > 0) == (density.name == "gapped")
 
     def test_rejects_a_kind_without_a_mixture(self):
         perm = np.array([[0, 1]])
