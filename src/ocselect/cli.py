@@ -26,6 +26,13 @@ encode included, prints no CSV and leaves ``--out`` as it was.  Randomness
 comes from the single ``--seed``, split per order index (``eval --orders
 random:K``) and per 10,000-run chunk (``simulate``), never shared across
 streams.
+
+Each subcommand is a short-lived process whose fixed cost is mostly
+imports and exit.  ``main`` freezes the gc-tracked heap on entry, once per
+process: everything alive then was built by the imports and is never
+garbage.  Unfrozen, those ~22,000 objects were walked again by the
+interpreter's collections at exit, which took 34 ms against a bare
+interpreter's 8.5 ms (2-vCPU Xeon VM); frozen, the exit takes 8-10 ms.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import gc
 import io as _io
 import itertools
 import json
@@ -517,6 +525,12 @@ def _summary_stream(out: str | None):
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # Freeze the ~22,000 objects the imports built, once per process: none is
+    # garbage, yet the interpreter's collections at exit walked them all, for
+    # about 25 ms per command.  A later call (tests, library callers) must not
+    # freeze again, or the garbage pending from earlier calls is never freed.
+    if not gc.get_freeze_count():
+        gc.freeze()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,12 +1,13 @@
 """Instance files: a small JSON schema for boxes and their atoms.
 
 Schema: an object with a "boxes" list; each box is {"id": string,
-"atoms": [[value, probability], ...]}.  Values must be nonnegative finite
-numbers, probabilities positive.  Atom lists may arrive unsorted and may
-repeat a value; they are sorted and merged on load.  Probabilities must
-sum to one within FILE_PROB_TOL (looser than the internal tolerance, for
-hand-authored decimals); anything within that band is renormalized with a
-warning naming the box.
+"atoms": [[value, probability], ...]}.  Ids are nonempty, distinct and
+free of "|", which joins them into the CLI's order ids.  Values must be
+nonnegative finite numbers, probabilities positive.  Atom lists may arrive
+unsorted and may repeat a value; they are sorted and merged on load.
+Probabilities must sum to one within FILE_PROB_TOL (looser than the
+internal tolerance, for hand-authored decimals); anything within that band
+is renormalized with a warning naming the box.
 """
 
 from __future__ import annotations
@@ -61,6 +62,8 @@ def _parse_box(raw: object, position: int) -> Box:
     if not isinstance(box_id, str) or not box_id:
         raise InstanceFormatError(f"{label}: missing or empty id")
     label = f"box {box_id!r}"
+    if "|" in box_id:
+        raise InstanceFormatError(f"{label}: id must not contain '|', which joins order ids")
     atoms = raw.get("atoms")
     if not isinstance(atoms, list) or not atoms:
         raise InstanceFormatError(f"{label}: missing or empty atoms")

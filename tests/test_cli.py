@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import gc
 import io
 import itertools
 import json
@@ -13,6 +14,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +54,16 @@ def write_instance(tmp_path: Path, name: str, boxes: list[dict]) -> str:
     path = tmp_path / name
     path.write_text(json.dumps({"boxes": boxes}))
     return str(path)
+
+
+def run_fresh_interpreter(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a new interpreter that imports this checkout's ``src``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
 
 
 class TestLoader:
@@ -351,9 +363,6 @@ class TestEvalCommand:
         assert got == want
 
     def test_cli_paths_leave_numpy_ma_unimported(self):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         script = (
             "import sys\n"
             "from ocselect.cli import main\n"
@@ -362,9 +371,7 @@ class TestEvalCommand:
             " '--runs', '1000', '--seed', '1']) == 0\n"
             "print('numpy.ma' in sys.modules)\n"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-        )
+        proc = run_fresh_interpreter(script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "False"
 
@@ -591,6 +598,24 @@ class TestEvalValidation:
         out = tmp_path / "missing" / "x.csv"
         assert main(argv + ["--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_pipe_in_id_writes_no_csv(self, capsys, tmp_path):
+        boxes = [
+            {"id": box_id, "atoms": [[0.0, 0.5], [1.0 + k, 0.5]]}
+            for k, box_id in enumerate(("a", "b", "a|b"))
+        ]
+        path = write_instance(tmp_path, "pipe.json", boxes)
+        # "|" joins ids into order ids: with a, b and a|b, two orders would read a|b|a|b.
+        with pytest.raises(InstanceFormatError, match=r"box 'a\|b'"):
+            load_instance(path)
+        out = tmp_path / "report.csv"
+        argv = ["eval", "--instance", path, "--policy", "tvd", "--g0", "auto", "--orders", "all"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error: box 'a|b': id must not contain '|'") == 2
         assert not out.exists()
 
     def test_missing_required_flag_is_usage_error(self):
@@ -864,3 +889,47 @@ class TestVerifyDensityCommand:
         monkeypatch.setattr(cli, "verify_guarantee", lambda *a, **k: GuaranteeCheck(math.nan, 1.0))
         assert main(["verify-density"]) == 3
         assert "violation" in capsys.readouterr().err
+
+
+class TestProcessHeap:
+    def test_a_fresh_process_freezes_its_import_heap(self, tmp_path):
+        fresh, here = tmp_path / "fresh.csv", tmp_path / "here.csv"
+        script = (
+            "import gc\n"
+            "from ocselect.cli import main\n"
+            "before = gc.get_freeze_count()\n"
+            f"code = main(['verify-density', '--out', {str(fresh)!r}])\n"
+            "print(code, before, gc.get_freeze_count())\n"
+        )
+        proc = run_fresh_interpreter(script)
+        assert proc.returncode == 0, proc.stderr
+        code, before, after = map(int, proc.stdout.splitlines()[-1].split())
+        assert code == 0 and before == 0 and after > 0
+        assert main(["verify-density", "--out", str(here)]) == 0
+        assert fresh.read_bytes() == here.read_bytes()
+
+    def test_only_the_first_call_freezes(self):
+        class Node:
+            pass
+
+        argv = ["eval", "--instance", TWO_BOX, "--policy", "tva", "--g0", "auto"]
+        assert main(argv) == 0
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        # With the collector off, the cycle is still pending garbage when main
+        # is entered again: a freeze there would keep it for good.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            node = Node()
+            node.self = node
+            watch = weakref.ref(node)
+            del node
+            assert watch() is not None
+            assert main(argv) == 0
+        finally:
+            if enabled:
+                gc.enable()
+        assert gc.get_freeze_count() == frozen
+        gc.collect()
+        assert watch() is None
