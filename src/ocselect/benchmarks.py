@@ -31,9 +31,6 @@ from .distributions import (
     max_distribution,
 )
 
-# Slack allowed when validating computed per-stage values as nonnegative.
-VALUE_TOL = 1e-9
-
 
 class OrderError(ValueError):
     """An arrival order is not a bijection over the instance's box ids."""
@@ -168,36 +165,6 @@ class SuffixTables:
         n = len(self.cdf)
         member = (np.arange(2**n)[:, None] & (1 << np.arange(n))) > 0
         return reduce(np.multiply, (np.where(member[:, b, None], self.cdf[b], 1.0) for b in boxes))
-
-
-@dataclass(frozen=True)
-class EvaluationResult:
-    """Per-stage expected values of one exact recursion.
-
-    ``per_stage[t]`` is the expected reward collected from stage t onward
-    (0-based); the final entry is the empty-suffix value 0.  ``kind`` records
-    which recursion produced the numbers.  For targeted policies ``targets``
-    holds the threshold sequence actually used (truncated at the switch
-    stage for the detecting variant), and ``switch_stage``/``threshold``
-    describe the permanent switch to a single threshold if one happened.
-    """
-
-    kind: str
-    per_stage: tuple[float, ...]
-    targets: tuple[float, ...] | None = None
-    switch_stage: int | None = None
-    threshold: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.per_stage or self.per_stage[-1] != 0.0:
-            raise ValueError("per_stage must end with the empty-suffix value 0")
-        for v in self.per_stage:
-            if not math.isfinite(v) or v < -VALUE_TOL:
-                raise ValueError(f"per-stage value out of range: {v!r}")
-
-    @property
-    def total(self) -> float:
-        return self.per_stage[0]
 
 
 def prophet_value(instance: Instance) -> float:

@@ -191,13 +191,18 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _check_policy_flags(args: argparse.Namespace) -> None:
+def _check_flags(args: argparse.Namespace) -> None:
+    """The flags ``eval`` and ``simulate`` share: the policy's own, and the seed."""
+    if args.seed is not None and args.seed < 0:
+        raise CliValidationError("--seed must be >= 0")
     policy = args.policy
     if policy == "sta":
         if args.tau is None:
             raise CliValidationError("policy 'sta' needs --tau")
         if args.g0 is not None:
             raise CliValidationError("policy 'sta' takes --tau, not --g0")
+        if not (math.isfinite(args.tau) and args.tau >= 0.0):
+            raise CliValidationError("--tau must be finite and nonnegative")
     elif policy in ("tva", "tvd"):
         if args.tau is not None:
             raise CliValidationError(f"policy {policy!r} takes --g0, not --tau")
@@ -316,7 +321,7 @@ def _order_values(
 
 def cmd_eval(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
-    _check_policy_flags(args)
+    _check_flags(args)
     chunks = _order_chunks(args, instance)
     names, template = _order_id_cells(instance)
     count, min_ratio, argmin = 0, math.inf, ""
@@ -409,7 +414,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if runs < 2:
         raise CliValidationError("--runs must be at least 2")
     instance = load_instance(args.instance)
-    _check_policy_flags(args)
+    _check_flags(args)
     if args.order is None:
         order: ArrivalOrder = instance.ids
     else:

@@ -303,7 +303,7 @@ def tvd_on_detection_order(hard: DetectionHardInstance, x: float, g0: float) -> 
     if not (hard.c - GRID_MATCH_TOL <= g0 <= 1.0 + GRID_MATCH_TOL):
         raise ValueError(f"g0 must lie in [c, 1]: {g0!r}")
     order = detection_hard_order(hard, x)
-    return tvd_exact(hard.instance, order, g0).total
+    return float(tvd_exact(hard.instance, order, g0).stages[0, 0])
 
 
 def build_primal_tvd(c: float, grid_step: float) -> FiniteLP:

@@ -25,8 +25,6 @@ import numpy as np
 
 from .benchmarks import (
     ArrivalOrder,
-    VALUE_TOL,
-    EvaluationResult,
     Instance,
     SuffixTables,
     _best_thresholds,
@@ -68,6 +66,9 @@ LANE_CHUNK = 1024
 # every set of boxes (at most 512 rows, fewer than one chunk's lanes).  Past
 # it, each lane folds its own suffixes.
 ENUMERATION_LIMIT = 9
+
+# Slack allowed when validating computed per-stage values as nonnegative.
+VALUE_TOL = 1e-9
 
 
 class PolicyError(ValueError):
@@ -156,28 +157,20 @@ def tvd_step(
 
 
 # ---------------------------------------------------------------------------
-# Exact policy values of one order.
+# Exact policy values of one order.  Each call returns ``lane_values`` on its
+# one lane as it is: the value is ``stages[0, 0]``.
 
 
 def _one_lane(
     policy_kind: str, instance: Instance, order: ArrivalOrder, g0: float | None
-) -> EvaluationResult:
-    """``lane_values`` on the one lane (order, g0), as an ``EvaluationResult``."""
+) -> LaneValues:
+    """``lane_values`` on the one lane (order, g0)."""
     perm = np.array([order_indices(instance, order)])
     start = None if g0 is None else np.array([g0], float)
-    lane = lane_values(policy_kind, instance, perm, np.zeros(1, dtype=int), start)
-    per_stage = tuple(lane.stages[0].tolist())
-    if policy_kind in ("opt", "sta"):
-        return EvaluationResult(policy_kind, per_stage, threshold=g0)
-    thresholds = lane.thresholds[0].tolist()
-    switch = int(lane.switch_stage[0])
-    if switch < 0:
-        return EvaluationResult(policy_kind, per_stage, targets=tuple(thresholds))
-    targets = (*thresholds[:switch], float(lane.switch_target[0]))
-    return EvaluationResult("tvd", per_stage, targets, switch, thresholds[switch])
+    return lane_values(policy_kind, instance, perm, np.zeros(1, dtype=int), start)
 
 
-def opt_online(instance: Instance, order: ArrivalOrder) -> EvaluationResult:
+def opt_online(instance: Instance, order: ArrivalOrder) -> LaneValues:
     """Order-aware online optimum: accept any value at or above the value to go after it.
 
     Value-to-go from stage t is E[max(v_t, value-to-go from t+1)], zero past
@@ -187,25 +180,26 @@ def opt_online(instance: Instance, order: ArrivalOrder) -> EvaluationResult:
     return _one_lane("opt", instance, order, None)
 
 
-def sta_exact(instance: Instance, order: ArrivalOrder, tau: float) -> EvaluationResult:
+def sta_exact(instance: Instance, order: ArrivalOrder, tau: float) -> LaneValues:
     """Exact value of the single-threshold policy: accept the first v >= tau."""
     return _one_lane("sta", instance, order, tau)
 
 
-def tva_exact(instance: Instance, order: ArrivalOrder, g0: float) -> EvaluationResult:
+def tva_exact(instance: Instance, order: ArrivalOrder, g0: float) -> LaneValues:
     """Exact expected value of the targeted policy started at target g0."""
     return _one_lane("tva", instance, order, g0)
 
 
-def tvd_exact(instance: Instance, order: ArrivalOrder, g0: float) -> EvaluationResult:
+def tvd_exact(instance: Instance, order: ArrivalOrder, g0: float) -> LaneValues:
     """Exact expected value of the detecting targeted policy.
 
     Until the switch the run is identical to the plain targeted policy; from
     the switch stage on it is a single-threshold run over the suffix.  The
     switch stage depends only on the target walk and the distributions, so
-    the whole evaluation stays an exact backward recursion.  ``targets`` ends
-    with the target at the switch stage, the one found above the value still
-    to come.
+    the whole evaluation stays an exact backward recursion.  ``thresholds[0]``
+    holds the targets before ``switch_stage[0]`` and the single threshold
+    from it on; ``switch_target[0]`` is the target found there above the
+    value still to come.
     """
     return _one_lane("tvd", instance, order, g0)
 
@@ -289,7 +283,7 @@ def lane_values(
         idx = tables.below(tables.values, boxes, thresholds[:, t])
         acc = tables.tail_mean[boxes, idx] + tables.head_mass[boxes, idx] * acc
         stages[:, t] = acc
-    # ``EvaluationResult``'s per-stage check, failing on the first lane's first bad value.
+    # Each stage value is finite and nonnegative; the first lane's first bad value is named.
     out_of_range = ~(np.isfinite(stages) & (stages >= -VALUE_TOL))
     if out_of_range.any():
         raise ValueError(f"per-stage value out of range: {float(stages[out_of_range][0])!r}")
@@ -366,22 +360,6 @@ def sample_runs(
         taken[open_rows[accept]] = values[accept]
         open_rows = open_rows[~accept]
     return taken
-
-
-def value_cuts(
-    instance: Instance, order: ArrivalOrder, policy_kind: str, top: float
-) -> list[float]:
-    """Sorted starting targets below ``top`` where the policy value of ``order`` can jump.
-
-    One order's ``_lane_value_cuts``, with ``tvd``'s emax_after row built
-    from ``instance.suffix_tables`` as ``randomized_value`` builds it.
-    """
-    if policy_kind not in ("tva", "tvd"):
-        raise ValueError(f"value profile needs tva or tvd, got {policy_kind!r}")
-    perm = np.array([order_indices(instance, order)])
-    emax = _lane_emax_after(instance.suffix_tables, perm) if policy_kind == "tvd" else None
-    levels = _lane_value_cuts(instance.box_tables, perm, emax, policy_kind, top)[0]
-    return levels[levels < math.inf].tolist()
 
 
 def _lane_value_cuts(

@@ -7,30 +7,31 @@ over its atoms, and each policy walks one arrival order through those tables
 and the one-segment solve of ``inverse_target``.  The table builder, the
 folds and the lane pass in ``ocselect`` repeat the same IEEE operations in
 the same order, so the tests compare the two under ``==``, every field of
-each ``EvaluationResult`` included.  ``tvd``'s E[max of the boxes still to
-come] and switch threshold fold the remaining boxes in the order
-``remaining`` gives: box order on up to ENUMERATION_LIMIT boxes, where the
-package reads them from tables of every set, and arrival order past it.
+each ``EvaluationResult``, the reference's own result type, included.
+``tvd``'s E[max of the boxes still to come] and switch threshold fold the
+remaining boxes in the order ``remaining`` gives: box order on up to
+ENUMERATION_LIMIT boxes, where the package reads them from tables of every
+set, and arrival order past it.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple, Sequence
 
 from ocselect import (
     DensitySpec,
     DiscreteDistribution,
-    EvaluationResult,
     Instance,
     ThresholdChoice,
 )
 from ocselect.benchmarks import ArrivalOrder, order_indices, prophet_value
 from ocselect.densities import WEIGHT_ONE, integrate_weighted
 from ocselect.distributions import PROB_TOL, TARGET_SLACK
-from ocselect.policies import ENUMERATION_LIMIT, EXACT_POLICIES, PolicyError, _mix
+from ocselect.policies import ENUMERATION_LIMIT, EXACT_POLICIES, VALUE_TOL, PolicyError, _mix
 
 
 def as_probability(p: float) -> float:
@@ -257,6 +258,36 @@ def threshold_run_values(
         acc = tab.tail_mean[idx] + tab.head_mass[idx] * acc
         stages.append(acc)
     return tuple(reversed(stages))
+
+
+@dataclass(frozen=True)
+class EvaluationResult:
+    """Per-stage expected values of one exact recursion.
+
+    ``per_stage[t]`` is the expected reward collected from stage t onward
+    (0-based); the final entry is the empty-suffix value 0.  ``kind`` records
+    which recursion produced the numbers.  For targeted policies ``targets``
+    holds the threshold sequence actually used (truncated at the switch
+    stage for the detecting variant), and ``switch_stage``/``threshold``
+    describe the permanent switch to a single threshold if one happened.
+    """
+
+    kind: str
+    per_stage: tuple[float, ...]
+    targets: tuple[float, ...] | None = None
+    switch_stage: int | None = None
+    threshold: float | None = None
+
+    def __post_init__(self) -> None:
+        if not self.per_stage or self.per_stage[-1] != 0.0:
+            raise ValueError("per_stage must end with the empty-suffix value 0")
+        for v in self.per_stage:
+            if not math.isfinite(v) or v < -VALUE_TOL:
+                raise ValueError(f"per-stage value out of range: {v!r}")
+
+    @property
+    def total(self) -> float:
+        return self.per_stage[0]
 
 
 class Thresholds(NamedTuple):

@@ -365,15 +365,15 @@ class TestCriterion10OracleEquivalence:
             instance = random_instance(rng, int(rng.integers(1, 5)), max_atoms=3)
             ids = sorted(instance.ids)
             order = tuple(str(i) for i in rng.permutation(ids))
-            opt = opt_online(instance, order).total
+            opt = opt_online(instance, order).stages[0, 0]
             worst = max(worst, abs(opt - brute_force_opt(instance, order)))
             assert worst <= 1e-12
             g0 = float(rng.uniform(0.0, 1.4)) * prophet_value(instance)
-            exact_tva = tva_exact(instance, order, g0).total
+            exact_tva = tva_exact(instance, order, g0).stages[0, 0]
             worst = max(
                 worst, abs(exact_tva - enumerate_policy_value(instance, order, g0, "tva"))
             )
-            exact_tvd = tvd_exact(instance, order, g0).total
+            exact_tvd = tvd_exact(instance, order, g0).stages[0, 0]
             worst = max(
                 worst, abs(exact_tvd - enumerate_policy_value(instance, order, g0, "tvd"))
             )

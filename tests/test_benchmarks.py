@@ -47,20 +47,20 @@ class TestInstanceValidation:
 
 class TestOptOnline:
     def test_deterministic_then_risky(self):
-        assert opt_online(AB, ("A", "B")).total == pytest.approx(1.0, abs=1e-12)
+        assert opt_online(AB, ("A", "B")).stages[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_risky_then_deterministic(self):
-        assert opt_online(AB, ("B", "A")).total == pytest.approx(1.5, abs=1e-12)
+        assert opt_online(AB, ("B", "A")).stages[0, 0] == pytest.approx(1.5, abs=1e-12)
 
     def test_single_box_is_mean(self):
         solo = Instance((B,))
-        assert opt_online(solo, ("B",)).total == pytest.approx(1.0, abs=1e-12)
+        assert opt_online(solo, ("B",)).stages[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_per_stage_shape(self):
         res = opt_online(AB, ("B", "A"))
-        assert len(res.per_stage) == 3
-        assert res.per_stage[-1] == 0.0
-        assert res.total == res.per_stage[0]
+        assert res.stages.shape == (1, 3)
+        assert res.stages[0, -1] == 0.0
+        assert res.thresholds.tolist() == [res.stages[0, 1:].tolist()]
 
     def test_per_stage_matches_recursion_reevaluation(self):
         rng = np.random.default_rng(5)
@@ -74,14 +74,14 @@ class TestOptOnline:
                 cont = math.fsum(
                     p * max(v, cont) for v, p in zip(d.values, d.probs)
                 )
-                assert res.per_stage[t] == pytest.approx(cont, abs=1e-12)
+                assert res.stages[0, t] == pytest.approx(cont, abs=1e-12)
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
             inst = random_instance(rng, int(rng.integers(1, 5)), max_atoms=3)
             for order in all_orders(inst):
-                assert opt_online(inst, order).total == pytest.approx(
+                assert opt_online(inst, order).stages[0, 0] == pytest.approx(
                     brute_force_opt(inst, order), abs=1e-12
                 )
 
@@ -105,7 +105,7 @@ class TestProphetValue:
             inst = random_instance(rng, int(rng.integers(1, 6)))
             p = prophet_value(inst)
             for order in all_orders(inst)[:6]:
-                opt = opt_online(inst, order).total
+                opt = opt_online(inst, order).stages[0, 0]
                 assert 0.5 * p - 1e-9 <= opt <= p + 1e-9
 
     def test_prophet_builds_no_boxes_by_grid_matrix(self):
@@ -122,23 +122,23 @@ class TestProphetValue:
 
 class TestStaExact:
     def test_accepts_first_at_threshold(self):
-        assert sta_exact(AB, ("A", "B"), 1.0).total == pytest.approx(1.0, abs=1e-12)
+        assert sta_exact(AB, ("A", "B"), 1.0).stages[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_high_threshold_skips(self):
-        assert sta_exact(AB, ("B", "A"), 1.5).total == pytest.approx(1.0, abs=1e-12)
+        assert sta_exact(AB, ("B", "A"), 1.5).stages[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_threshold_takes_first_box(self):
-        assert sta_exact(AB, ("A", "B"), 0.0).total == pytest.approx(1.0, abs=1e-12)
-        assert sta_exact(AB, ("B", "A"), 0.0).total == pytest.approx(1.0, abs=1e-12)
+        assert sta_exact(AB, ("A", "B"), 0.0).stages[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert sta_exact(AB, ("B", "A"), 0.0).stages[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_dominated_by_opt(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
             inst = random_instance(rng, int(rng.integers(1, 5)))
             order = tuple(rng.permutation(sorted(inst.ids)))
-            opt = opt_online(inst, order).total
+            opt = opt_online(inst, order).stages[0, 0]
             for tau in rng.uniform(0.0, 11.0, size=5):
-                assert sta_exact(inst, order, float(tau)).total <= opt + 1e-9
+                assert sta_exact(inst, order, float(tau)).stages[0, 0] <= opt + 1e-9
 
 
 class TestStaLowerBound:
@@ -160,7 +160,7 @@ class TestStaLowerBound:
             for order in all_orders(inst)[:6]:
                 for tau in taus:
                     assert (
-                        sta_exact(inst, order, float(tau)).total
+                        sta_exact(inst, order, float(tau)).stages[0, 0]
                         >= sta_lower_bound(inst, float(tau)) - 1e-9
                     )
 

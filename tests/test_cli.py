@@ -274,10 +274,10 @@ class TestEvalCommand:
         switched = 0
         for i in range(count):
             order = tuple(base[j] for j in cli._stream(seed, i).permutation(len(base)))
-            opt = opt_online(instance, order).total
+            opt = opt_online(instance, order).stages[0, 0]
             result = tvd_exact(instance, order, g0)
-            switched += result.switch_stage is not None
-            cells = (opt, result.total, result.total / opt)
+            switched += result.switch_stage[0] >= 0
+            cells = (opt, result.stages[0, 0], result.stages[0, 0] / opt)
             writer.writerow(["|".join(order), *(format(v, ".12g") for v in cells)])
         assert 0 < switched < count
         assert capsys.readouterr().out == expected.getvalue()
@@ -304,7 +304,7 @@ class TestEvalCommand:
         writer.writerow(["order_id", "opt", "value", "ratio"])
         for i in range(count):
             order = tuple(base[j] for j in cli._stream(seed, i).permutation(len(base)))
-            opt = opt_online(instance, order).total
+            opt = opt_online(instance, order).stages[0, 0]
             value = randomized_value(instance, order, rho_732(), policy_kind="tvd")
             cells = (opt, value, value / opt)
             writer.writerow(["|".join(order), *(format(v, ".12g") for v in cells)])
@@ -333,8 +333,8 @@ class TestEvalCommand:
             writer.writerow(["order_id", "opt", "value", "ratio"])
             ratios = []
             for order in orders:
-                opt = opt_online(instance, order).total
-                value = tvd_exact(instance, order, 1.5).total
+                opt = opt_online(instance, order).stages[0, 0]
+                value = tvd_exact(instance, order, 1.5).stages[0, 0]
                 ratios.append(value / opt)
                 cells = (opt, value, ratios[-1])
                 writer.writerow(["|".join(order), *(format(v, ".12g") for v in cells)])
@@ -623,6 +623,33 @@ class TestEvalValidation:
 
     def test_unknown_subcommand_is_usage_error(self):
         assert main(["frobnicate"]) == 1
+
+
+class TestSharedFlags:
+    """``eval`` and ``simulate`` check --tau and --seed alike, naming the flag."""
+
+    @pytest.mark.parametrize("tau", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("command", ["eval", "simulate"])
+    def test_tau_must_be_finite_and_nonnegative(self, command, tau, capsys):
+        argv = [command, "--instance", FOUR_BOX, "--policy", "sta", "--tau", tau, "--seed", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --tau must be finite and nonnegative\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--instance", FOUR_BOX, "--policy", "tvd", "--orders", "random:3"],
+            ["simulate", "--instance", FOUR_BOX, "--policy", "tvd", "--runs", "10"],
+        ],
+        ids=("eval", "simulate"),
+    )
+    def test_negative_seed_is_rejected(self, argv, capsys):
+        assert main(argv + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be >= 0\n"
+        assert captured.out == ""
 
 
 class TestHardnessCommand:

@@ -141,13 +141,13 @@ class TestGeneralOptPrediction:
         hard = make_general_hard_instance(0.1, 1e-4)
         for x in hard.grid:
             order = free_after_order(hard, x)
-            exact = opt_online(hard.instance, order).total
+            exact = opt_online(hard.instance, order).stages[0, 0]
             assert general_opt_prediction(hard, x) == pytest.approx(exact, abs=1e-9)
 
     def test_foot_order_is_worth_the_ladder_top(self):
         hard = make_general_hard_instance(0.1, 1e-4)
         assert general_opt_prediction(hard, 1.0) == pytest.approx(PHI, abs=1e-12)
-        exact = opt_online(hard.instance, free_last_order(hard)).total
+        exact = opt_online(hard.instance, free_last_order(hard)).stages[0, 0]
         assert exact == pytest.approx(PHI, abs=1e-12)
 
     def test_approaches_x_plus_one(self):
@@ -266,7 +266,7 @@ class TestDetectionOptPrediction:
         xs = [x for x in hard.grid if x > cut + 1e-9]
         for x in (xs[0], xs[len(xs) // 2], xs[-1]):
             order = detection_hard_order(hard, x)
-            exact = opt_online(hard.instance, order).total
+            exact = opt_online(hard.instance, order).stages[0, 0]
             assert detection_opt_prediction(hard, x) == pytest.approx(exact, abs=1e-9)
 
     def test_approaches_one_minus_c_plus_x(self):
@@ -614,9 +614,9 @@ class TestEndToEndGeneral:
         orders += [free_after_order(hard, x) for x in hard.grid]
         ratios = []
         for order in orders:
-            alg = tva_exact(hard.instance, order, g0).total
+            alg = tva_exact(hard.instance, order, g0).stages[0, 0]
             assert alg == pytest.approx(PHI, abs=1e-9)
-            ratios.append(alg / opt_online(hard.instance, order).total)
+            ratios.append(alg / opt_online(hard.instance, order).stages[0, 0])
         worst = min(ratios)
         assert worst >= 1.0 / PHI - 1e-9
         assert worst <= 1.0 / PHI + hard.step
@@ -635,7 +635,7 @@ class TestEndToEndDetection:
         for x in (xs[0], xs[len(xs) // 2], xs[-1]):
             order = detection_hard_order(hard, x)
             value = randomized_value(hard.instance, order, spec, policy_kind="tvd")
-            opt = opt_online(hard.instance, order).total
+            opt = opt_online(hard.instance, order).stages[0, 0]
             ratios.append(value / opt)
         assert min(ratios) >= 0.732 - 0.01
         assert max(ratios) <= 1.0 + 1e-9

@@ -29,7 +29,6 @@ from ocselect import (
     Box,
     DensitySpec,
     DiscreteDistribution,
-    EvaluationResult,
     Instance,
     PolicyError,
     PolicyState,
@@ -48,7 +47,6 @@ from ocselect import (
     tva_step,
     tvd_exact,
     tvd_step,
-    value_cuts,
 )
 from ocselect import distributions, policies
 from ocselect.benchmarks import order_indices
@@ -200,22 +198,22 @@ class TestStepAgreesWithEvaluator:
 
 class TestTvaExact:
     def test_matched_target_is_met(self):
-        assert tva_exact(AB, ("B", "A"), 1.5).total == pytest.approx(1.5, abs=1e-12)
+        assert tva_exact(AB, ("B", "A"), 1.5).stages[0, 0] == pytest.approx(1.5, abs=1e-12)
 
     def test_zero_target_takes_first_box(self):
-        assert tva_exact(AB, ("B", "A"), 0.0).total == pytest.approx(1.0, abs=1e-12)
+        assert tva_exact(AB, ("B", "A"), 0.0).stages[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_consistency_at_intermediate_target(self):
-        assert tva_exact(AB, ("B", "A"), 1.2).total >= 1.2 - 1e-9
+        assert tva_exact(AB, ("B", "A"), 1.2).stages[0, 0] >= 1.2 - 1e-9
 
     def test_overshoot_single_deterministic_box(self):
         solo = Instance((A,))
-        assert tva_exact(solo, ("A",), 5.0).total == 0.0
+        assert tva_exact(solo, ("A",), 5.0).stages[0, 0] == 0.0
 
     def test_targets_recorded_per_stage(self):
         res = tva_exact(AB, ("B", "A"), 1.5)
-        assert res.targets is not None and len(res.targets) == 2
-        assert res.targets[0] == pytest.approx(1.0, abs=1e-9)
+        assert res.thresholds.shape == (1, 2)
+        assert res.thresholds[0, 0] == pytest.approx(1.0, abs=1e-9)
 
 
 class TestTvdExact:
@@ -224,31 +222,31 @@ class TestTvdExact:
         for _ in range(15):
             inst = random_instance(rng, int(rng.integers(1, 5)))
             for order in all_orders(inst)[:4]:
-                opt = opt_online(inst, order).total
+                opt = opt_online(inst, order).stages[0, 0]
                 for frac in (0.0, 0.3, 0.7, 1.0):
                     g0 = frac * opt
-                    tva = tva_exact(inst, order, g0).total
-                    tvd = tvd_exact(inst, order, g0).total
+                    tva = tva_exact(inst, order, g0).stages[0, 0]
+                    tvd = tvd_exact(inst, order, g0).stages[0, 0]
                     assert tvd == pytest.approx(tva, abs=1e-12)
 
     def test_single_risky_box_overshoot(self):
         solo = Instance((B,))
         res = tvd_exact(solo, ("B",), 2.0)
-        assert res.switch_stage == 0
-        assert res.total == pytest.approx(1.0, abs=1e-12)
-        assert res.total >= max(1.0 - 2.0, 2.0 / 2.0) - 1e-9
+        assert res.switch_stage[0] == 0
+        assert res.stages[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert res.stages[0, 0] >= max(1.0 - 2.0, 2.0 / 2.0) - 1e-9
 
     def test_zero_target_never_switches(self):
         res = tvd_exact(AB, ("B", "A"), 0.0)
-        assert res.switch_stage is None
-        assert res.total == pytest.approx(1.0, abs=1e-12)
+        assert res.switch_stage[0] == -1
+        assert res.stages[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_detection_tie_stays_targeted(self):
         # After B the remaining expectation is exactly 1; g0 = 1.5 folds to
         # g_1 = 1 on B, a tie, which must NOT switch.
         res = tvd_exact(AB, ("B", "A"), 1.5)
-        assert res.switch_stage is None
-        assert res.total == pytest.approx(1.5, abs=1e-12)
+        assert res.switch_stage[0] == -1
+        assert res.stages[0, 0] == pytest.approx(1.5, abs=1e-12)
 
 
 class TestConsistencyRobustnessGuarantees:
@@ -258,9 +256,9 @@ class TestConsistencyRobustnessGuarantees:
             inst = random_instance(rng, int(rng.integers(1, 5)))
             prophet = prophet_value(inst)
             for order in all_orders(inst)[:4]:
-                opt = opt_online(inst, order).total
+                opt = opt_online(inst, order).stages[0, 0]
                 for g0 in g0_grid(inst, points=12):
-                    tva = tva_exact(inst, order, g0).total
+                    tva = tva_exact(inst, order, g0).stages[0, 0]
                     if g0 <= opt:
                         assert tva >= g0 - 1e-9
                     elif g0 <= prophet:
@@ -272,10 +270,10 @@ class TestConsistencyRobustnessGuarantees:
             inst = random_instance(rng, int(rng.integers(1, 5)))
             prophet = prophet_value(inst)
             for order in all_orders(inst)[:4]:
-                opt = opt_online(inst, order).total
+                opt = opt_online(inst, order).stages[0, 0]
                 for g0 in g0_grid(inst, points=12):
                     if opt < g0 <= prophet:
-                        tvd = tvd_exact(inst, order, g0).total
+                        tvd = tvd_exact(inst, order, g0).stages[0, 0]
                         assert tvd >= max(prophet - g0, g0 / 2.0) - 1e-9
 
     def test_under_over_estimation_stagewise(self):
@@ -283,23 +281,23 @@ class TestConsistencyRobustnessGuarantees:
         for _ in range(20):
             inst = random_instance(rng, int(rng.integers(1, 5)))
             for order in all_orders(inst)[:4]:
-                opt = opt_online(inst, order)
-                for g0 in (0.5 * opt.total, opt.total, 1.5 * opt.total + 0.1):
-                    targets = tva_exact(inst, order, g0).targets
-                    assert targets is not None
+                opt = opt_online(inst, order).stages[0]
+                for g0 in (0.5 * opt[0], opt[0], 1.5 * opt[0] + 0.1):
+                    targets = tva_exact(inst, order, g0).thresholds[0]
+                    assert len(targets) == inst.n
                     for t, g in enumerate(targets):
-                        if g0 <= opt.total:
-                            assert g <= opt.per_stage[t + 1] + 1e-9
+                        if g0 <= opt[0]:
+                            assert g <= opt[t + 1] + 1e-9
                         else:
-                            assert g >= opt.per_stage[t + 1] - 1e-9
+                            assert g >= opt[t + 1] - 1e-9
 
     def test_known_opt_is_achieved_exactly(self):
         rng = np.random.default_rng(83)
         for _ in range(20):
             inst = random_instance(rng, int(rng.integers(1, 5)))
             for order in all_orders(inst)[:4]:
-                opt = opt_online(inst, order).total
-                assert tva_exact(inst, order, opt).total == pytest.approx(
+                opt = opt_online(inst, order).stages[0, 0]
+                assert tva_exact(inst, order, opt).stages[0, 0] == pytest.approx(
                     opt, abs=1e-9
                 )
 
@@ -309,9 +307,9 @@ class TestConsistencyRobustnessGuarantees:
             inst = random_instance(rng, int(rng.integers(1, 5)))
             g0 = prophet_value(inst) / PHI
             for order in all_orders(inst):
-                opt = opt_online(inst, order).total
+                opt = opt_online(inst, order).stages[0, 0]
                 if opt > 0:
-                    ratio = tva_exact(inst, order, g0).total / opt
+                    ratio = tva_exact(inst, order, g0).stages[0, 0] / opt
                     assert ratio >= 1.0 / PHI - 1e-9
 
 
@@ -329,7 +327,7 @@ class TestRunPolicySampled:
         )
         order = ("x", "y")
         rng = np.random.default_rng(1)
-        exact = tva_exact(inst, order, 0.9).total
+        exact = tva_exact(inst, order, 0.9).stages[0, 0]
         for _ in range(10):
             assert sampled("tva", 0.9, inst, order, rng, 1)[0] == exact
 
@@ -347,10 +345,10 @@ class TestRunPolicySampled:
         if kind == "sta":
             from ocselect import sta_exact
 
-            exact = sta_exact(AB, order, param).total
+            exact = sta_exact(AB, order, param).stages[0, 0]
         else:
             evaluator = tva_exact if kind == "tva" else tvd_exact
-            exact = evaluator(AB, order, param).total
+            exact = evaluator(AB, order, param).stages[0, 0]
         rng = np.random.default_rng(97)
         n = 20_000
         # One call draws the same stream, row by row, as n one-run calls.
@@ -393,8 +391,11 @@ CUT_MARGIN_ULPS = 8
 
 
 def cuts_of(inst: Instance, order, kind: str, top: float) -> list[float]:
-    """``value_cuts`` of one order."""
-    return value_cuts(inst, order, kind, top)
+    """One order's ``_lane_value_cuts``, with ``tvd``'s emax_after row built as the mixtures build it."""
+    perm = np.array([order_indices(inst, order)])
+    emax = policies._lane_emax_after(inst.suffix_tables, perm) if kind == "tvd" else None
+    levels = policies._lane_value_cuts(inst.box_tables, perm, emax, kind, top)[0]
+    return levels[levels < math.inf].tolist()
 
 
 def values_at(kind: str, inst: Instance, order, g0: list[float]) -> list[float]:
@@ -425,10 +426,6 @@ class TestValueProfile:
             piece, *values = values_at(kind, inst, order, [0.5 * (a + b), *probes])
             for value in values:
                 assert value == piece
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            value_cuts(AB, AB.ids, "sta", 2.0)
 
     def test_four_box_tvd_piece_count(self):
         # tvd levels above emax_after[t] are dropped at stage t: 148 pieces
@@ -516,12 +513,12 @@ class TestRandomizedValue:
     def test_point_mass_equals_exact(self):
         spec = point_density(1.0 / PHI)
         got = randomized_value(AB, ("B", "A"), spec, policy_kind="tva")
-        want = tva_exact(AB, ("B", "A"), prophet_value(AB) / PHI).total
+        want = tva_exact(AB, ("B", "A"), prophet_value(AB) / PHI).stages[0, 0]
         assert got == want
 
     def test_rho_732_beats_gamma_on_both_orders(self):
         for order in (("A", "B"), ("B", "A")):
-            opt = opt_online(AB, order).total
+            opt = opt_online(AB, order).stages[0, 0]
             got = randomized_value(AB, order, rho_732())
             assert got >= 0.732 * opt - 1e-6
 
@@ -606,7 +603,7 @@ class TestSampleRuns:
         # and the runs that reach the switch meet its single threshold.
         inst = load_instance(DATA_DIR / "four_box.json")
         for order in all_orders(inst):
-            for g0 in (0.5 * opt_online(inst, order).total, prophet_value(inst)):
+            for g0 in (0.5 * opt_online(inst, order).stages[0, 0], prophet_value(inst)):
                 replay_rng = np.random.default_rng(31)
                 want = np.array([replay_run(kind, g0, inst, order, replay_rng) for _ in range(50)])
                 got = sampled(kind, g0, inst, order, np.random.default_rng(31), 50)
@@ -857,25 +854,55 @@ def raised(call, *args) -> tuple[type, str]:
     return type(info.value), str(info.value)
 
 
+def one_lane(kind: str, inst: Instance, order, g0: float | None):
+    """``lane_values`` on the one lane (order, g0)."""
+    perm = np.array([order_indices(inst, order)])
+    start = None if g0 is None else np.array([g0])
+    return lane_values(kind, inst, perm, np.zeros(1, dtype=int), start)
+
+
+def assert_lanes_equal(got, want) -> None:
+    """Two ``LaneValues`` equal in every field, shape and dtype, with nan equal to nan."""
+    for field, a, b in zip(want._fields, got, want):
+        np.testing.assert_array_equal(a, b, err_msg=field, strict=True)
+
+
 class TestOneLaneEvaluators:
     def test_results_equal_the_reference(self):
-        # Every field of each result: per_stage, targets (for tvd, up to and
-        # including the switch stage), switch_stage and threshold.
+        # Each call returns lane_values on its lane, every field.  Against the
+        # reference's result, with s its switch stage (n where none): stages[0]
+        # is per_stage and thresholds[0, :s] the targets before s; for tvd,
+        # switch_target is the target at s and thresholds[0, s:] the single
+        # threshold.
         switched = 0
         for inst in lane_instances():
             prophet = prophet_value(inst)
             for order in all_orders(inst)[:4]:
                 opt = opt_online(inst, order)
-                assert opt == ref.opt_online(inst, order)
-                perm = np.array([order_indices(inst, order)])
-                lane = lane_values("opt", inst, perm, np.zeros(1, dtype=int), None)
-                assert lane.stages[0].tolist() == list(opt.per_stage)
-                assert lane.thresholds.tolist() == lane.stages[:, 1:].tolist()
+                assert_lanes_equal(opt, one_lane("opt", inst, order, None))
+                assert opt.stages[0].tolist() == list(ref.opt_online(inst, order).per_stage)
+                assert opt.thresholds.tolist() == opt.stages[:, 1:].tolist()
+                assert opt.switch_stage.tolist() == [-1]
+                best = float(opt.stages[0, 0])
                 for kind, public in PUBLIC.items():
-                    for g0 in (0.0, 0.5 * opt.total, opt.total, 1.25 * prophet):
+                    for g0 in (0.0, 0.5 * best, best, 1.25 * prophet):
                         got = public(inst, order, g0)
-                        assert got == ref.EVALUATORS[kind](inst, order, g0)
-                        switched += got.switch_stage is not None
+                        assert_lanes_equal(got, one_lane(kind, inst, order, g0))
+                        want = ref.EVALUATORS[kind](inst, order, g0)
+                        assert got.stages[0].tolist() == list(want.per_stage)
+                        thresholds = got.thresholds[0].tolist()
+                        s = inst.n if want.switch_stage is None else want.switch_stage
+                        # sta walks no targets: its tau is every stage's threshold.
+                        targets = want.targets or (want.threshold,) * inst.n
+                        assert thresholds[:s] == list(targets[:s])
+                        if s < inst.n:
+                            assert got.switch_stage.tolist() == [s]
+                            assert got.switch_target.tolist() == [want.targets[s]]
+                            assert thresholds[s:] == [want.threshold] * (inst.n - s)
+                            switched += 1
+                        else:
+                            assert got.switch_stage.tolist() == [-1]
+                            assert math.isnan(got.switch_target[0])
         assert switched > 0
 
     def test_randomized_value_equals_the_reference(self):
@@ -901,7 +928,7 @@ class TestOneLaneEvaluators:
         tracemalloc.start()
         try:
             opt = opt_online(inst, inst.ids)
-            tva_exact(inst, inst.ids, opt.total)
+            tva_exact(inst, inst.ids, opt.stages[0, 0])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -909,9 +936,10 @@ class TestOneLaneEvaluators:
         assert "suffix_tables" not in inst.__dict__
 
     @pytest.mark.parametrize("kind", ["opt", "sta", "tva", "tvd"])
-    def test_stage_out_of_range_raises_like_an_evaluation_result(self, kind, monkeypatch):
+    def test_stage_out_of_range_raises_like_the_reference_result(self, kind, monkeypatch):
         # Negated tail means drive the stage values below zero.  The lane pass
-        # raises what EvaluationResult raises on the first lane's stages.
+        # raises what the reference's EvaluationResult raises on the first
+        # lane's stages.
         inst = Instance((A, B, Box("coin", COIN)))
         tables = inst.box_tables
         inst.__dict__["box_tables"] = tables._replace(tail_mean=-tables.tail_mean)
@@ -920,7 +948,7 @@ class TestOneLaneEvaluators:
         with monkeypatch.context() as unchecked:
             unchecked.setattr(policies, "VALUE_TOL", math.inf)
             first = tuple(lane_values(*args).stages[0].tolist())
-        assert raised(lane_values, *args) == raised(EvaluationResult, kind, first)
+        assert raised(lane_values, *args) == raised(ref.EvaluationResult, kind, first)
 
     def test_unknown_kind_raises_like_the_reference(self):
         got = raised(policies._one_lane, "nope", AB, ("A", "B"), 1.0)
