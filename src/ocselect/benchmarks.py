@@ -14,6 +14,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -68,10 +69,6 @@ class Instance:
         return frozenset(self.ids)
 
     @cached_property
-    def by_id(self) -> dict[str, Box]:
-        return {b.box_id: b for b in self.boxes}
-
-    @cached_property
     def dists(self) -> tuple[DiscreteDistribution, ...]:
         return tuple(b.dist for b in self.boxes)
 
@@ -110,8 +107,15 @@ def order_indices(instance: Instance, order: ArrivalOrder) -> list[int]:
     return [instance.index[box_id] for box_id in order]
 
 
+# The most boxes whose orders ``eval --orders all`` lists without
+# --force-enumeration, and the most for which ``SuffixTables`` answers from its
+# tables of every set of boxes (at most 512 rows, fewer than one chunk's
+# lanes).  Past it, each lane folds its own suffixes.
+ENUMERATION_LIMIT = 9
+
+
 class SuffixTables:
-    """The tables ``tvd`` reads E[max of the boxes still to come] and its switch threshold from.
+    """What ``tvd`` knows about the boxes still to come: their E[max] and best single threshold.
 
     Built only when ``tvd`` runs.  ``cdf`` is each box's normalised CDF row
     on ``grid``, the sorted union of every atom value, so a product of rows
@@ -120,8 +124,10 @@ class SuffixTables:
     box's best single threshold on its own, picked in one call from every
     box's atoms, padded with zero mass.  ``set_emax`` and ``set_tau`` hold
     the two quantities for every set of boxes, indexed by its bitmask (bit b
-    for box b).  Each has 2**n entries and is built on its first read;
-    ``policies`` reads them only up to ENUMERATION_LIMIT boxes.
+    for box b).  Each has 2**n entries and is built on its first read.
+    ``emax_after`` and ``switch_tau`` read them up to ENUMERATION_LIMIT
+    boxes, so both answers depend only on which boxes remain; past it they
+    fold each row's boxes in arrival order.
     """
 
     def __init__(self, dists: Sequence[DiscreteDistribution]) -> None:
@@ -154,6 +160,46 @@ class SuffixTables:
         tau = _best_thresholds(self.grid, _atom_masses(self._set_cdf(range(len(self.cdf)))))[0]
         tau[1 << np.arange(len(self.cdf))] = self.alone_tau
         return tau
+
+    def emax_after(self, perm: np.ndarray) -> np.ndarray:
+        """E[max of the boxes after stage t] for each row of ``perm`` and each stage t.
+
+        Up to ENUMERATION_LIMIT boxes, ``set_emax`` at each row's remaining
+        set after stage t: the back-to-front fold of the set's CDF rows in
+        box order, the fold below on a row whose remaining boxes arrive in
+        box order.  Past it, one back-to-front fold of the rows' CDF rows in
+        arrival order.  Each mean is a sequential sum over the grid, where
+        points outside the suffix's supports add an exact 0.0.
+        """
+        lanes, n = perm.shape
+        if len(self.cdf) <= ENUMERATION_LIMIT:
+            after = np.zeros_like(perm)
+            after[:, :-1] = np.bitwise_or.accumulate(1 << perm[:, :0:-1], axis=1)[:, ::-1]
+            return self.set_emax[after]
+        out = np.zeros((lanes, n))
+        rows = (self.cdf[perm[:, t]] for t in range(n - 1, 0, -1))
+        for t, running in zip(range(n - 2, -1, -1), accumulate(rows, np.multiply)):
+            out[:, t] = _max_mean(self.grid, running)
+        return out
+
+    def switch_tau(self, suffix: np.ndarray) -> np.ndarray:
+        """The best single threshold over each row's boxes.
+
+        Up to ENUMERATION_LIMIT boxes, ``set_tau`` at the row's set:
+        ``best_single_threshold`` of its boxes in box order, bit for bit.
+        Past it, ``best_single_threshold(dists).tau`` of the boxes in the
+        row's order: the rows' CDFs are folded front to back as
+        ``max_distribution`` folds them, and the threshold is picked from
+        their atom masses, which hold an exact 0.0 at grid points outside the
+        suffix's supports.  A one-box suffix keeps ``alone_tau``, as
+        ``max_distribution`` returns its single input unchanged.
+        """
+        if len(self.cdf) <= ENUMERATION_LIMIT:
+            return self.set_tau[np.bitwise_or.reduce(1 << suffix, axis=1)]
+        if suffix.shape[1] == 1:
+            return self.alone_tau[suffix[:, 0]]
+        running = reduce(np.multiply, (self.cdf[suffix[:, t]] for t in range(suffix.shape[1])))
+        return _best_thresholds(self.grid, _atom_masses(running))[0]
 
     def _set_cdf(self, boxes: Iterable[int]) -> np.ndarray:
         """Each set's CDF, one row per bitmask: its boxes' rows multiplied in ``boxes`` order.

@@ -54,9 +54,9 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .benchmarks import (
+    ENUMERATION_LIMIT,
     ArrivalOrder,
     Instance,
-    OrderError,
     order_indices,
     prophet_value,
 )
@@ -77,7 +77,6 @@ from .hardness import (
 )
 from .io import load_instance
 from .policies import (
-    ENUMERATION_LIMIT,
     EXACT_POLICIES,
     LANE_CHUNK,
     lane_randomized_values,

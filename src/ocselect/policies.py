@@ -17,28 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
-from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .benchmarks import (
-    ArrivalOrder,
-    Instance,
-    SuffixTables,
-    _best_thresholds,
-    order_indices,
-    prophet_value,
-)
+from .benchmarks import ArrivalOrder, Instance, order_indices, prophet_value
 from .densities import DensitySpec, density_cdf
 from .distributions import (
-    BoxTables,
     DiscreteDistribution,
-    _atom_masses,
     _lane_inverse_target,
     _lane_jump_target,
-    _max_mean,
     inverse_cdf,
     inverse_target,
 )
@@ -59,13 +47,6 @@ EXACT_POLICIES = ("sta", "tva", "tvd")
 # 120 orders 36.4, 36.4, 36.8 and 37.3 MB in 0.64, 0.59, 0.62 and 0.57 s.
 # 512 is slower on both; the wider chunks cost megabytes for a few percent.
 LANE_CHUNK = 1024
-
-# The most boxes whose orders ``eval --orders all`` lists without
-# --force-enumeration, and the most for which ``tvd`` reads E[max of the boxes
-# still to come] and its switch threshold from ``SuffixTables``' tables of
-# every set of boxes (at most 512 rows, fewer than one chunk's lanes).  Past
-# it, each lane folds its own suffixes.
-ENUMERATION_LIMIT = 9
 
 # Slack allowed when validating computed per-stage values as nonnegative.
 VALUE_TOL = 1e-9
@@ -126,14 +107,13 @@ def tvd_step(
 ) -> tuple[PolicyState, Decision]:
     """Advance the detecting targeted policy by one box.
 
-    ``boxes`` holds indices into ``instance.boxes``: the current box, then
-    the boxes still to come in arrival order.  Box ids, not distributions,
-    because two boxes may share one distribution.  The switch test compares
-    the updated target against E[max of the boxes still to come], the
-    stage-0 value of ``_lane_emax_after`` on ``boxes``; a tie stays
-    targeted.  The conservative threshold is ``_lane_switch_tau`` over all
-    of ``boxes``, and the switch is permanent.  Up to ENUMERATION_LIMIT
-    boxes both are read from the tables of the remaining set.
+    ``boxes`` holds distinct indices into ``instance.boxes``: the current
+    box, then the boxes still to come in arrival order.  Box ids, not
+    distributions, because two boxes may share one distribution.  The switch
+    test compares the updated target against E[max of the boxes still to
+    come], the stage-0 value of the instance's ``SuffixTables.emax_after``
+    on ``boxes``; a tie stays targeted.  The conservative threshold is its
+    ``switch_tau`` over all of ``boxes``, and the switch is permanent.
     """
     boxes = np.asarray(boxes)
     if boxes.ndim != 1 or len(boxes) == 0:
@@ -141,16 +121,19 @@ def tvd_step(
     outside = (boxes < 0) | (boxes >= instance.n)
     if outside.any():
         raise PolicyError(f"box id outside range({instance.n}): {int(boxes[outside][0])!r}")
+    ids = boxes.tolist()
+    if len(set(ids)) < len(ids):
+        raise PolicyError(f"box id repeated: {next(b for b in ids if ids.count(b) > 1)!r}")
     if state.mode == TERMINATED:
         raise PolicyError("stepping a terminated policy")
     if state.mode == CONSERVATIVE:
         return _advance(state, state.threshold, realized_value, CONSERVATIVE)
     g = float(_lane_inverse_target(instance.box_tables, boxes[:1], np.array([state.target]))[0])
     tables = instance.suffix_tables
-    future = float(_lane_emax_after(tables, boxes[None])[0, 0])
+    future = float(tables.emax_after(boxes[None])[0, 0])
     if g <= future:
         return _advance(state, g, realized_value, TARGETED, target=g)
-    tau = float(_lane_switch_tau(tables, boxes[None])[0])
+    tau = float(tables.switch_tau(boxes[None])[0])
     return _advance(
         state, tau, realized_value, CONSERVATIVE, target=g, switch_stage=state.stage, threshold=tau
     )
@@ -221,7 +204,6 @@ def lane_values(
     perm: np.ndarray,
     rows: np.ndarray,
     g0: np.ndarray | None,
-    emax_after: np.ndarray | None = None,
 ) -> LaneValues:
     """Exact value of the named policy on every lane, with each lane's stages and thresholds.
 
@@ -232,17 +214,15 @@ def lane_values(
     at or above the value to go from the next stage.  ``sta`` accepts at g0 at
     every stage.  ``tva`` accepts at each target of the walk
     g_t = inverse_target(d_t, g_{t-1}).  ``tvd`` walks the same targets until
-    the first g_t above emax_after[t], E[max of the boxes after stage t]; from
-    that switch stage on it accepts at the best single threshold over the
-    remaining boxes.  Both come from ``_lane_emax_after`` and
-    ``_lane_switch_tau``: up to ENUMERATION_LIMIT boxes they are read from
-    the tables of the remaining set, so they depend on which boxes remain
-    and not on their order.  Many lanes may share one order: ``tvd``'s
-    emax_after table is built once per row of ``perm`` (or taken from the
-    caller, one row per row of ``perm``) and its switch threshold once per
-    (row, switch stage), then gathered per lane.  Each stage is one numpy
-    pass over all lanes that repeats, in the same order, the IEEE operations
-    of the one-order reference evaluators in ``tests/scalar_reference.py``.
+    the first g_t above E[max of the boxes after stage t]; from that switch
+    stage on it accepts at the best single threshold over the remaining
+    boxes.  Both come from the instance's ``SuffixTables``.  Many lanes may
+    share one order: ``tvd``'s E[max] table is built once per row of
+    ``perm`` and its switch threshold once per (row, switch stage), then
+    gathered per lane, so ``perm`` should hold only the lanes' rows.  Each
+    stage is one numpy pass over all lanes that repeats, in the same order,
+    the IEEE operations of the one-order reference evaluators in
+    ``tests/scalar_reference.py``.
     """
     if policy_kind not in ("opt", *EXACT_POLICIES):
         raise PolicyError(f"unknown policy kind: {policy_kind!r}")
@@ -257,8 +237,8 @@ def lane_values(
     if policy_kind == "sta":
         thresholds[:] = g0[:, None]
     elif policy_kind != "opt":
-        if policy_kind == "tvd" and emax_after is None:
-            emax_after = _lane_emax_after(instance.suffix_tables, perm)
+        if policy_kind == "tvd":
+            emax_after = instance.suffix_tables.emax_after(perm)
         g = g0
         for t in range(n):
             g = _lane_inverse_target(tables, perm[rows, t], g)
@@ -272,7 +252,7 @@ def lane_values(
         used = np.zeros(len(perm), dtype=bool)
         used[rows[at]] = True
         taus = np.empty(len(perm))
-        taus[used] = _lane_switch_tau(instance.suffix_tables, perm[used, s:])
+        taus[used] = instance.suffix_tables.switch_tau(perm[used, s:])
         thresholds[at, s:] = taus[rows[at]][:, None]
     stages = np.zeros((lanes, n + 1))
     acc = stages[:, n]
@@ -288,48 +268,6 @@ def lane_values(
     if out_of_range.any():
         raise ValueError(f"per-stage value out of range: {float(stages[out_of_range][0])!r}")
     return LaneValues(stages, thresholds, switch, switch_target)
-
-
-def _lane_emax_after(tables: SuffixTables, perm: np.ndarray) -> np.ndarray:
-    """``emax_after`` of every lane: E[max of the boxes after stage t].
-
-    Up to ENUMERATION_LIMIT boxes, ``tables.set_emax`` at each lane's
-    remaining set after stage t: the back-to-front fold of the set's CDF rows
-    in box order, the fold below on a lane whose remaining boxes arrive in
-    box order.  Past it, one back-to-front fold of the lanes' CDF rows in
-    arrival order.  Each mean is a sequential sum over the grid, where points
-    outside the suffix's supports add an exact 0.0.
-    """
-    lanes, n = perm.shape
-    if len(tables.cdf) <= ENUMERATION_LIMIT:
-        after = np.zeros_like(perm)
-        after[:, :-1] = np.bitwise_or.accumulate(1 << perm[:, :0:-1], axis=1)[:, ::-1]
-        return tables.set_emax[after]
-    out = np.zeros((lanes, n))
-    rows = (tables.cdf[perm[:, t]] for t in range(n - 1, 0, -1))
-    for t, running in zip(range(n - 2, -1, -1), accumulate(rows, np.multiply)):
-        out[:, t] = _max_mean(tables.grid, running)
-    return out
-
-
-def _lane_switch_tau(tables: SuffixTables, suffix: np.ndarray) -> np.ndarray:
-    """The best single threshold over each row's boxes.
-
-    Up to ENUMERATION_LIMIT boxes, ``tables.set_tau`` at the row's set:
-    ``best_single_threshold`` of its boxes in box order, bit for bit.  Past
-    it, ``best_single_threshold(dists).tau`` of the boxes in the row's order:
-    the rows' CDFs are folded front to back as ``max_distribution`` folds
-    them, and the threshold is picked from their atom masses, which hold an
-    exact 0.0 at grid points outside the suffix's supports.  A one-box
-    suffix keeps the box's raw probabilities, as ``max_distribution``
-    returns its single input unchanged.
-    """
-    if len(tables.cdf) <= ENUMERATION_LIMIT:
-        return tables.set_tau[np.bitwise_or.reduce(1 << suffix, axis=1)]
-    if suffix.shape[1] == 1:
-        return tables.alone_tau[suffix[:, 0]]
-    running = reduce(np.multiply, (tables.cdf[suffix[:, t]] for t in range(suffix.shape[1])))
-    return _best_thresholds(tables.grid, _atom_masses(running))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -363,25 +301,25 @@ def sample_runs(
 
 
 def _lane_value_cuts(
-    tables: BoxTables,
-    perm: np.ndarray,
-    emax_after: np.ndarray | None,
-    policy_kind: str,
-    top: float,
+    instance: Instance, perm: np.ndarray, policy_kind: str, top: float
 ) -> np.ndarray:
     """Each order's sorted distinct starting targets below ``top`` where its value can jump.
 
     Row i of the result holds the cuts of the order in row i of ``perm``,
     then +inf pads.  The value depends on g0 only through each stage's
     acceptance index and, for ``tvd``, the switch stage: through where each
-    target g_t lies among the stage's atoms and ``emax_after[t]``,
-    E[max of the boxes after stage t].  Each such level is carried back to g0
-    stage by stage, all orders at once, through ``_lane_jump_target``.
-    Levels only grow on the way, so one reaching ``top`` is dropped at once.
+    target g_t lies among the stage's atoms and emax_after[t], E[max of the
+    boxes after stage t] from the instance's ``SuffixTables``.  Each such
+    level is carried back to g0 stage by stage, all orders at once, through
+    ``_lane_jump_target``.  Levels only grow on the way, so one reaching
+    ``top`` is dropped at once.
     For ``tvd`` a target above emax_after[t] switches the walk at stage t,
     after which no target from stage t on is used, so only levels up to
     emax_after[t] are kept there.
     """
+    tables = instance.box_tables
+    if policy_kind == "tvd":
+        emax_after = instance.suffix_tables.emax_after(perm)
     levels = np.empty((len(perm), 0))
     for t in range(perm.shape[1] - 1, -1, -1):
         boxes = perm[:, t]
@@ -416,18 +354,13 @@ class MixturePieces(NamedTuple):
 
 
 def _lane_mixture_pieces(
-    instance: Instance,
-    perm: np.ndarray,
-    emax_after: np.ndarray | None,
-    density: DensitySpec,
-    policy_kind: str,
+    instance: Instance, perm: np.ndarray, density: DensitySpec, policy_kind: str
 ) -> MixturePieces:
     """The pieces of every order's mixture, flat, order after order.
 
-    ``perm`` holds each order's indices into ``instance.boxes`` and
-    ``emax_after`` its rows of ``_lane_emax_after`` (``tvd`` only).  The
-    value is piecewise constant in g0 (see ``_lane_value_cuts``): each piece
-    is weighted by its mass under the analytic density CDF and valued at its
+    ``perm`` holds each order's indices into ``instance.boxes``.  The value
+    is piecewise constant in g0 (see ``_lane_value_cuts``): each piece is
+    weighted by its mass under the analytic density CDF and valued at its
     midpoint.  A piece of weight exactly 0.0, between two cuts inside a gap
     of the density, is dropped.  A point mass is one piece of weight 1.
     """
@@ -437,7 +370,7 @@ def _lane_mixture_pieces(
         mids = np.full(orders, density.point_mass * prophet)
         return MixturePieces(np.ones(orders, dtype=int), np.ones(orders), mids)
     lo, hi = density.pieces[0].lo, density.pieces[-1].hi
-    cuts = _lane_value_cuts(instance.box_tables, perm, emax_after, policy_kind, hi * prophet)
+    cuts = _lane_value_cuts(instance, perm, policy_kind, hi * prophet)
     inside = (cuts > lo * prophet) & (cuts < math.inf)
     counts = np.count_nonzero(inside, axis=1) + 1
     # Each order's edges: lo, its cuts above lo, hi; flat, order after order.
@@ -483,23 +416,23 @@ def lane_randomized_values(
 ) -> Iterator[float]:
     """The mixture value of each row of ``perm`` in turn, with its pieces as lanes.
 
-    Row i of ``perm`` holds the box indices of one order.  For ``tvd`` the
-    rows' emax_after table is built once, for the cuts and the passes alike.
-    Every row's pieces are built together (see ``_lane_mixture_pieces``) and
-    valued by ``lane_values`` in passes of LANE_CHUNK lanes (the last pass
-    may be shorter), so one order's pieces may span several passes.  Each
-    order's piece values are then mixed by ``_mix``.
+    Row i of ``perm`` holds the box indices of one order.  Every row's
+    pieces are built together (see ``_lane_mixture_pieces``) and valued by
+    ``lane_values`` in passes of LANE_CHUNK lanes (the last pass may be
+    shorter), so one order's pieces may span several passes.  An order's
+    pieces are contiguous, so each pass gets only the rows of ``perm`` its
+    pieces come from.  Each order's piece values are then mixed by ``_mix``.
     """
     if policy_kind not in ("tva", "tvd"):
         raise ValueError(f"randomized mixture needs tva or tvd, got {policy_kind!r}")
-    emax_after = _lane_emax_after(instance.suffix_tables, perm) if policy_kind == "tvd" else None
-    counts, weights, mids = _lane_mixture_pieces(instance, perm, emax_after, density, policy_kind)
+    counts, weights, mids = _lane_mixture_pieces(instance, perm, density, policy_kind)
     rows = np.repeat(np.arange(len(perm)), counts)
     values = np.empty(len(mids))
     for start in range(0, len(mids), LANE_CHUNK):
         part = slice(start, start + LANE_CHUNK)
-        lanes = rows[part], mids[part]
-        values[part] = lane_values(policy_kind, instance, perm, *lanes, emax_after).stages[:, 0]
+        first, last = rows[start], rows[part][-1]
+        lanes = perm[first : last + 1], rows[part] - first, mids[part]
+        values[part] = lane_values(policy_kind, instance, *lanes).stages[:, 0]
     bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
     for a, b in zip(bounds, bounds[1:]):
         yield _mix(weights[a:b].tolist(), values[a:b].tolist())

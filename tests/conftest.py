@@ -101,7 +101,7 @@ def g0_grid(instance: Instance, points: int = 20) -> list[float]:
 
 def brute_force_opt(instance: Instance, order) -> float:
     """Realization-tree optimum: exact backward induction by enumeration."""
-    dists = [instance.by_id[b].dist for b in order]
+    dists = [instance.dists[instance.index[b]] for b in order]
 
     def go(t: int) -> float:
         if t == len(dists):

@@ -28,10 +28,10 @@ from ocselect import (
     Instance,
     ThresholdChoice,
 )
-from ocselect.benchmarks import ArrivalOrder, order_indices, prophet_value
+from ocselect.benchmarks import ENUMERATION_LIMIT, ArrivalOrder, order_indices, prophet_value
 from ocselect.densities import WEIGHT_ONE, integrate_weighted
 from ocselect.distributions import PROB_TOL, TARGET_SLACK
-from ocselect.policies import ENUMERATION_LIMIT, EXACT_POLICIES, VALUE_TOL, PolicyError, _mix
+from ocselect.policies import EXACT_POLICIES, VALUE_TOL, PolicyError, _mix
 
 
 def as_probability(p: float) -> float:

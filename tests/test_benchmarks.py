@@ -70,7 +70,7 @@ class TestOptOnline:
             res = opt_online(inst, order)
             cont = 0.0
             for t in range(inst.n - 1, -1, -1):
-                d = inst.by_id[order[t]].dist
+                d = inst.dists[inst.index[order[t]]]
                 cont = math.fsum(
                     p * max(v, cont) for v, p in zip(d.values, d.probs)
                 )

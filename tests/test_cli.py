@@ -289,9 +289,9 @@ class TestEvalCommand:
         passes = []
         lane_values = policies.lane_values
 
-        def counted(policy_kind, instance, perm, rows, g0, emax_after=None):
+        def counted(policy_kind, instance, perm, rows, g0):
             passes.append(rows.size)
-            return lane_values(policy_kind, instance, perm, rows, g0, emax_after)
+            return lane_values(policy_kind, instance, perm, rows, g0)
 
         monkeypatch.setattr(policies, "lane_values", counted)
         argv = ["eval", "--instance", FOUR_BOX, "--policy", "tvd-rand-732"]
@@ -506,9 +506,9 @@ class TestEvalValidation:
         valued = []
         lane_values = policies.lane_values
 
-        def recorded(policy_kind, instance, perm, rows, g0, emax_after=None):
+        def recorded(policy_kind, instance, perm, rows, g0):
             valued.extend(perm[rows].tolist())
-            return lane_values(policy_kind, instance, perm, rows, g0, emax_after)
+            return lane_values(policy_kind, instance, perm, rows, g0)
 
         monkeypatch.setattr(policies, "lane_values", recorded)
         out = tmp_path / "report.csv"

@@ -48,7 +48,7 @@ from ocselect import (
     tvd_exact,
     tvd_step,
 )
-from ocselect import distributions, policies
+from ocselect import benchmarks, distributions, policies
 from ocselect.benchmarks import order_indices
 from ocselect.densities import PHI, PIECE_INV, DensityPiece
 from ocselect.distributions import TARGET_SLACK, inverse_cdf, inverse_target
@@ -117,6 +117,20 @@ class TestTvdStep:
         assert state.switch_stage == 0
         assert state.threshold == pytest.approx(1.0, abs=1e-12)
         assert decision.accept  # threshold over the lone box is 1.0 and v = 1
+
+    def test_repeated_box_id_is_rejected_on_both_paths(self, monkeypatch):
+        # The set tables would collapse the repeat into one bit and the fold
+        # would multiply its CDF in twice: from 1.726 on four_box.json the
+        # first switches (E[max after] 1.3) and the second stays targeted (1.78).
+        inst = load_instance(DATA_DIR / "four_box.json")
+        for limit in (benchmarks.ENUMERATION_LIMIT, 0):
+            monkeypatch.setattr(benchmarks, "ENUMERATION_LIMIT", limit)
+            with pytest.raises(PolicyError, match="box id repeated: 1"):
+                tvd_step(PolicyState.initial(1.726), inst, [0, 1, 1], 0.0)
+            with pytest.raises(PolicyError, match="box id repeated: 2"):
+                tvd_step(PolicyState.initial(1.726), inst, [2, 3, 0, 2], 0.0)
+            state, _ = tvd_step(PolicyState.initial(1.726), inst, [0, 1, 3], 0.0)
+            assert state.mode == TARGETED
 
     def test_conservative_mode_is_permanent(self):
         state, _ = tvd_step(PolicyState.initial(0.9), STEPS, [3, 1, 2], 0.0)
@@ -391,10 +405,9 @@ CUT_MARGIN_ULPS = 8
 
 
 def cuts_of(inst: Instance, order, kind: str, top: float) -> list[float]:
-    """One order's ``_lane_value_cuts``, with ``tvd``'s emax_after row built as the mixtures build it."""
+    """One order's ``_lane_value_cuts``."""
     perm = np.array([order_indices(inst, order)])
-    emax = policies._lane_emax_after(inst.suffix_tables, perm) if kind == "tvd" else None
-    levels = policies._lane_value_cuts(inst.box_tables, perm, emax, kind, top)[0]
+    levels = policies._lane_value_cuts(inst, perm, kind, top)[0]
     return levels[levels < math.inf].tolist()
 
 
@@ -451,8 +464,8 @@ def gen_instance(seed: int, boxes: int = 12, atoms: int = 6) -> Instance:
 
 def batched_cuts(inst: Instance, perm: np.ndarray, kind: str, top: float):
     """``_lane_value_cuts`` of every row of ``perm`` as lists, and the reference's."""
-    emax = policies._lane_emax_after(inst.suffix_tables, perm)
-    got = policies._lane_value_cuts(inst.box_tables, perm, emax, kind, top)
+    emax = inst.suffix_tables.emax_after(perm)
+    got = policies._lane_value_cuts(inst, perm, kind, top)
     want = [
         ref.value_cuts([inst.dists[b] for b in boxes], row, kind, top)
         for boxes, row in zip(perm.tolist(), emax.tolist())
@@ -673,11 +686,11 @@ class TestLaneValues:
             orders = all_orders(inst)[::7]
             perm = np.array([order_indices(inst, order) for order in orders])
             tables = inst.suffix_tables
-            emax_after = policies._lane_emax_after(tables, perm)
+            emax_after = tables.emax_after(perm)
             for row, order in zip(emax_after.tolist(), orders):
                 assert row == ref.emax_after(inst, order_indices(inst, order))
             for s in range(inst.n):
-                taus = policies._lane_switch_tau(tables, perm[:, s:]).tolist()
+                taus = tables.switch_tau(perm[:, s:]).tolist()
                 assert taus == [
                     ref.best_single_threshold(ref.remaining(inst, row[s:])).tau
                     for row in perm.tolist()
@@ -744,11 +757,11 @@ def set_value_conflicts(inst: Instance) -> int:
     tables = inst.suffix_tables
     read = [
         (set_mask(row[t + 1 :]), value)
-        for row, values in zip(perm.tolist(), policies._lane_emax_after(tables, perm).tolist())
+        for row, values in zip(perm.tolist(), tables.emax_after(perm).tolist())
         for t, value in enumerate(values)
     ]
     for s in range(inst.n):
-        taus = policies._lane_switch_tau(tables, perm[:, s:]).tolist()
+        taus = tables.switch_tau(perm[:, s:]).tolist()
         read += [(-set_mask(row), tau) for row, tau in zip(perm[:, s:].tolist(), taus)]
     first: dict[int, float] = {}
     return sum(first.setdefault(key, value) != value for key, value in read)
@@ -762,7 +775,7 @@ class TestSetTables:
         # ENUMERATION_LIMIT does, gives some sets two values.
         instances = [*lane_instances(), random_instance(np.random.default_rng(7), 7, max_atoms=5)]
         assert sum(map(set_value_conflicts, instances)) == 0
-        monkeypatch.setattr(policies, "ENUMERATION_LIMIT", 0)
+        monkeypatch.setattr(benchmarks, "ENUMERATION_LIMIT", 0)
         assert sum(map(set_value_conflicts, instances)) > 0
 
     def test_every_set_equals_the_fold_in_box_order(self, monkeypatch):
@@ -775,14 +788,14 @@ class TestSetTables:
                 sets = set_rows(inst.n, size)
                 after_first = np.concatenate((np.zeros((len(sets), 1), dtype=int), sets), axis=1)
                 table = (
-                    policies._lane_emax_after(tables, after_first)[:, 0].tolist(),
-                    policies._lane_switch_tau(tables, sets).tolist(),
+                    tables.emax_after(after_first)[:, 0].tolist(),
+                    tables.switch_tau(sets).tolist(),
                 )
                 with monkeypatch.context() as fold:
-                    fold.setattr(policies, "ENUMERATION_LIMIT", 0)
+                    fold.setattr(benchmarks, "ENUMERATION_LIMIT", 0)
                     folded = (
-                        policies._lane_emax_after(tables, after_first)[:, 0].tolist(),
-                        policies._lane_switch_tau(tables, sets).tolist(),
+                        tables.emax_after(after_first)[:, 0].tolist(),
+                        tables.switch_tau(sets).tolist(),
                     )
                 assert table == folded
                 masks = [set_mask(row) for row in sets.tolist()]
@@ -815,8 +828,8 @@ class TestSetTables:
                 # Box 0 in front puts each order of the set after stage 0.
                 orders = [(i, [0, *o]) for i, row in enumerate(sets) for o in permutations(row)]
                 with monkeypatch.context() as fold:
-                    fold.setattr(policies, "ENUMERATION_LIMIT", 0)
-                    folded = policies._lane_emax_after(tables, np.array([o for _, o in orders]))
+                    fold.setattr(benchmarks, "ENUMERATION_LIMIT", 0)
+                    folded = tables.emax_after(np.array([o for _, o in orders]))
                 for (i, _), value in zip(orders, folded[:, 0].tolist()):
                     worst["fold"] = max(worst["fold"], ulps(value, exact[i]))
         assert max(worst.values()) <= SET_ULPS, worst
@@ -824,16 +837,16 @@ class TestSetTables:
     def test_past_the_limit_each_lane_folds_in_arrival_order(self):
         # 10 boxes: no set table is built, and lanes and steps still equal the
         # reference, which folds in arrival order there.
-        inst = random_instance(np.random.default_rng(10), policies.ENUMERATION_LIMIT + 1)
+        inst = random_instance(np.random.default_rng(10), benchmarks.ENUMERATION_LIMIT + 1)
         rng = np.random.default_rng(11)
         orders = [tuple(np.array(inst.ids)[rng.permutation(inst.n)]) for _ in range(12)]
         perm = np.array([order_indices(inst, order) for order in orders])
         tables = inst.suffix_tables
-        emax_after = policies._lane_emax_after(tables, perm)
+        emax_after = tables.emax_after(perm)
         for row, boxes in zip(emax_after.tolist(), perm.tolist()):
             assert row == ref.emax_after(inst, boxes)
         for s in range(inst.n):
-            taus = policies._lane_switch_tau(tables, perm[:, s:]).tolist()
+            taus = tables.switch_tau(perm[:, s:]).tolist()
             want = [ref.best_single_threshold(ref.remaining(inst, row[s:])).tau for row in perm]
             assert taus == want
         switched_suffixes = assert_lanes_match_scalar(inst, orders, (0.9, 1.1))
@@ -1042,18 +1055,41 @@ class TestLaneRandomizedValues:
         dropped = 0
         for inst, orders in mixture_instances():
             perm = np.array([order_indices(inst, order) for order in orders])
-            emax = policies._lane_emax_after(inst.suffix_tables, perm) if kind == "tvd" else None
-            pieces = policies._lane_mixture_pieces(inst, perm, emax, density, kind)
+            pieces = policies._lane_mixture_pieces(inst, perm, density, kind)
             prophet = prophet_value(inst)
             assert (lo * prophet < pieces.mids).all() and (pieces.mids < hi * prophet).all()
             assert (pieces.weights > 0.0).all() and pieces.counts.sum() == pieces.mids.size
-            cuts = policies._lane_value_cuts(inst.box_tables, perm, emax, kind, hi * prophet)
+            cuts = policies._lane_value_cuts(inst, perm, kind, hi * prophet)
             made = np.count_nonzero((cuts > lo * prophet) & (cuts < math.inf), axis=1) + 1
             dropped += int((made - pieces.counts).sum())
             valued.clear()
             list(lane_randomized_values(inst, perm, density, kind))
             assert np.concatenate(valued).tolist() == pieces.mids.tolist()
         assert (dropped > 0) == (density.name == "gapped")
+
+    def test_each_pass_gets_only_the_rows_of_its_pieces(self, monkeypatch):
+        # 120 orders of 12 boxes make eight passes.  Each pass gets the rows
+        # of the orders its pieces come from and no others, so only an order
+        # whose pieces are split between two passes is passed twice.
+        inst = gen_instance(1)
+        rng = np.random.default_rng(1)
+        perm = np.array([rng.permutation(inst.n) for _ in range(120)])
+        passes = []
+
+        def recording(kind, instance, part, rows, g0):
+            passes.append((part.tolist(), rows.tolist()))
+            return lane_values(kind, instance, part, rows, g0)
+
+        monkeypatch.setattr(policies, "lane_values", recording)
+        list(lane_randomized_values(inst, perm, rho_732(), "tvd"))
+        counts = policies._lane_mixture_pieces(inst, perm, rho_732(), "tvd").counts
+        piece_rows = np.repeat(np.arange(len(perm)), counts)
+        assert len(passes) == 8
+        for start, (part, rows) in zip(range(0, piece_rows.size, LANE_CHUNK), passes):
+            want = piece_rows[start : start + LANE_CHUNK]
+            assert part == perm[want[0] : want[-1] + 1].tolist()
+            assert rows == (want - want[0]).tolist()
+        assert sum(len(part) for part, _ in passes) <= len(perm) + len(passes) - 1
 
     def test_rejects_a_kind_without_a_mixture(self):
         perm = np.array([[0, 1]])
@@ -1070,11 +1106,10 @@ class TestMixturePieces:
         inst = gen_instance(15)
         rng = np.random.default_rng(15)
         perm = np.array([rng.permutation(inst.n) for _ in range(LANE_CHUNK)])
-        emax = policies._lane_emax_after(inst.suffix_tables, perm) if kind == "tvd" else None
         prophet_value(inst), inst.box_tables  # both cached on the instance
         tracemalloc.start()
         try:
-            pieces = policies._lane_mixture_pieces(inst, perm, emax, density, kind)
+            pieces = policies._lane_mixture_pieces(inst, perm, density, kind)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
