@@ -14,7 +14,8 @@ Subcommands:
 Exit codes: 0 success, 1 usage error, 2 validation error (bad file, bad
 combination of flags, refused enumeration), 3 certificate violation,
 4 internal numerical failure (a solution failing the simplex feasibility or
-optimality post-check, the pivot limit).
+optimality post-check, the pivot limit).  ``eval`` and ``simulate`` check
+every flag before they value any order.
 
 All CSV output uses LF newlines and ``%.12g`` floats, so a rerun with the
 same flags is byte-identical.  Each subcommand writes its CSV to an
@@ -30,7 +31,8 @@ streams.
 Each subcommand is a short-lived process whose fixed cost is mostly
 imports and exit.  ``main`` freezes the gc-tracked heap on entry, once per
 process: everything alive then was built by the imports and is never
-garbage.  Unfrozen, those ~22,000 objects were walked again by the
+garbage, while a later call's freeze would keep earlier calls' garbage for
+good.  Unfrozen, those ~22,000 objects were walked again by the
 interpreter's collections at exit, which took 34 ms against a bare
 interpreter's 8.5 ms (2-vCPU Xeon VM); frozen, the exit takes 8-10 ms.
 """
@@ -79,6 +81,7 @@ from .io import load_instance
 from .policies import (
     EXACT_POLICIES,
     LANE_CHUNK,
+    LaneValues,
     lane_randomized_values,
     lane_values,
     sample_runs,
@@ -129,18 +132,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--policy", required=True, choices=POLICY_KINDS)
     p_eval.add_argument(
         "--g0",
-        default=None,
         help="starting target: a float, 'auto' (prophet value over phi), or "
         "'opt' (the per-order optimum)",
     )
-    p_eval.add_argument("--tau", type=float, default=None, help="threshold for sta")
+    p_eval.add_argument("--tau", type=float, help="threshold for sta")
     p_eval.add_argument(
         "--orders",
         default="all",
         help="'all', 'random:K', or 'file:PATH' (JSON list of id lists)",
     )
-    p_eval.add_argument("--seed", type=int, default=None)
-    p_eval.add_argument("--out", default=None, help="CSV output path (default stdout)")
+    p_eval.add_argument("--seed", type=int)
+    p_eval.add_argument("--out", help="CSV output path (default stdout)")
     p_eval.add_argument(
         "--force-enumeration",
         action="store_true",
@@ -161,27 +163,27 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="perturb both dual certificates (diagnostic; should trip exit 3)",
     )
-    p_hard.add_argument("--out", default=None)
+    p_hard.add_argument("--out")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo check of the exact evaluator")
     p_sim.set_defaults(run=cmd_simulate)
     p_sim.add_argument("--instance", required=True)
     p_sim.add_argument("--policy", required=True, choices=EXACT_POLICIES)
-    p_sim.add_argument("--g0", default=None)
-    p_sim.add_argument("--tau", type=float, default=None)
+    p_sim.add_argument("--g0")
+    p_sim.add_argument("--tau", type=float)
     p_sim.add_argument(
         "--order",
-        default=None,
-        help="comma-separated box ids (default: file order)",
+        help="comma-separated box ids, or 'file:PATH' (JSON list of one id list); "
+        "default: file order",
     )
     p_sim.add_argument("--runs", type=int, default=100_000)
     p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--out", default=None)
+    p_sim.add_argument("--out")
 
     p_dens = sub.add_parser("verify-density", help="check the built-in densities")
     p_dens.set_defaults(run=cmd_verify_density)
     p_dens.add_argument("--density", choices=(*MIXTURES, "both"), default="both")
-    p_dens.add_argument("--out", default=None)
+    p_dens.add_argument("--out")
 
     return parser
 
@@ -190,8 +192,12 @@ def _stream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
 
 
-def _check_flags(args: argparse.Namespace) -> None:
-    """The flags ``eval`` and ``simulate`` share: the policy's own, and the seed."""
+def _check_flags(args: argparse.Namespace) -> float | str | None:
+    """The flags ``eval`` and ``simulate`` share, checked before any work, and the policy's start.
+
+    The start is ``--tau`` for ``sta``, ``--g0`` for ``tva`` and ``tvd`` (a
+    float, ``"auto"`` when absent, or ``"opt"``), and None for the mixtures.
+    """
     if args.seed is not None and args.seed < 0:
         raise CliValidationError("--seed must be >= 0")
     policy = args.policy
@@ -202,40 +208,50 @@ def _check_flags(args: argparse.Namespace) -> None:
             raise CliValidationError("policy 'sta' takes --tau, not --g0")
         if not (math.isfinite(args.tau) and args.tau >= 0.0):
             raise CliValidationError("--tau must be finite and nonnegative")
-    elif policy in ("tva", "tvd"):
-        if args.tau is not None:
-            raise CliValidationError(f"policy {policy!r} takes --g0, not --tau")
-    else:
+        return args.tau
+    if policy not in ("tva", "tvd"):
         if args.tau is not None or args.g0 is not None:
             raise CliValidationError(
                 f"policy {policy!r} draws its starting target from a density; "
                 "--g0 and --tau do not apply"
             )
-
-
-def _starting_target(mode: str | None, instance: Instance, opt: float) -> float:
-    """The ``--g0`` starting target; ``opt`` is the order's online optimum."""
-    if mode is None or mode == "auto":
-        return prophet_value(instance) / PHI
-    if mode == "opt":
-        return opt
+        return None
+    if args.tau is not None:
+        raise CliValidationError(f"policy {policy!r} takes --g0, not --tau")
+    if args.g0 in (None, "auto", "opt"):
+        return args.g0 or "auto"
     try:
-        g0 = float(mode)
+        g0 = float(args.g0)
     except ValueError as exc:
         raise CliValidationError(
-            f"--g0 must be a float, 'auto', or 'opt', got {mode!r}"
+            f"--g0 must be a float, 'auto', or 'opt', got {args.g0!r}"
         ) from exc
     if not (math.isfinite(g0) and g0 >= 0.0):
         raise CliValidationError("--g0 must be finite and nonnegative")
     return g0
 
 
+def _read_orders(path: str) -> list[list[str]]:
+    """The orders in a ``file:PATH`` file, a JSON list of id lists, not yet checked against ids."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CliValidationError(f"cannot read orders file {path!r}: {exc}") from exc
+    if not isinstance(payload, list):
+        raise CliValidationError("orders file must be a nonempty JSON list of id lists")
+    for entry in payload:
+        if not isinstance(entry, list) or not all(isinstance(x, str) for x in entry):
+            raise CliValidationError(f"orders file entry {entry!r} is not a list of ids")
+    return payload
+
+
 def _order_chunks(args: argparse.Namespace, instance: Instance) -> Iterator[np.ndarray]:
-    """The ``--orders`` list as chunks of rows of box indices; every flag is checked on the call.
+    """The ``--orders`` list as chunks of rows of box indices; the flag is checked on the call.
 
     ``all`` and ``random:K`` are permutations of the positions in
     ``sorted(instance.ids)`` by construction, mapped through
-    ``instance.index``, so only ``file:`` orders are checked one by one.
+    ``instance.index``.  ``file:`` orders are checked against the instance's
+    ids as their chunk is built, so a bad one fails before its chunk is valued.
     """
     spec = args.orders
     base = [instance.index[box_id] for box_id in sorted(instance.ids)]
@@ -261,17 +277,10 @@ def _order_chunks(args: argparse.Namespace, instance: Instance) -> Iterator[np.n
         raise CliValidationError(
             f"--orders must be 'all', 'random:K', or 'file:PATH', got {spec!r}"
         )
-    path = spec.split(":", 1)[1]
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliValidationError(f"cannot read orders file {path!r}: {exc}") from exc
-    if not isinstance(payload, list) or not payload:
+    orders = _read_orders(spec.split(":", 1)[1])
+    if not orders:
         raise CliValidationError("orders file must be a nonempty JSON list of id lists")
-    for entry in payload:
-        if not isinstance(entry, list) or not all(isinstance(x, str) for x in entry):
-            raise CliValidationError(f"orders file entry {entry!r} is not a list of ids")
-    return _file_chunks(instance, [tuple(entry) for entry in payload])
+    return _index_chunks((order_indices(instance, tuple(o)) for o in orders), instance.n)
 
 
 def _index_chunks(rows: Iterable[Sequence[int]], n: int) -> Iterator[np.ndarray]:
@@ -281,53 +290,45 @@ def _index_chunks(rows: Iterable[Sequence[int]], n: int) -> Iterator[np.ndarray]
         yield np.fromiter(itertools.chain.from_iterable(chunk), np.intp).reshape(-1, n)
 
 
-def _file_chunks(instance: Instance, orders: list[ArrivalOrder]) -> Iterator[np.ndarray]:
-    """The ``file:`` orders as index rows, LANE_CHUNK orders at a time, up to the first bad one.
-
-    The error of an order that is not a permutation is raised once the rows
-    before it are yielded, so any error they raise comes first, as it would
-    order by order.
-    """
-    for start in range(0, len(orders), LANE_CHUNK):
-        rows: list[list[int]] = []
-        try:
-            for order in orders[start : start + LANE_CHUNK]:
-                rows.append(order_indices(instance, order))
-        finally:
-            yield from _index_chunks(rows, instance.n)
+def _exact_lanes(
+    policy: str, start: float | str, instance: Instance, perm: np.ndarray
+) -> tuple[np.ndarray, LaneValues]:
+    """Each row's online optimum, and ``policy``'s lanes from ``start`` (auto is prophet/phi)."""
+    rows = np.arange(len(perm))
+    opt = lane_values("opt", instance, perm, rows, None).stages[:, 0]
+    if start == "auto":
+        start = prophet_value(instance) / PHI
+    g0 = opt if start == "opt" else start
+    return opt, lane_values(policy, instance, perm, rows, np.broadcast_to(g0, opt.shape))
 
 
 def _order_values(
-    args: argparse.Namespace, instance: Instance, perm: np.ndarray
+    policy: str, start: float | str | None, instance: Instance, perm: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The online optimum and the policy value of each row of ``perm``.
+    """Each row's online optimum, and its value under ``policy`` from ``_check_flags``'s start.
 
-    Every policy runs one chunk of orders at a time through the lane
-    evaluator.  The randomized mixtures value all of a chunk's pieces as
-    lanes, LANE_CHUNK pieces per pass.
+    Every policy runs one chunk of orders at a time through the lane evaluator;
+    the randomized mixtures value all of a chunk's pieces, LANE_CHUNK per pass.
     """
-    policy = args.policy
-    rows = np.arange(len(perm))
-    opt = lane_values("opt", instance, perm, rows, None).stages[:, 0]
-    if policy in MIXTURE_POLICIES:
-        kind, density = MIXTURES[MIXTURE_POLICIES[policy]]
-        mixed = lane_randomized_values(instance, perm, density(), kind)
-        return opt, np.fromiter(mixed, float, len(perm))
-    g0 = args.tau if policy == "sta" else _starting_target(args.g0, instance, opt)
-    g0 = np.broadcast_to(g0, opt.shape)
-    return opt, lane_values(policy, instance, perm, rows, g0).stages[:, 0]
+    if policy not in MIXTURE_POLICIES:
+        opt, lanes = _exact_lanes(policy, start, instance, perm)
+        return opt, lanes.stages[:, 0]
+    opt = lane_values("opt", instance, perm, np.arange(len(perm)), None).stages[:, 0]
+    kind, density = MIXTURES[MIXTURE_POLICIES[policy]]
+    mixed = lane_randomized_values(instance, perm, density(), kind)
+    return opt, np.fromiter(mixed, float, len(perm))
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     instance = load_instance(args.instance)
-    _check_flags(args)
+    start = _check_flags(args)
     chunks = _order_chunks(args, instance)
     names, template = _order_id_cells(instance)
     count, min_ratio, argmin = 0, math.inf, ""
     with _spooled(args.out) as spool:
         spool.write(_csv_text([("order_id", "opt", "value", "ratio")]))
         for perm in chunks:
-            opt, value = _order_values(args, instance, perm)
+            opt, value = _order_values(args.policy, start, instance, perm)
             ratio = np.divide(value, opt, out=np.ones_like(opt), where=~(opt <= 0.0))
             bad = ~((-RATIO_SLACK <= ratio) & (ratio <= 1.0 + RATIO_SLACK))
             # The first order out of range, or else the first with the chunk's least ratio.
@@ -413,27 +414,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if runs < 2:
         raise CliValidationError("--runs must be at least 2")
     instance = load_instance(args.instance)
-    _check_flags(args)
+    start = _check_flags(args)
     if args.order is None:
         order: ArrivalOrder = instance.ids
+    elif args.order.startswith("file:"):
+        orders = _read_orders(args.order.split(":", 1)[1])
+        if len(orders) != 1:
+            raise CliValidationError(f"--order file must hold one order, got {len(orders)}")
+        order = tuple(orders[0])
     else:
         order = tuple(part.strip() for part in args.order.split(","))
-    if args.policy == "sta":
-        g0 = args.tau
-    elif args.g0 != "opt":
-        g0 = _starting_target(args.g0, instance, math.nan)
     perm = np.array([order_indices(instance, order)])
-    rows = np.zeros(1, dtype=int)
-    if args.g0 == "opt":
-        g0 = lane_values("opt", instance, perm, rows, None).stages[0, 0]
-    lane = lane_values(args.policy, instance, perm, rows, np.array([g0]))
+    _, lane = _exact_lanes(args.policy, start, instance, perm)
     exact = float(lane.stages[0, 0])
     dists = [instance.dists[b] for b in perm[0]]
     samples = np.empty(runs)
-    for start in range(0, runs, SIMULATION_CHUNK):
-        rng = _stream(args.seed, start // SIMULATION_CHUNK)
-        stop = min(start + SIMULATION_CHUNK, runs)
-        samples[start:stop] = sample_runs(dists, lane.thresholds[0], rng, stop - start)
+    for first in range(0, runs, SIMULATION_CHUNK):
+        rng = _stream(args.seed, first // SIMULATION_CHUNK)
+        stop = min(first + SIMULATION_CHUNK, runs)
+        samples[first:stop] = sample_runs(dists, lane.thresholds[0], rng, stop - first)
     if samples.min() == samples.max():
         mean = float(samples[0])
         std_error = 0.0
@@ -529,10 +528,7 @@ def _summary_stream(out: str | None):
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # Freeze the ~22,000 objects the imports built, once per process: none is
-    # garbage, yet the interpreter's collections at exit walked them all, for
-    # about 25 ms per command.  A later call (tests, library callers) must not
-    # freeze again, or the garbage pending from earlier calls is never freed.
+    # Once per process, as the module docstring explains.
     if not gc.get_freeze_count():
         gc.freeze()
     parser = build_parser()

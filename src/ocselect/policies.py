@@ -289,6 +289,8 @@ def sample_runs(
     run.  The rows of draws come from ``rng`` in the same order as a
     box-by-box replay would take them.
     """
+    if len(thresholds) != len(dists):
+        raise ValueError(f"dists has {len(dists)} entries but thresholds has {len(thresholds)}")
     u = rng.random((runs, len(dists)))
     taken = np.zeros(runs)
     open_rows = np.arange(runs)

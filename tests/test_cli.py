@@ -56,6 +56,20 @@ def write_instance(tmp_path: Path, name: str, boxes: list[dict]) -> str:
     return str(path)
 
 
+def record_lane_values(monkeypatch, *modules) -> list[list[int]]:
+    """Record the order of every lane that ``lane_values`` values, as called from ``modules``."""
+    valued: list[list[int]] = []
+    lane_values = policies.lane_values
+
+    def recorded(policy_kind, instance, perm, rows, g0):
+        valued.extend(perm[rows].tolist())
+        return lane_values(policy_kind, instance, perm, rows, g0)
+
+    for module in modules:
+        monkeypatch.setattr(module, "lane_values", recorded)
+    return valued
+
+
 def run_fresh_interpreter(script: str) -> subprocess.CompletedProcess:
     """Run ``script`` in a new interpreter that imports this checkout's ``src``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -491,26 +505,19 @@ class TestEvalValidation:
             "error: order ('a', 'b', 'c') is not a permutation of instance ids "
             "('a', 'b', 'c', 'd')\n"
         )
-        # The orders before it are valued first, so a bad --g0 is reported instead.
+        # Every flag is checked before any order is read, so a bad --g0 is reported instead.
         argv[-1] = "abc"
         assert main(argv + ["--orders", f"file:{orders_path}"]) == 2
         assert "--g0 must be a float" in capsys.readouterr().err
 
     @pytest.mark.parametrize("policy", ["tva-rand-656", "tvd-rand-732"])
-    def test_bad_third_order_after_valuing_the_mixtures_before_it(
+    def test_bad_third_order_fails_the_mixtures_before_valuing_its_chunk(
         self, policy, monkeypatch, capsys, tmp_path
     ):
         orders_path = tmp_path / "orders.json"
         good = ["a", "b", "c", "d"]
         orders_path.write_text(json.dumps([good, good[::-1], ["a", "b", "c"], good]))
-        valued = []
-        lane_values = policies.lane_values
-
-        def recorded(policy_kind, instance, perm, rows, g0):
-            valued.extend(perm[rows].tolist())
-            return lane_values(policy_kind, instance, perm, rows, g0)
-
-        monkeypatch.setattr(policies, "lane_values", recorded)
+        valued = record_lane_values(monkeypatch, cli, policies)
         out = tmp_path / "report.csv"
         argv = ["eval", "--instance", FOUR_BOX, "--policy", policy, "--out", str(out)]
         assert main(argv + ["--orders", f"file:{orders_path}"]) == 2
@@ -520,7 +527,7 @@ class TestEvalValidation:
             "error: order ('a', 'b', 'c') is not a permutation of instance ids "
             "('a', 'b', 'c', 'd')\n"
         )
-        assert {tuple(row) for row in valued} == {(0, 1, 2, 3), (3, 2, 1, 0)}
+        assert valued == []
 
     def test_eval_grid_flag_is_usage_error(self):
         args = ["eval", "--instance", FOUR_BOX, "--policy", "tvd-rand-732"]
@@ -650,6 +657,31 @@ class TestSharedFlags:
         captured = capsys.readouterr()
         assert captured.err == "error: --seed must be >= 0\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "g0,message",
+        [
+            ("soon", "--g0 must be a float, 'auto', or 'opt', got 'soon'"),
+            ("-1", "--g0 must be finite and nonnegative"),
+            ("nan", "--g0 must be finite and nonnegative"),
+        ],
+        ids=("soon", "negative", "nan"),
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--instance", FOUR_BOX, "--policy", "tvd"],
+            ["simulate", "--instance", FOUR_BOX, "--policy", "tvd", "--runs", "10", "--seed", "1"],
+        ],
+        ids=("eval", "simulate"),
+    )
+    def test_bad_g0_is_rejected_before_any_lane(self, argv, g0, message, monkeypatch, capsys):
+        valued = record_lane_values(monkeypatch, cli)
+        assert main(argv + ["--g0", g0]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert valued == []
 
 
 class TestHardnessCommand:
@@ -893,6 +925,61 @@ class TestSimulateCommand:
     def test_seed_required_at_parser_level(self):
         code = main(["simulate", "--instance", TWO_BOX, "--policy", "tva", "--g0", "0"])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "policy",
+        [
+            ["sta", "--tau", "1.2"],
+            ["tva", "--g0", "auto"],
+            ["tva", "--g0", "opt"],
+            ["tva", "--g0", "1.9"],
+            ["tvd", "--g0", "auto"],
+            ["tvd", "--g0", "opt"],
+            ["tvd", "--g0", "1.9"],
+        ],
+        ids=" ".join,
+    )
+    def test_exact_value_is_the_eval_value(self, policy, capsys, tmp_path):
+        orders_path = tmp_path / "orders.json"
+        orders_path.write_text(json.dumps([["a", "b", "d", "c"]]))
+        common = ["--instance", FOUR_BOX, "--policy", *policy]
+        assert main(["eval", *common, "--orders", f"file:{orders_path}"]) == 0
+        (evaluated,) = read_rows(capsys.readouterr().out)
+        assert evaluated["order_id"] == "a|b|d|c"
+        argv = ["simulate", *common, "--order", "a,b,d,c", "--runs", "2", "--seed", "1"]
+        assert main(argv) == 0
+        (simulated,) = read_rows(capsys.readouterr().out)
+        assert simulated["exact_value"] == evaluated["value"]
+
+    def test_order_file_names_ids_the_comma_form_cannot(self, capsys, tmp_path):
+        boxes = [
+            {"id": "a,b", "atoms": [[0.0, 0.5], [4.0, 0.5]]},
+            {"id": " c", "atoms": [[1.0, 1.0]]},
+        ]
+        path = write_instance(tmp_path, "odd_ids.json", boxes)
+        order_path = tmp_path / "order.json"
+        order_path.write_text(json.dumps([[" c", "a,b"]]))
+        common = ["--instance", path, "--policy", "tvd", "--g0", "auto"]
+        argv = ["simulate", *common, "--runs", "2000", "--seed", "4"]
+        assert main(argv + ["--order", "file:" + str(order_path)]) == 0
+        (simulated,) = read_rows(capsys.readouterr().out)
+        assert main(["eval", *common, "--orders", "file:" + str(order_path)]) == 0
+        (evaluated,) = read_rows(capsys.readouterr().out)
+        assert evaluated["order_id"] == " c|a,b"
+        assert simulated["exact_value"] == evaluated["value"]
+        # Split on commas and stripped, the same order names boxes c, a and b.
+        assert main(argv + ["--order", " c,a,b"]) == 2
+        assert "is not a permutation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_order_file_must_hold_one_order(self, count, capsys, tmp_path):
+        order_path = tmp_path / "order.json"
+        order_path.write_text(json.dumps([["a", "b", "c", "d"]] * count))
+        argv = ["simulate", "--instance", FOUR_BOX, "--policy", "tvd", "--seed", "1"]
+        assert main(argv + ["--order", f"file:{order_path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --order file must hold one order, got {count}\n"
+        assert captured.out == ""
 
 
 class TestVerifyDensityCommand:

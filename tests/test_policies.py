@@ -622,6 +622,16 @@ class TestSampleRuns:
                 got = sampled(kind, g0, inst, order, np.random.default_rng(31), 50)
                 assert got.tobytes() == want.tobytes()
 
+    def test_threshold_count_must_match_the_boxes(self):
+        # Zipped, one threshold of 99 would leave boxes 2-4 undrawn and every
+        # run at 0.0; three thresholds for one box would drop two of them.
+        inst = load_instance(DATA_DIR / "four_box.json")
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError, match="dists has 4 entries but thresholds has 1"):
+            sample_runs(inst.dists, [99.0], rng, 5)
+        with pytest.raises(ValueError, match="dists has 1 entries but thresholds has 3"):
+            sample_runs(inst.dists[:1], [0.0, 1.0, 2.0], rng, 5)
+
 
 def lane_instances() -> list[Instance]:
     """Conftest instances of 1-5 boxes, all-one-atom ones, and hand-made edge cases."""
