@@ -231,17 +231,21 @@ def _check_flags(args: argparse.Namespace) -> float | str | None:
     return g0
 
 
-def _read_orders(path: str) -> list[list[str]]:
-    """The orders in a ``file:PATH`` file, a JSON list of id lists, not yet checked against ids."""
+def _read_orders(path: str, name: str) -> list[list[str]]:
+    """The orders in a ``file:PATH`` file, a JSON list of id lists, not yet checked against ids.
+
+    Messages call the file ``name``.  A file that cannot be decoded, is not
+    JSON or nests too deeply for the parser cannot be read.
+    """
     try:
         payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CliValidationError(f"cannot read orders file {path!r}: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise CliValidationError(f"cannot read {name} {path!r}: {exc}") from exc
     if not isinstance(payload, list):
-        raise CliValidationError("orders file must be a nonempty JSON list of id lists")
+        raise CliValidationError(f"{name} must be a nonempty JSON list of id lists")
     for entry in payload:
         if not isinstance(entry, list) or not all(isinstance(x, str) for x in entry):
-            raise CliValidationError(f"orders file entry {entry!r} is not a list of ids")
+            raise CliValidationError(f"{name} entry {entry!r} is not a list of ids")
     return payload
 
 
@@ -277,7 +281,7 @@ def _order_chunks(args: argparse.Namespace, instance: Instance) -> Iterator[np.n
         raise CliValidationError(
             f"--orders must be 'all', 'random:K', or 'file:PATH', got {spec!r}"
         )
-    orders = _read_orders(spec.split(":", 1)[1])
+    orders = _read_orders(spec.split(":", 1)[1], "orders file")
     if not orders:
         raise CliValidationError("orders file must be a nonempty JSON list of id lists")
     return _index_chunks((order_indices(instance, tuple(o)) for o in orders), instance.n)
@@ -418,7 +422,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.order is None:
         order: ArrivalOrder = instance.ids
     elif args.order.startswith("file:"):
-        orders = _read_orders(args.order.split(":", 1)[1])
+        orders = _read_orders(args.order.split(":", 1)[1], "--order file")
         if len(orders) != 1:
             raise CliValidationError(f"--order file must hold one order, got {len(orders)}")
         order = tuple(orders[0])

@@ -2,8 +2,8 @@
 
 A randomized run draws x from one of these densities and starts the
 targeted policy at g0 = x * E[max].  Both shipped densities live on
-[1/2, 1] and are built from two closed forms, coef/(2x-1) and coef/x,
-which makes every integral used in verification available analytically.
+[1/2, 1] and are built from two kernels, coef/(2x-1) and coef/x; one
+closed-form integrator serves the CDF, the normalisation and the checks.
 
 The constants c (left edge of the positive part) and gamma (the ratio the
 density certifies) come from one-dimensional root finding; the defining
@@ -29,19 +29,15 @@ PHI = (1.0 + math.sqrt(5.0)) / 2.0
 PIECE_INV_SHIFTED = "reciprocal_2x_minus_1"
 PIECE_INV = "reciprocal_x"
 
-_PIECE_KINDS = (PIECE_INV_SHIFTED, PIECE_INV)
-
 WEIGHT_ONE = "one"
 WEIGHT_X = "x"
 WEIGHT_ONE_MINUS_X = "one_minus_x"
-WEIGHT_HALF_X = "half_x"
 
 # Each weight's value at x, which is also its integral against a point mass at x.
 _WEIGHTS = {
     WEIGHT_ONE: lambda x: 1.0,
     WEIGHT_X: lambda x: x,
     WEIGHT_ONE_MINUS_X: lambda x: 1.0 - x,
-    WEIGHT_HALF_X: lambda x: x / 2.0,
 }
 
 ENVELOPE_TVA = "tva"
@@ -58,7 +54,7 @@ class DensityPiece:
     coefficient: float
 
     def __post_init__(self) -> None:
-        if self.kind not in _PIECE_KINDS:
+        if self.kind not in (PIECE_INV_SHIFTED, PIECE_INV):
             raise ValueError(f"unknown piece kind: {self.kind!r}")
         if not (0.5 - EDGE_TOL <= self.lo < self.hi <= 1.0 + EDGE_TOL):
             raise ValueError(f"piece [{self.lo}, {self.hi}] not inside [1/2, 1]")
@@ -98,7 +94,7 @@ class DensitySpec:
             if right.lo < left.hi:
                 pair = f"[{left.lo}, {left.hi}] then [{right.lo}, {right.hi}]"
                 raise ValueError(f"pieces must be sorted and must not overlap: {pair}")
-        mass = sum(_piece_integral(p, WEIGHT_ONE, p.lo, p.hi) for p in self.pieces)
+        mass = integrate_weighted(self, WEIGHT_ONE, 0.5, 1.0)
         if abs(mass - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"density mass {mass!r} is not 1")
 
@@ -184,75 +180,64 @@ def point_density(fraction: float, name: str | None = None) -> DensitySpec:
     return DensitySpec(name=name or f"point-{fraction:.6g}", pieces=(), point_mass=fraction)
 
 
-def _piece_integral(piece: DensityPiece, weight: str, lo: float, hi: float) -> float:
-    """Closed-form integral of weight(x) * pdf over [lo, hi] ∩ piece."""
-    a = max(lo, piece.lo)
-    b = min(hi, piece.hi)
-    if b <= a:
-        return 0.0
-    k = piece.coefficient
+def _piece_integral(piece: DensityPiece, weight: str, lo: float, hi: float | np.ndarray):
+    """The module's one integrator: weight(x) * pdf over [lo, hi] ∩ piece, in closed form.
 
+    hi is a float or a 1-D array, whose entries each take ``math.log`` of one
+    float and so get a one-entry call's bits.  An upper end at or below the
+    piece's start reads an exact 0.0 (an array entry is raised to the start)."""
+    a = max(lo, piece.lo)
+    if isinstance(hi, np.ndarray):
+        b = np.maximum(np.minimum(hi, piece.hi), a)
+        log = lambda t: np.fromiter(map(math.log, memoryview(t)), float, len(t))
+    else:
+        b, log = min(hi, piece.hi), math.log
+        if b <= a:
+            return 0.0
+    k = piece.coefficient
     if piece.kind == PIECE_INV_SHIFTED:
-        la, lb = math.log(2.0 * a - 1.0), math.log(2.0 * b - 1.0)
+        la, lb = math.log(2.0 * a - 1.0), log(2.0 * b - 1.0)
         if weight == WEIGHT_ONE:
             return k * 0.5 * (lb - la)
         if weight == WEIGHT_X:
             return k * ((b - a) / 2.0 + (lb - la) / 4.0)
         if weight == WEIGHT_ONE_MINUS_X:
             return k * ((lb - la) / 4.0 - (b - a) / 2.0)
-        if weight == WEIGHT_HALF_X:
-            return k * ((b - a) / 4.0 + (lb - la) / 8.0)
     else:
-        la, lb = math.log(a), math.log(b)
+        la, lb = math.log(a), log(b)
         if weight == WEIGHT_ONE:
             return k * (lb - la)
         if weight == WEIGHT_X:
             return k * (b - a)
         if weight == WEIGHT_ONE_MINUS_X:
             return k * ((lb - la) - (b - a))
-        if weight == WEIGHT_HALF_X:
-            return k * (b - a) / 2.0
     raise ValueError(f"unknown weight: {weight!r}")
 
 
-def integrate_weighted(spec: DensitySpec, weight: str, lo: float, hi: float) -> float:
-    """∫ weight(x) ρ(x) dx over [lo, hi], by analytic antiderivatives."""
+def integrate_weighted(spec: DensitySpec, weight: str, lo: float, hi: float | np.ndarray):
+    """∫ weight(x) ρ(x) dx over [lo, hi], the pieces' ``_piece_integral`` summed in piece order.
+
+    A density with pieces also takes a 1-D array hi: one integral per entry.
+    """
     if weight not in _WEIGHTS:
         raise ValueError(f"unknown weight: {weight!r}")
     if spec.point_mass is not None:
-        if lo <= spec.point_mass <= hi:
-            return _WEIGHTS[weight](spec.point_mass)
-        return 0.0
+        return _WEIGHTS[weight](spec.point_mass) if lo <= spec.point_mass <= hi else 0.0
     return sum(_piece_integral(p, weight, lo, hi) for p in spec.pieces)
 
 
 def density_cdf(spec: DensitySpec, x: float | np.ndarray) -> float | np.ndarray:
-    """CDF at x, or at each entry of an array x: the density integrated from 1/2 piece by piece.
+    """CDF at x, or at each entry of an array x.
 
-    Pieces add their terms in piece order, as ``integrate_weighted`` sums
-    them.  A piece wholly below x adds its whole integral, computed once, and
-    the partial piece takes ``math.log`` of each entry.  The exact 0.0 term of
-    a piece wholly above x would leave the sum as it is, so it is not added.
-    """
+    0 at x <= 1/2, else the weight-one ``integrate_weighted`` from 1/2 to
+    min(x, 1), capped at 1; a point mass p steps from 0 to 1 at p."""
     xs = np.asarray(x, dtype=float)
     if spec.point_mass is not None:
         cdf = np.where(xs >= spec.point_mass, 1.0, 0.0)
     else:
-        top = np.minimum(xs, 1.0)
-        cdf = np.zeros(xs.shape)
-        for piece in spec.pieces:
-            cdf[top >= piece.hi] += _piece_integral(piece, WEIGHT_ONE, 0.5, piece.hi)
-            a = max(0.5, piece.lo)
-            part = (a < top) & (top < piece.hi)
-            k, b = piece.coefficient, top[part]
-            if piece.kind == PIECE_INV_SHIFTED:
-                lb = np.fromiter(map(math.log, 2.0 * b - 1.0), float, len(b))
-                cdf[part] += k * 0.5 * (lb - math.log(2.0 * a - 1.0))
-            else:
-                lb = np.fromiter(map(math.log, b), float, len(b))
-                cdf[part] += k * (lb - math.log(a))
-        np.minimum(cdf, 1.0, out=cdf)
-        cdf[xs <= 0.5] = 0.0
+        top = np.minimum(xs, 1.0).reshape(-1)
+        mass = integrate_weighted(spec, WEIGHT_ONE, 0.5, top).reshape(xs.shape)
+        cdf = np.where(xs <= 0.5, 0.0, np.minimum(mass, 1.0))
     return float(cdf) if cdf.ndim == 0 else cdf
 
 
@@ -273,7 +258,7 @@ def _envelope_integral(spec: DensitySpec, envelope: str, y: float) -> float:
     return (
         taken
         + integrate_weighted(spec, WEIGHT_ONE_MINUS_X, y, split)
-        + integrate_weighted(spec, WEIGHT_HALF_X, split, 1.0)
+        + integrate_weighted(spec, WEIGHT_X, split, 1.0) / 2.0
     )
 
 

@@ -30,7 +30,7 @@ class InstanceFormatError(ValueError):
 def load_instance(path: str | Path) -> Instance:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not in the locale's encoding
         raise InstanceFormatError(f"cannot read instance file {path}: {exc}") from exc
     return parse_instance(text)
 
@@ -38,7 +38,7 @@ def load_instance(path: str | Path) -> Instance:
 def parse_instance(text: str) -> Instance:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise InstanceFormatError(f"instance file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "boxes" not in payload:
         raise InstanceFormatError('instance file needs a top-level "boxes" list')
@@ -75,7 +75,7 @@ def _parse_box(raw: object, position: int) -> Box:
             or not all(_is_number(v) for v in atom)
         ):
             raise InstanceFormatError(f"{label}: atom {atom!r} is not a [value, prob] pair")
-        value, prob = float(atom[0]), float(atom[1])
+        value, prob = map(_as_float, atom)
         if not (math.isfinite(value) and value >= 0.0):
             raise InstanceFormatError(f"{label}: value {value!r} must be finite and >= 0")
         if not (math.isfinite(prob) and 0.0 < prob <= 1.0):
@@ -103,3 +103,11 @@ def _parse_box(raw: object, position: int) -> Box:
 
 def _is_number(v: object) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _as_float(v: int | float) -> float:
+    """v as a float; an integer too large for one reads as infinite, which no check accepts."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf

@@ -70,6 +70,19 @@ def record_lane_values(monkeypatch, *modules) -> list[list[int]]:
     return valued
 
 
+# Nested deeper than the JSON parser recurses, and an integer too large for a float.
+DEEP_JSON = "[" * 5000 + "]" * 5000
+HUGE_INT = "1" + "0" * 400
+NOT_UTF8_ORDERS = b'[["\xff"]]'
+
+
+def decode_error(raw: bytes) -> str:
+    """The message of the error that reading ``raw`` as text in the locale's encoding raises."""
+    with pytest.raises(UnicodeDecodeError) as decoding:
+        raw.decode(locale.getpreferredencoding(False))
+    return str(decoding.value)
+
+
 def run_fresh_interpreter(script: str) -> subprocess.CompletedProcess:
     """Run ``script`` in a new interpreter that imports this checkout's ``src``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -475,6 +488,111 @@ class TestEvalValidation:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "{",
+                "instance file is not valid JSON: Expecting property name enclosed in "
+                "double quotes: line 1 column 2 (char 1)",
+            ),
+            ("[]", 'instance file needs a top-level "boxes" list'),
+            ('{"boxes": []}', '"boxes" must be a nonempty list'),
+            ('{"boxes": [3]}', "box #0: each box must be an object"),
+            ('{"boxes": [{"atoms": [[1.0, 1.0]]}]}', "box #0: missing or empty id"),
+            ('{"boxes": [{"id": "a"}]}', "box 'a': missing or empty atoms"),
+            (
+                '{"boxes": [{"id": "a", "atoms": [[1.0, 1.5]]}]}',
+                "box 'a': probability 1.5 must be in (0, 1]",
+            ),
+            (
+                f'{{"boxes": [{{"id": "a", "atoms": [[{HUGE_INT}, 1.0]]}}]}}',
+                "box 'a': value inf must be finite and >= 0",
+            ),
+            (
+                f'{{"boxes": [{{"id": "a", "atoms": [[1.0, {HUGE_INT}]]}}]}}',
+                "box 'a': probability inf must be in (0, 1]",
+            ),
+            (
+                DEEP_JSON,
+                "instance file is not valid JSON: maximum recursion depth exceeded "
+                "while decoding a JSON array from a unicode string",
+            ),
+        ],
+        ids=(
+            "invalid-json",
+            "no-boxes",
+            "empty-boxes",
+            "box-not-object",
+            "missing-id",
+            "missing-atoms",
+            "probability-above-one",
+            "huge-value",
+            "huge-probability",
+            "deep-nesting",
+        ),
+    )
+    def test_malformed_instance_file(self, text, message, capsys, tmp_path):
+        path = tmp_path / "instance.json"
+        path.write_text(text)
+        assert main(["eval", "--instance", str(path), "--policy", "tvd"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    def test_instance_file_not_in_the_locale_encoding_is_named(self, capsys, tmp_path):
+        raw = b'{"boxes": [{"id": "\xff", "atoms": [[1.0, 1.0]]}]}'
+        path = tmp_path / "instance.json"
+        path.write_bytes(raw)
+        assert main(["eval", "--instance", str(path), "--policy", "tvd"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot read instance file {path}: {decode_error(raw)}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (
+                None,
+                "cannot read orders file {path!r}: [Errno 2] No such file or directory: {path!r}",
+            ),
+            (b"{}", "orders file must be a nonempty JSON list of id lists"),
+            (b"[[1, 2]]", "orders file entry [1, 2] is not a list of ids"),
+            (b"[]", "orders file must be a nonempty JSON list of id lists"),
+            (
+                DEEP_JSON.encode(),
+                "cannot read orders file {path!r}: maximum recursion depth exceeded "
+                "while decoding a JSON array from a unicode string",
+            ),
+            (NOT_UTF8_ORDERS, "cannot read orders file {path!r}: {decoding}"),
+        ],
+        ids=("missing", "object", "ints", "empty", "deep-nesting", "not-utf8"),
+    )
+    def test_malformed_orders_file(self, content, message, capsys, tmp_path):
+        path = tmp_path / "orders.json"
+        if content is not None:
+            path.write_bytes(content)
+        argv = ["eval", "--instance", FOUR_BOX, "--policy", "tvd", "--orders", f"file:{path}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        expected = message.format(path=str(path), decoding=decode_error(NOT_UTF8_ORDERS))
+        assert captured.err == f"error: {expected}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("random:x", "--orders random:K needs an integer K"),
+            ("random:0", "--orders random:K needs K >= 1"),
+        ],
+    )
+    def test_bad_random_count(self, spec, message, capsys):
+        argv = ["eval", "--instance", FOUR_BOX, "--policy", "tvd", "--seed", "1"]
+        assert main(argv + ["--orders", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_unknown_id_in_orders_file(self, tmp_path):
         orders_path = tmp_path / "orders.json"
         orders_path.write_text(json.dumps([["risky", "mystery"]]))
@@ -682,6 +800,36 @@ class TestSharedFlags:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert valued == []
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["eval", "--policy", "sta", "--tau", "1", "--g0", "1"],
+                "policy 'sta' takes --tau, not --g0",
+            ),
+            (
+                ["simulate", "--policy", "sta", "--tau", "1", "--g0", "1", "--seed", "1"],
+                "policy 'sta' takes --tau, not --g0",
+            ),
+            (
+                ["eval", "--policy", "tva-rand-656", "--g0", "1"],
+                "policy 'tva-rand-656' draws its starting target from a density; "
+                "--g0 and --tau do not apply",
+            ),
+            (
+                ["eval", "--policy", "tvd-rand-732", "--tau", "1"],
+                "policy 'tvd-rand-732' draws its starting target from a density; "
+                "--g0 and --tau do not apply",
+            ),
+        ],
+        ids=("eval-sta-g0", "simulate-sta-g0", "eval-mixture-g0", "eval-mixture-tau"),
+    )
+    def test_a_start_flag_the_policy_does_not_take_is_rejected(self, argv, message, capsys):
+        assert main(argv + ["--instance", FOUR_BOX]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
 
 class TestHardnessCommand:
@@ -979,6 +1127,28 @@ class TestSimulateCommand:
         assert main(argv + ["--order", f"file:{order_path}"]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: --order file must hold one order, got {count}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "name,message",
+        [
+            ("object", "--order file must be a nonempty JSON list of id lists"),
+            ("ints", "--order file entry [1, 2] is not a list of ids"),
+            (
+                "deep",
+                "cannot read --order file {path!r}: maximum recursion depth exceeded "
+                "while decoding a JSON array from a unicode string",
+            ),
+        ],
+        ids=("object", "ints", "deep-nesting"),
+    )
+    def test_malformed_order_file_names_the_flag(self, name, message, capsys, tmp_path):
+        path = tmp_path / f"{name}.json"
+        path.write_text({"object": "{}", "ints": "[[1, 2]]", "deep": DEEP_JSON}[name])
+        argv = ["simulate", "--instance", FOUR_BOX, "--policy", "tvd", "--seed", "1"]
+        assert main(argv + ["--order", f"file:{path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(path=str(path))}\n"
         assert captured.out == ""
 
 

@@ -145,6 +145,26 @@ class TestZeroOffThePieces:
         assert all(part > 0.0 for part in pieces)
 
 
+class TestIntegrateWeighted:
+    @pytest.mark.parametrize("spec_factory", [rho_656, rho_732, gapped_density, short_density])
+    @pytest.mark.parametrize("weight", list(_WEIGHTS))
+    def test_an_array_of_upper_ends_gets_each_scalar_integral(self, spec_factory, weight):
+        spec = spec_factory()
+        ends = cdf_probes(spec)
+        for lo in (0.5, spec.pieces[0].lo, 0.6, 2.0 / 3.0, 0.9):
+            want = [integrate_weighted(spec, weight, lo, hi) for hi in ends]
+            assert integrate_weighted(spec, weight, lo, np.array(ends)).tolist() == want
+
+    @pytest.mark.parametrize("weight", list(_WEIGHTS))
+    def test_point_mass_counts_only_inside_the_bounds(self, weight):
+        spec = point_density(0.7)
+        value = {"one": 1.0, "x": 0.7, "one_minus_x": 1.0 - 0.7}[weight]
+        for lo, hi in ((0.5, 1.0), (0.7, 0.7), (0.5, 0.7), (0.7, 1.0)):
+            assert integrate_weighted(spec, weight, lo, hi) == value
+        for lo, hi in ((0.5, 0.6), (0.71, 1.0), (0.8, 0.6)):
+            assert integrate_weighted(spec, weight, lo, hi) == 0.0
+
+
 class TestVerifyGuarantee:
     def test_732_meets_its_envelope(self):
         spec = rho_732()
@@ -279,6 +299,8 @@ class TestArrayCdf:
         spec = spec_factory()
         xs = cdf_probes(spec)
         want = [ref.density_cdf(spec, x) for x in xs]
+        # The weight-one integral from 1/2, capped at 1, is 0.0 at x <= 1/2 too.
+        assert want == [min(1.0, integrate_weighted(spec, "one", 0.5, min(x, 1.0))) for x in xs]
         assert density_cdf(spec, np.array(xs)).tolist() == want
         assert [density_cdf(spec, x) for x in xs] == want
 
