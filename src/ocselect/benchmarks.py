@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -119,57 +119,38 @@ class SuffixTables:
 
     Built only when ``tvd`` runs.  ``cdf`` is each box's normalised CDF row
     on ``grid``, the sorted union of every atom value, so a product of rows
-    is the CDF ``max_distribution`` builds, carried flat between its own
-    atoms.  Its size is boxes times distinct values.  ``alone_tau`` is each
-    box's best single threshold on its own, picked in one call from every
-    box's atoms, padded with zero mass.  ``set_emax`` and ``set_tau`` hold
-    the two quantities for every set of boxes, indexed by its bitmask (bit b
-    for box b).  Each has 2**n entries and is built on its first read.
-    ``emax_after`` and ``switch_tau`` read them up to ENUMERATION_LIMIT
-    boxes, so both answers depend only on which boxes remain; past it they
-    fold each row's boxes in arrival order.
+    is the CDF of the boxes' maximum, carried flat between its own atoms.
+    Its size is boxes times distinct values.  Every answer reads one product
+    per set of boxes, multiplied back to front, its last box first.
+    ``set_emax`` and ``set_tau`` hold the two quantities for every set,
+    indexed by its bitmask (bit b for box b), the set's rows multiplied in
+    descending box order.  Each has 2**n entries, and both are built on the
+    first read of either.  ``emax_after``, ``emax_over`` and ``switch_tau``
+    read them up to ENUMERATION_LIMIT boxes, so every answer depends only on
+    which boxes remain; past it they multiply each row's boxes back to front
+    in arrival order.
     """
 
     def __init__(self, dists: Sequence[DiscreteDistribution]) -> None:
         self.grid = _grid(dists)
         self.cdf = np.array([_cdf_row(d, self.grid) for d in dists])
-        # The raw probabilities, as ``max_distribution`` returns one input as is.
-        self.alone_tau = _best_thresholds(*_atom_rows(dists))[0]
 
     @cached_property
     def set_emax(self) -> np.ndarray:
-        """E[max] of each set: its CDF rows folded back to front in box order, highest first.
-
-        The empty set's entry is 0.0.  Each mean is a sequential sum over the
-        grid, where points outside the set's supports add an exact 0.0.
-        """
-        emax = _max_mean(self.grid, self._set_cdf(reversed(range(len(self.cdf)))))
-        emax[0] = 0.0
-        return emax
+        """E[max] of each set; the empty set's entry is 0.0."""
+        return self._set_tables[0]
 
     @cached_property
     def set_tau(self) -> np.ndarray:
-        """``best_single_threshold`` of each set's boxes in box order, bit for bit.
-
-        The set's CDF rows are folded front to back, lowest box first, as
-        ``max_distribution`` folds its list, and the threshold is picked from
-        their atom masses.  A one-box set keeps ``alone_tau``, as
-        ``max_distribution`` returns its single input unchanged.  The empty
-        set's entry is never read.
-        """
-        tau = _best_thresholds(self.grid, _atom_masses(self._set_cdf(range(len(self.cdf)))))[0]
-        tau[1 << np.arange(len(self.cdf))] = self.alone_tau
-        return tau
+        """The best single threshold of each set; the empty set's entry is never read."""
+        return self._set_tables[1]
 
     def emax_after(self, perm: np.ndarray) -> np.ndarray:
         """E[max of the boxes after stage t] for each row of ``perm`` and each stage t.
 
         Up to ENUMERATION_LIMIT boxes, ``set_emax`` at each row's remaining
-        set after stage t: the back-to-front fold of the set's CDF rows in
-        box order, the fold below on a row whose remaining boxes arrive in
-        box order.  Past it, one back-to-front fold of the rows' CDF rows in
-        arrival order.  Each mean is a sequential sum over the grid, where
-        points outside the suffix's supports add an exact 0.0.
+        set after stage t.  Past it, one back-to-front fold of the rows' CDF
+        rows in arrival order, which passes every suffix on the way.
         """
         lanes, n = perm.shape
         if len(self.cdf) <= ENUMERATION_LIMIT:
@@ -182,35 +163,53 @@ class SuffixTables:
             out[:, t] = _max_mean(self.grid, running)
         return out
 
+    def emax_over(self, boxes: np.ndarray) -> np.ndarray:
+        """E[max] over each row's boxes, 0.0 over none: ``emax_after`` of one set.
+
+        Up to ENUMERATION_LIMIT boxes, ``set_emax`` at the row's set.  Past
+        it, the mean of ``_fold``, the same product as ``emax_after`` reaches
+        for these boxes.
+        """
+        if len(self.cdf) <= ENUMERATION_LIMIT:
+            return self.set_emax[np.bitwise_or.reduce(1 << boxes, axis=1)]
+        if boxes.shape[1] == 0:
+            return np.zeros(len(boxes))
+        return _max_mean(self.grid, self._fold(boxes))
+
     def switch_tau(self, suffix: np.ndarray) -> np.ndarray:
         """The best single threshold over each row's boxes.
 
-        Up to ENUMERATION_LIMIT boxes, ``set_tau`` at the row's set:
-        ``best_single_threshold`` of its boxes in box order, bit for bit.
-        Past it, ``best_single_threshold(dists).tau`` of the boxes in the
-        row's order: the rows' CDFs are folded front to back as
-        ``max_distribution`` folds them, and the threshold is picked from
-        their atom masses, which hold an exact 0.0 at grid points outside the
-        suffix's supports.  A one-box suffix keeps ``alone_tau``, as
-        ``max_distribution`` returns its single input unchanged.
+        Up to ENUMERATION_LIMIT boxes, ``set_tau`` at the row's set.  Past
+        it, the threshold picked from the atom masses of ``_fold``.
         """
         if len(self.cdf) <= ENUMERATION_LIMIT:
             return self.set_tau[np.bitwise_or.reduce(1 << suffix, axis=1)]
-        if suffix.shape[1] == 1:
-            return self.alone_tau[suffix[:, 0]]
-        running = reduce(np.multiply, (self.cdf[suffix[:, t]] for t in range(suffix.shape[1])))
-        return _best_thresholds(self.grid, _atom_masses(running))[0]
+        return _best_thresholds(self.grid, _atom_masses(self._fold(suffix)))[0]
 
-    def _set_cdf(self, boxes: Iterable[int]) -> np.ndarray:
-        """Each set's CDF, one row per bitmask: its boxes' rows multiplied in ``boxes`` order.
+    def _fold(self, boxes: np.ndarray) -> np.ndarray:
+        """Each row's CDF: its boxes' rows multiplied back to front, its last box first."""
+        return reduce(np.multiply, (self.cdf[b] for b in boxes[:, ::-1].T))
 
-        All sets fold in one pass: every row is multiplied by each box's CDF
-        row where the box is in the set, and by 1.0, which changes no bits,
-        where it is not.
+    @cached_property
+    def _set_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``set_emax`` and ``set_tau``, both read from one table of every set's CDF.
+
+        Row m of the table is set m's boxes' CDF rows multiplied in
+        descending box order.  All sets fold in one pass: every row is
+        multiplied by each box's CDF row where the box is in the set, and by
+        1.0, which changes no bits, where it is not.  Each mean is a
+        sequential sum over the grid, and the atom masses hold an exact 0.0,
+        at grid points outside the set's supports.  Both answers are taken
+        at the first read, so the table's temporaries never land on a later
+        switch pass's arrays, and the table is not kept.
         """
         n = len(self.cdf)
         member = (np.arange(2**n)[:, None] & (1 << np.arange(n))) > 0
-        return reduce(np.multiply, (np.where(member[:, b, None], self.cdf[b], 1.0) for b in boxes))
+        boxes = range(n - 1, -1, -1)
+        cdf = reduce(np.multiply, (np.where(member[:, b, None], self.cdf[b], 1.0) for b in boxes))
+        emax = _max_mean(self.grid, cdf)
+        emax[0] = 0.0
+        return emax, _best_thresholds(self.grid, _atom_masses(cdf))[0]
 
 
 def prophet_value(instance: Instance) -> float:

@@ -442,8 +442,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         std_error = 0.0
         z_score = 0.0 if mean == exact else math.copysign(math.inf, mean - exact)
     else:
-        mean = float(samples.mean())
-        std_error = float(samples.std(ddof=1) / math.sqrt(runs))
+        # Taken on the samples over the power of two at or below their
+        # maximum, so no sum or square overflows.  Scaling by a power of two
+        # changes no bits.
+        scale = 2.0 ** (math.frexp(samples.max())[1] - 1)
+        samples /= scale
+        mean = float(samples.mean()) * scale
+        std_error = float(samples.std(ddof=1) / math.sqrt(runs)) * scale
         z_score = (mean - exact) / std_error
     _write_csv(
         args.out,

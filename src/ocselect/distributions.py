@@ -79,10 +79,6 @@ class DiscreteDistribution:
         return tuple(p for _, p in self.atoms)
 
     @cached_property
-    def total_mass(self) -> float:
-        return math.fsum(self.probs)
-
-    @cached_property
     def tables(self) -> BoxTables:
         """This distribution's own lookup tables, as the one row of a ``BoxTables``."""
         return BoxTables.build([self])
@@ -120,7 +116,6 @@ class BoxTables(NamedTuple):
     tail_mean: np.ndarray
     emax_at_values: np.ndarray
     mean: np.ndarray
-    total_mass: np.ndarray
 
     @staticmethod
     def build(dists: Sequence[DiscreteDistribution]) -> "BoxTables":
@@ -129,8 +124,7 @@ class BoxTables(NamedTuple):
         emax_at_values = values * head_mass + tail_mean
         pad = probs == 0.0
         values[pad] = emax_at_values[pad] = math.inf
-        total_mass = np.array([d.total_mass for d in dists])
-        return BoxTables(values, head_mass, tail_mean, emax_at_values, tail_mean[:, 0], total_mass)
+        return BoxTables(values, head_mass, tail_mean, emax_at_values, tail_mean[:, 0])
 
     def below(self, table: np.ndarray, boxes: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Per lane, how many entries of ``table[boxes]`` lie below ``x``."""
@@ -186,14 +180,13 @@ def _lane_inverse_target(tables: BoxTables, boxes: np.ndarray, g_prev: np.ndarra
     """``inverse_target`` of each lane's box, row ``boxes[i]`` of ``tables``, at ``g_prev[i]``."""
     target = g_prev - TARGET_SLACK
     i = tables.below(tables.emax_at_values, boxes, target)
-    # Past the last mark the map is x * total_mass; there i is the row's first
-    # pad.  Otherwise the solve is on the segment (values[i-1], values[i]],
-    # whose slope is P[v < x], and i >= 1 wherever the mean is below the target.
-    above_support = tables.values[boxes, i] == math.inf
+    # The solve is on the segment (values[i-1], values[i]], whose slope is
+    # P[v < x], and i >= 1 wherever the mean is below the target.  Past the
+    # last mark i is the row's first pad, whose value is +inf: the segment
+    # runs on from the last atom with slope head_mass[pad] and tail mean 0.0.
     i = np.maximum(i, 1)
-    segment = (target - tables.tail_mean[boxes, i]) / tables.head_mass[boxes, i]
-    segment = np.minimum(np.maximum(segment, tables.values[boxes, i - 1]), tables.values[boxes, i])
-    x = np.where(above_support, target / tables.total_mass[boxes], segment)
+    x = (target - tables.tail_mean[boxes, i]) / tables.head_mass[boxes, i]
+    x = np.minimum(np.maximum(x, tables.values[boxes, i - 1]), tables.values[boxes, i])
     x = np.minimum(np.maximum(x, 0.0), g_prev)
     return np.where(tables.mean[boxes] >= target, 0.0, x)
 

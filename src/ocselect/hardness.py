@@ -174,7 +174,6 @@ class DualCertificate:
     """Closed-form dual point: multiplier mu and density lam on [lo, hi]."""
 
     mu: float
-    bound: float
     lo: float
     hi: float
     lam: Callable[[float], float]
@@ -207,13 +206,7 @@ def verify_dual_general(inject_error: float = 0.0) -> GeneralDualReport:
     ladder = [mu * (x - 1.0) - k_const * math.e * (x - 1.0) for x in (1.0, PHI)]
     # np.max propagates a NaN, so a NaN constraint reads as a violation.
     worst = float(np.max([1.0 - normalization] + ladder))
-    certificate = DualCertificate(
-        mu=mu,
-        bound=objective,
-        lo=1.0,
-        hi=PHI,
-        lam=lambda y: k_const * math.exp(y),
-    )
+    certificate = DualCertificate(mu=mu, lo=1.0, hi=PHI, lam=lambda y: k_const * math.exp(y))
     return GeneralDualReport(objective, worst, normalization - 1.0, certificate)
 
 
@@ -409,5 +402,5 @@ def verify_dual_tvd(inject_error: float = 0.0) -> TvdDualReport:
             return a / (x * x)
         return b / mid
 
-    certificate = DualCertificate(mu=mu, bound=mu, lo=lo, hi=c, lam=lam)
+    certificate = DualCertificate(mu=mu, lo=lo, hi=c, lam=lam)
     return TvdDualReport(c, a, b, mu, worst, normalization - 1.0, certificate)

@@ -111,9 +111,10 @@ def tvd_step(
     box, then the boxes still to come in arrival order.  Box ids, not
     distributions, because two boxes may share one distribution.  The switch
     test compares the updated target against E[max of the boxes still to
-    come], the stage-0 value of the instance's ``SuffixTables.emax_after``
-    on ``boxes``; a tie stays targeted.  The conservative threshold is its
-    ``switch_tau`` over all of ``boxes``, and the switch is permanent.
+    come], the instance's ``SuffixTables.emax_over`` of ``boxes[1:]``, which
+    ``emax_after`` reads at stage 0 of ``boxes``; a tie stays targeted.  The
+    conservative threshold is its ``switch_tau`` over all of ``boxes``, and
+    the switch is permanent.
     """
     boxes = np.asarray(boxes)
     if boxes.ndim != 1 or len(boxes) == 0:
@@ -130,7 +131,7 @@ def tvd_step(
         return _advance(state, state.threshold, realized_value, CONSERVATIVE)
     g = float(_lane_inverse_target(instance.box_tables, boxes[:1], np.array([state.target]))[0])
     tables = instance.suffix_tables
-    future = float(tables.emax_after(boxes[None])[0, 0])
+    future = float(tables.emax_over(boxes[None, 1:])[0])
     if g <= future:
         return _advance(state, g, realized_value, TARGETED, target=g)
     tau = float(tables.switch_tau(boxes[None])[0])

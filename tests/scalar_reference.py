@@ -4,14 +4,15 @@ Each function here works one Python float at a time: the distribution of a
 maximum is a merge of two sorted CDF lists, the best single threshold a loop
 over the atoms of that maximum, a distribution's lookup tables running sums
 over its atoms, and each policy walks one arrival order through those tables
-and the one-segment solve of ``inverse_target``.  The table builder, the
-folds and the lane pass in ``ocselect`` repeat the same IEEE operations in
-the same order, so the tests compare the two under ``==``, every field of
-each ``EvaluationResult``, the reference's own result type, included.
-``tvd``'s E[max of the boxes still to come] and switch threshold fold the
-remaining boxes in the order ``remaining`` gives: box order on up to
-ENUMERATION_LIMIT boxes, where the package reads them from tables of every
-set, and arrival order past it.
+and the one-segment solve of ``inverse_target``, past the last atom too.  The
+table builder, the folds and the lane pass in ``ocselect`` repeat the same
+IEEE operations in the same order, so the tests compare the two under
+``==``, every field of each ``EvaluationResult``, the reference's own result
+type, included.  ``tvd``'s E[max of the boxes still to come] and switch
+threshold read one merge of the remaining boxes, back to front in the order
+``remaining`` gives: box order on up to ENUMERATION_LIMIT boxes, where the
+package reads them from tables of every set, and arrival order past it.  A
+one-box set is merged too, unlike ``max_distribution``'s one input.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ class Tables(NamedTuple):
     tail_mean: tuple[float, ...]  # sum of p*v over atoms with index >= i; the last entry is 0
     emax_at_values: tuple[float, ...]  # E[max(v, values[i])]
     mean: float
-    total_mass: float
 
 
 @cache
@@ -76,7 +76,6 @@ def tables(dist: DiscreteDistribution) -> Tables:
         tuple(tail_mean),
         tuple(emax),
         tail_mean[0],
-        math.fsum(dist.probs),
     )
 
 
@@ -89,14 +88,11 @@ def inverse_target(dist: DiscreteDistribution, g_prev: float) -> float:
     if tab.mean >= target:
         return 0.0
     i = bisect_left(tab.emax_at_values, target)
-    if i == len(dist.atoms):
-        # Above the support the map is x * total_mass.
-        x = target / tab.total_mass
-    else:
-        # Segment (values[i-1], values[i]]; i >= 1 because the first mark is
-        # the mean.  Slope is P[v < x] on the segment.
-        x = (target - tab.tail_mean[i]) / tab.head_mass[i]
-        x = min(max(x, dist.values[i - 1]), dist.values[i])
+    # Segment (values[i-1], values[i]]; i >= 1 because the first mark is the
+    # mean.  Slope is P[v < x] on the segment.  Past the last atom the segment
+    # has no upper end, slope head_mass[-1] and tail mean 0.0.
+    x = (target - tab.tail_mean[i]) / tab.head_mass[i]
+    x = min(max(x, dist.values[i - 1]), (*dist.values, math.inf)[i])
     return min(max(x, 0.0), g_prev)
 
 
@@ -119,6 +115,35 @@ def max_distribution(dists: Sequence[DiscreteDistribution]) -> DiscreteDistribut
     cdf: list[float] = []
     for d in dists:
         values, cdf = _merge_max(values, cdf, d)
+    return _from_cdf(values, cdf)
+
+
+def suffix_maxima(dists: Sequence[DiscreteDistribution]) -> list[tuple[list[float], list[float]]]:
+    """The CDF of max(dists[t:]) for every t, merged back to front: dists[-1] first."""
+    merged = []
+    values: list[float] = []
+    cdf: list[float] = []
+    for d in reversed(dists):
+        values, cdf = _merge_max(values, cdf, d)
+        merged.append((values, cdf))
+    return merged[::-1]
+
+
+def suffix_expected_max(dists: Sequence[DiscreteDistribution]) -> list[float]:
+    """E[max(dists[t:])] for every t, with 0.0 for the empty suffix at the end."""
+    return [*(_mean_from_cdf(values, cdf) for values, cdf in suffix_maxima(dists)), 0.0]
+
+
+def switch_threshold(dists: Sequence[DiscreteDistribution]) -> float:
+    """``tvd``'s switch threshold: the best single threshold of ``suffix_maxima(dists)[0]``.
+
+    One box is merged too, so its masses are differences of its normalised CDF.
+    """
+    return _best_threshold(_from_cdf(*suffix_maxima(dists)[0])).tau
+
+
+def _from_cdf(values: list[float], cdf: list[float]) -> DiscreteDistribution:
+    """The distribution whose CDF at each of ``values`` is ``cdf``, without its zero masses."""
     atoms = []
     prev = 0.0
     for v, c in zip(values, cdf):
@@ -126,17 +151,6 @@ def max_distribution(dists: Sequence[DiscreteDistribution]) -> DiscreteDistribut
             atoms.append((v, c - prev))
         prev = c
     return DiscreteDistribution(tuple(atoms))
-
-
-def suffix_expected_max(dists: Sequence[DiscreteDistribution]) -> list[float]:
-    """E[max(dists[t:])] for every t, with 0.0 for the empty suffix at the end."""
-    out = [0.0] * (len(dists) + 1)
-    values: list[float] = []
-    cdf: list[float] = []
-    for t in range(len(dists) - 1, -1, -1):
-        values, cdf = _merge_max(values, cdf, dists[t])
-        out[t] = _mean_from_cdf(values, cdf)
-    return out
 
 
 def _merge_max(
@@ -196,7 +210,11 @@ def best_single_threshold(dists: Sequence[DiscreteDistribution]) -> ThresholdCho
     """The single-threshold bound maximised over {0} plus the atoms; ties go to the smallest tau."""
     if not dists:
         raise ValueError("need at least one distribution")
-    md = max_distribution(list(dists))
+    return _best_threshold(max_distribution(list(dists)))
+
+
+def _best_threshold(md: DiscreteDistribution) -> ThresholdChoice:
+    """The bound for M ~ md maximised over {0} plus md's atoms; ties go to the smallest tau."""
     best_tau, best_val = 0.0, _threshold_bound(md, 0.0)
     for v in md.values:
         val = _threshold_bound(md, v)
@@ -305,7 +323,7 @@ def stage_thresholds(
     accepts at g0 at every stage.  ``tva`` accepts at each target of the walk
     g_t = inverse_target(d_t, g_{t-1}).  ``tvd`` walks the same targets until
     the first g_t above emax_after[t]; from that switch stage on it accepts at
-    the best single threshold over the remaining boxes, taken in the order
+    the ``switch_threshold`` of the remaining boxes, taken in the order
     ``remaining`` gives.
     """
     if policy_kind not in EXACT_POLICIES:
@@ -323,7 +341,7 @@ def stage_thresholds(
         g = inverse_target(instance.dists[b], g)
         targets.append(g)
         if levels is not None and g > levels[t]:
-            tau = best_single_threshold(remaining(instance, boxes[t:])).tau
+            tau = switch_threshold(remaining(instance, boxes[t:]))
             return Thresholds(targets[:t] + [tau] * (n - t), targets, t)
     return Thresholds(targets, targets, None)
 

@@ -990,6 +990,23 @@ class TestSimulateCommand:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("low, high", [(1e199, 1e200), (1e308, 1.7e308)], ids=("e200", "e308"))
+    def test_huge_values_give_finite_statistics(self, tmp_path, low, high):
+        # The squares of 1e200 overflow, and so does a sum of 1,000 draws near
+        # 1.7e308; numpy would warn on stderr and the row read inf or nan.
+        boxes = [{"id": "a", "atoms": [[0.0, 0.5], [high, 0.5]]}, {"id": "b", "atoms": [[low, 1.0]]}]
+        path = write_instance(tmp_path, "huge.json", boxes)
+        argv = ["simulate", "--instance", path, "--policy", "tvd", "--seed", "1", "--runs", "1000"]
+        proc = run_fresh_interpreter(
+            f"import sys; from ocselect.cli import main; sys.exit(main({argv!r}))"
+        )
+        assert proc.returncode == 0, proc.stderr
+        row = read_rows(proc.stdout)[0]
+        for column in ("empirical_mean", "std_error", "z_score"):
+            assert math.isfinite(float(row[column])), row
+        summary = f"runs=1000 mean={row['empirical_mean']} exact={row['exact_value']}"
+        assert proc.stderr == f"{summary} z={row['z_score']}\n"
+
     def test_sampler_agrees_with_exact_value(self, capsys):
         code = main(
             [

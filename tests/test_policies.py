@@ -153,23 +153,29 @@ class TestTvdStep:
     def test_a_run_builds_the_cdf_rows_once(self, monkeypatch):
         # Each step reads the instance's suffix tables, so a whole run calls
         # _cdf_row only to build them: once per box, not once per remaining
-        # box at every step.
+        # box at every step.  Past ENUMERATION_LIMIT each step takes one mean,
+        # of the boxes after the current one, not one per stage still to come.
         inst = random_instance(np.random.default_rng(3), 60)
         state = PolicyState.initial(prophet_value(inst) / 5)
-        real = distributions._cdf_row
-        calls = []
+        calls = {"_cdf_row": 0, "_max_mean": 0}
 
-        def spy(dist, grid):
-            calls.append(dist)
-            return real(dist, grid)
+        def spy(name, real):
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
 
-        for module in list(sys.modules.values()):
-            if module.__name__.startswith("ocselect") and getattr(module, "_cdf_row", None) is real:
-                monkeypatch.setattr(module, "_cdf_row", spy)  # each importer's own name
+            return counted
+
+        for name in calls:
+            real = getattr(distributions, name)
+            for module in list(sys.modules.values()):
+                if module.__name__.startswith("ocselect") and getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, spy(name, real))  # each importer's own name
         for t in range(inst.n):
             state, _ = tvd_step(state, inst, range(t, inst.n), -math.inf)
         assert state.stage == inst.n
-        assert len(calls) == inst.n
+        assert calls["_cdf_row"] == inst.n
+        assert calls["_max_mean"] <= inst.n
 
 
 def through_zero_box(level: float) -> float:
@@ -702,7 +708,7 @@ class TestLaneValues:
             for s in range(inst.n):
                 taus = tables.switch_tau(perm[:, s:]).tolist()
                 assert taus == [
-                    ref.best_single_threshold(ref.remaining(inst, row[s:])).tau
+                    ref.switch_threshold(ref.remaining(inst, row[s:]))
                     for row in perm.tolist()
                 ]
 
@@ -807,7 +813,9 @@ class TestSetTables:
                         tables.emax_after(after_first)[:, 0].tolist(),
                         tables.switch_tau(sets).tolist(),
                     )
+                    assert tables.emax_over(sets).tolist() == folded[0]
                 assert table == folded
+                assert tables.emax_over(sets).tolist() == folded[0]
                 masks = [set_mask(row) for row in sets.tolist()]
                 assert tables.set_emax[masks].tolist() == folded[0]
                 assert tables.set_tau[masks].tolist() == folded[1]
@@ -855,9 +863,11 @@ class TestSetTables:
         emax_after = tables.emax_after(perm)
         for row, boxes in zip(emax_after.tolist(), perm.tolist()):
             assert row == ref.emax_after(inst, boxes)
+        for t in range(inst.n):
+            assert tables.emax_over(perm[:, t + 1 :]).tolist() == emax_after[:, t].tolist()
         for s in range(inst.n):
             taus = tables.switch_tau(perm[:, s:]).tolist()
-            want = [ref.best_single_threshold(ref.remaining(inst, row[s:])).tau for row in perm]
+            want = [ref.switch_threshold(ref.remaining(inst, row[s:])) for row in perm]
             assert taus == want
         switched_suffixes = assert_lanes_match_scalar(inst, orders, (0.9, 1.1))
         assert switched_suffixes
