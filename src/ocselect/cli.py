@@ -106,8 +106,8 @@ CERTIFICATE_TOL = 1e-8
 RATIO_SLACK = 1e-9
 
 DEFAULT_LP_STEP = 0.02
-# --refine --lp-step 0.001 needs 93.5 MB at its finest step, and the solver's
-# delayed pivots 1.5 MB more.
+# --refine --lp-step 0.001 needs a 46.8 MB condensed tableau at its finest
+# step, and the solver's delayed pivots 1.2 MB more.
 MAX_TABLEAU_MB = 128.0
 
 

@@ -134,14 +134,16 @@ def _general_cells(grid_step: float) -> int:
 def primal_tableau_mb(grid_step: float) -> float:
     """MB of simplex_solve's tableau for build_primal_general(grid_step).
 
-    cells+3 rows, each with a slack, over cells+2 variables, plus the cost row
-    and the rhs column; no rhs is negative, so there is no artificial column.
-    The detection program has fewer cells at any step, since 1-c < phi-1.
-    The solver's delayed pivots and flush tile come on top: 3 * DELAY columns
-    and DELAY rows, 0.38 MB at step 0.001 and 1.5 MB beside 93.5 MB at 0.00025.
+    The condensed tableau has one column per nonbasic variable: cells+2 of
+    them (the slacks of the cells+3 rows start basic), plus the rhs column,
+    over the cells+3 rows and the cost row.  No rhs is negative, so there is
+    no artificial column.  The detection program has fewer cells at any
+    step, since 1-c < phi-1.  The solver's delayed pivots and flush tile
+    come on top: 3 * DELAY columns and DELAY rows, 0.30 MB at step 0.001
+    and 1.2 MB beside 46.8 MB at 0.00025.
     """
     cells = float(_general_cells(grid_step))
-    return (cells + 4.0) * (2.0 * cells + 6.0) * 8.0 / 2**20
+    return (cells + 4.0) * (cells + 3.0) * 8.0 / 2**20
 
 
 def build_primal_general(grid_step: float) -> FiniteLP:
@@ -161,7 +163,9 @@ def build_primal_general(grid_step: float) -> FiniteLP:
     rows[0, 1:] = 1.0 - grid
     rows[1:-1, 0] = grid + 1.0
     # Row of ladder x_i: x_i + 1 - y_j for j <= i, zero above the diagonal.
-    rows[1:-1, 1:] = np.tril((grid + 1.0)[:, None] - grid[None, :])
+    block = rows[1:-1, 1:]
+    np.subtract((grid + 1.0)[:, None], grid[None, :], out=block)
+    block *= np.tri(n, dtype=bool)
     rows[-1, 1:] = 1.0
     rhs = np.concatenate(([1.0], grid + 1.0, [1.0]))
     objective = np.zeros(n + 1)

@@ -92,6 +92,38 @@ def sweep_instances() -> list[Instance]:
     return out
 
 
+@pytest.fixture
+def stop_simplex(monkeypatch):
+    """``stop_simplex(*limits)`` makes simplex_solve stop its phases early.
+
+    The j-th call of ``simplex._iterate`` from then on returns, its pivots
+    applied, after at most ``limits[j]`` pivots (the last limit repeats;
+    None runs to the optimum), so a phase can end at a vertex that is
+    feasible and not optimal.
+    """
+    from ocselect import simplex
+
+    iterate = simplex._iterate
+
+    def stop(*limits):
+        calls = itertools.count()
+
+        def stopped(tableau, basis, labels):
+            limit = limits[min(next(calls), len(limits) - 1)]
+            if limit is None:
+                return iterate(tableau, basis, labels)
+            delayed, pivots = simplex._Delayed(tableau, basis, labels), 0
+            while pivots < limit and (step := delayed.bland_step()) is not None:
+                delayed.pivot(*step)
+                pivots += 1
+            delayed.flush()
+            return pivots
+
+        monkeypatch.setattr(simplex, "_iterate", stopped)
+
+    return stop
+
+
 def g0_grid(instance: Instance, points: int = 20) -> list[float]:
     from ocselect import prophet_value
 

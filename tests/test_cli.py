@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import functools
 import gc
 import io
 import itertools
@@ -19,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import simplex_reference
 
 from ocselect import (
     GuaranteeCheck,
@@ -36,7 +34,7 @@ from ocselect import (
     solve_c_detection,
     tvd_exact,
 )
-from ocselect import cli, policies, simplex
+from ocselect import cli, policies
 from ocselect.cli import main
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
@@ -905,12 +903,10 @@ class TestHardnessCommand:
         assert main(["hardness"]) == 4
         assert "post-check" in capsys.readouterr().err
 
-    def test_a_solve_stopped_short_of_the_optimum_exits_4(self, monkeypatch, capsys):
+    def test_a_solve_stopped_short_of_the_optimum_exits_4(self, stop_simplex, capsys):
         # Phase 2 stops after 10 pivots at a feasible vertex: the primal
         # post-check passes it and the duality check refuses it.
-        monkeypatch.setattr(
-            simplex, "_iterate", functools.partial(simplex_reference._iterate, stop_after=10)
-        )
+        stop_simplex(10)
         assert main(["hardness"]) == 4
         assert "optimality post-check" in capsys.readouterr().err
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -34,8 +33,6 @@ HIGHS_BOUND = 1e-7
 # How far a flipped row's slack column may stray from the negation of its
 # artificial's column under the delayed updates (seen: 1.8e-15).
 NEGATION_BOUND = 1e-12
-# Phase 2 stopped after 10 pivots: a feasible vertex that is not optimal.
-stop_early = functools.partial(reference._iterate, stop_after=10)
 
 
 class TestValidation:
@@ -205,16 +202,17 @@ def outcome(solve, lp):
 
 
 def pivot_paths(lp):
-    """The (row, col) pivots of simplex_solve and of the reference, in order.
+    """The (row, entering label) pivots of simplex_solve and of the
+    reference, in order; a reference column's index is its label.
 
     Each reference pivot also carries the tableau it was taken on.
     """
     delayed, dense = [], []
     pivot, dense_pivot = simplex._Delayed.pivot, reference.dense_pivot
 
-    def recorded(self, row, col):
-        delayed.append((row, col))
-        pivot(self, row, col)
+    def recorded(self, row, col, column):
+        delayed.append((row, int(self.labels[col])))
+        pivot(self, row, col, column)
 
     def recorded_dense(tableau, basis, row, col):
         dense.append((row, col, tableau.copy()))
@@ -279,9 +277,9 @@ class TestReferenceSolver:
         drop = simplex._drop_artificials
         basic_artificials = []
 
-        def spy(tableau, basis, first_art):
+        def spy(tableau, basis, labels, first_art):
             basic_artificials.append(int((basis >= first_art).sum()))
-            return drop(tableau, basis, first_art)
+            return drop(tableau, basis, labels, first_art)
 
         monkeypatch.setattr(simplex, "_drop_artificials", spy)
         self.assert_same([lp])
@@ -318,28 +316,43 @@ class TestReferenceSolver:
             assert abs(simplex_solve(lp).value + highs.fun) <= HIGHS_BOUND
 
 
+def full_tableau(tableau, basis, labels, n_vars):
+    """A condensed tableau in the dense reference's layout: each nonbasic
+    variable's column at its label, a unit column for each basic one, b last."""
+    full = np.zeros((tableau.shape[0], n_vars + 1), order="F")
+    full[:, labels] = tableau[:, :-1]
+    full[np.arange(basis.size), basis] = 1.0
+    full[:, -1] = tableau[:, -1]
+    return full
+
+
 class TestDelayedPivots:
     """_Delayed against the dense rank-1 update, pivot for pivot.
 
-    The tableau is 45 columns wide, so the last flush tile is partial.
+    The condensed tableau is 45 columns wide, so the last flush tile is
+    partial; the dense one adds a unit column for each of its 12 basic
+    variables.  Each condensed column is compared with the dense column of
+    its label.
     """
 
     @pytest.mark.parametrize("n_pivots", [1, simplex.DELAY - 1, simplex.DELAY, 2 * simplex.DELAY + 3])
     def test_reads_and_flushes_equal_the_dense_pivots(self, n_pivots):
         rng = np.random.default_rng(5)
-        dense = np.asfortranarray(rng.uniform(-1.0, 1.0, size=(13, 45)))
-        tableau, basis, dense_basis = dense.copy(order="F"), np.arange(12), np.arange(12)
-        delayed = simplex._Delayed(tableau, basis)
+        tableau = np.asfortranarray(rng.uniform(-1.0, 1.0, size=(13, 45)))
+        labels, basis = np.arange(44), 44 + np.arange(12)
+        dense, dense_basis = full_tableau(tableau, basis, labels, 56), basis.copy()
+        delayed = simplex._Delayed(tableau, basis, labels)
         for _ in range(n_pivots):
             row = int(rng.integers(12))
-            col = int(np.abs(dense[row, :-1]).argmax())
-            reference.dense_pivot(dense, dense_basis, row, col)
-            delayed.pivot(row, col)
+            col = int(np.abs(dense[row, labels]).argmax())
+            reference.dense_pivot(dense, dense_basis, row, int(labels[col]))
+            delayed.pivot(row, col, delayed.read(slice(None), col))
+        columns = np.append(labels, -1)
         assert delayed.k == n_pivots % simplex.DELAY
-        assert np.abs(delayed.read(slice(None), slice(None)) - dense).max() <= VALUE_BOUND
+        assert np.abs(delayed.read(slice(None), slice(None)) - dense[:, columns]).max() <= VALUE_BOUND
         delayed.flush()
         assert delayed.k == 0 and tableau.flags.f_contiguous
-        assert np.abs(tableau - dense).max() <= VALUE_BOUND
+        assert np.abs(tableau - dense[:, columns]).max() <= VALUE_BOUND
         assert (basis == dense_basis).all()
 
     @pytest.mark.parametrize("delay", [1, 5])
@@ -358,46 +371,47 @@ class TestDelayedPivots:
 
 
 class TestOptimalityCheck:
-    def test_an_early_stop_is_feasible_but_not_optimal(self, monkeypatch):
+    def test_an_early_stop_is_feasible_but_not_optimal(self, stop_simplex, monkeypatch):
         lp = build_primal_general(0.02)
         optimum = simplex_solve(lp)
-        monkeypatch.setattr(simplex, "_iterate", stop_early)
+        stop_simplex(10)
         monkeypatch.setattr(simplex, "DUALITY_TOL", math.inf)
         stopped = simplex_solve(lp)
         assert stopped.pivots == (0, 10) and stopped.residual <= FEASIBILITY_TOL
         assert stopped.value < optimum.value - 1e-3
 
-    def test_the_dual_check_catches_an_early_stop(self, monkeypatch):
-        monkeypatch.setattr(simplex, "_iterate", stop_early)
+    def test_the_dual_check_catches_an_early_stop(self, stop_simplex):
+        stop_simplex(10)
         with pytest.raises(ArithmeticError, match="optimality post-check"):
             simplex_solve(build_primal_general(0.02))
 
-    def test_a_negative_dual_alone_is_caught(self, monkeypatch):
+    def test_a_negative_dual_alone_is_caught(self, stop_simplex):
         # max x s.t. x <= 4 and x >= 1/2.  Phase 1 ends at x = 1/2; a phase 2
         # that stops there leaves y = (0, -1/2), which meets A^T y >= c and
         # b . y = c . z, so only y >= 0 fails.
-        stops = iter([None, 0])
-        monkeypatch.setattr(
-            simplex, "_iterate", lambda t, b: reference._iterate(t, b, stop_after=next(stops))
-        )
+        stop_simplex(None, 0)
         with pytest.raises(ArithmeticError, match="optimality post-check"):
             simplex_solve(FiniteLP((1.0,), ((1.0,), (-2.0,)), (4.0, -1.0)))
 
     def test_a_duality_gap_alone_is_caught(self, monkeypatch):
-        # The general program's last row caps the probabilities' sum at 1 and
-        # has no negative coefficient: raising its dual (its slack's reduced
-        # cost, the cost row's last entry before b) by 1 keeps y >= 0 and
-        # A^T y >= c, and opens a gap of 1.
+        # The general program's first ladder row, x = phi, has no negative
+        # coefficient, and its slack ends nonbasic: raising its dual (that
+        # slack's reduced cost, in the cost row at the column of label n + 1)
+        # by 1 / (phi + 1), over its rhs, keeps y >= 0 and A^T y >= c, and
+        # opens a gap of 1.
         iterate = simplex._iterate
+        lp = build_primal_general(0.02)
+        assert lp.rows[1].min() >= 0.0 and lp.rhs[1] == PHI + 1.0
 
-        def loosened(tableau, basis):
-            pivots = iterate(tableau, basis)
-            tableau[-1, -2] += 1.0
+        def loosened(tableau, basis, labels):
+            pivots = iterate(tableau, basis, labels)
+            (col,) = np.flatnonzero(labels == lp.n_vars + 1)
+            tableau[-1, col] += 1.0 / lp.rhs[1]
             return pivots
 
         monkeypatch.setattr(simplex, "_iterate", loosened)
         with pytest.raises(ArithmeticError, match=r"duality 1\.0"):
-            simplex_solve(build_primal_general(0.02))
+            simplex_solve(lp)
 
 
 def duplicated_row_programs():
@@ -421,6 +435,7 @@ class TestDropArtificials:
     of its artificial's column.  Under the delayed updates it does so only
     up to NEGATION_BOUND: the rows and columns a Bland step rebuilds are
     matrix-vector products, whose rounding depends on a column's position.
+    The condensed tableau is read in the reference's layout, by label.
     """
 
     @pytest.mark.parametrize("delayed", [False, True], ids=["dense-reference", "delayed"])
@@ -433,34 +448,37 @@ class TestDropArtificials:
         flipped = np.zeros(0, dtype=int)
         basic_artificials = 0
 
-        def spy(tableau, basis, first_art):
+        def spy(tableau, basis, *labels_and_first_art):
             nonlocal basic_artificials
-            m = basis.size
+            m, first_art = basis.size, labels_and_first_art[-1]
             slack, art = first_art - m + flipped, first_art + np.arange(flipped.size)
             if delayed:
-                assert np.abs(tableau[:m, slack] + tableau[:m, art]).max(initial=0.0) <= NEGATION_BOUND
+                full = full_tableau(tableau, basis, labels_and_first_art[0], art[-1] + 1)
+                assert np.abs(full[:m, slack] + full[:m, art]).max(initial=0.0) <= NEGATION_BOUND
             else:
                 assert (tableau[:m, slack] == -tableau[:m, art]).all()
             for i in np.flatnonzero(basis >= first_art):
                 if delayed:
-                    assert abs(tableau[i, slack[basis[i] - first_art]] + 1.0) <= NEGATION_BOUND
+                    assert abs(full[i, slack[basis[i] - first_art]] + 1.0) <= NEGATION_BOUND
                 else:
                     assert tableau[i, slack[basis[i] - first_art]] == -1.0
                 basic_artificials += 1
-            columns = []
+            entering = []
 
             def recorded(*args):
-                columns.append(args[-1])
+                entering.append(int(args[0].labels[args[2]]) if delayed else args[-1])
                 pivot(*args)
 
             monkeypatch.setattr(*hook, recorded)
             try:
-                out, kept = drop(tableau, basis, first_art)
+                out, kept = drop(tableau, basis, *labels_and_first_art)
             finally:
                 monkeypatch.setattr(*hook, pivot)
-            assert all(col < first_art for col in columns)
-            assert out.shape == (m + 1, first_art + 1) and out.flags.f_contiguous
-            assert kept.size == m and (kept < first_art).all()
+            assert all(label < first_art for label in entering)
+            width = first_art + 1 - (m if delayed else 0)
+            assert out.shape == (m + 1, width) and out.flags.f_contiguous
+            assert (kept < first_art).all()
+            assert basis.size == m and (basis < first_art).all()
             return out, kept
 
         monkeypatch.setattr(module, "_drop_artificials", spy)
