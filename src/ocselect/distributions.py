@@ -15,15 +15,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-# Absolute tolerance for exact-arithmetic validation (probability sums etc.).
-EXACT_TOL = 1e-12
-
 # Downward slack used when inverting the target recursion.  Biasing the
 # solved threshold down by this amount keeps a value atom that sits exactly
 # on the threshold on the "accept" side despite rounding in the solve.
 TARGET_SLACK = 1e-12
 
-# Tolerance accepted when validating a raw scalar as a probability.
+# Absolute tolerance for rounding on probabilities: a single probability, or
+# a distribution's probabilities summing to one.
 PROB_TOL = 1e-12
 
 
@@ -67,7 +65,7 @@ class DiscreteDistribution:
             if not (0.0 < prob <= 1.0 + PROB_TOL):
                 raise ValueError(f"atom probability out of (0, 1]: {prob!r}")
         total = math.fsum(p for _, p in self.atoms)
-        if abs(total - 1.0) > EXACT_TOL:
+        if abs(total - 1.0) > PROB_TOL:
             raise ValueError(f"atom probabilities sum to {total!r}, not 1")
 
     @cached_property

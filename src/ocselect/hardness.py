@@ -51,6 +51,14 @@ def _free_dist(expectation: float, delta: float) -> DiscreteDistribution:
     return DiscreteDistribution(((0.0, 1.0 - delta), (expectation / delta, delta)))
 
 
+def _ladder(top: float, foot: float, cells: int) -> tuple[np.ndarray, float]:
+    """cells+1 evenly spaced rungs from top to foot, the last exactly foot, and the step."""
+    step = (top - foot) / cells
+    rungs = top - np.arange(cells + 1) * step
+    rungs[-1] = foot
+    return rungs, step
+
+
 # ---------------------------------------------------------------------------
 # General family: ladder on [1, phi] plus one unit-expectation free box.
 
@@ -70,16 +78,11 @@ def make_general_hard_instance(epsilon: float, delta: float) -> GeneralHardInsta
     if not (epsilon > 0.0):
         raise HardnessParameterError(f"epsilon must be positive: {epsilon!r}")
     _require_scale_separation(epsilon, delta)
-    span = PHI - 1.0
-    if epsilon >= span:
-        grid = (PHI,)
-        step = span
+    if epsilon >= PHI - 1.0:
+        grid, step = (PHI,), PHI - 1.0
     else:
-        cells = max(1, round(span / epsilon))
-        step = span / cells
-        values = [PHI - j * step for j in range(cells + 1)]
-        values[-1] = 1.0
-        grid = tuple(values)
+        rungs, step = _ladder(PHI, 1.0, _general_cells(epsilon))
+        grid = tuple(rungs.tolist())
     boxes = [Box(f"d{j:04d}", _det_dist(v)) for j, v in enumerate(grid)]
     boxes.append(Box("free", _free_dist(1.0, delta)))
     return GeneralHardInstance(
@@ -153,10 +156,7 @@ def build_primal_general(grid_step: float) -> FiniteLP:
     free-last order; each ladder x adds the free-after-x order; the final
     row caps total acceptance probability at one.
     """
-    cells = _general_cells(grid_step)
-    step = (PHI - 1.0) / cells
-    grid = PHI - np.arange(cells + 1) * step
-    grid[-1] = 1.0
+    grid, _ = _ladder(PHI, 1.0, _general_cells(grid_step))
     n = grid.size
     rows = np.zeros((n + 2, n + 1))
     rows[0, 0] = PHI
@@ -232,16 +232,16 @@ class DetectionHardInstance:
 
 def make_detection_hard_instance(c: float, epsilon: float, delta: float) -> DetectionHardInstance:
     """Ladder c, c-step, ..., 0 with multiplicity round((1-c)/step) each,
-    plus the same count of free-reward boxes of expectation step."""
+    plus the same count of free-reward boxes of expectation step.  The ids
+    run rung by rung from the top, multiplicity copies each (d{j:04d}x{i:04d}),
+    then the free boxes f0000, f0001, ... come last."""
     if not (0.5 < c < 1.0):
         raise HardnessParameterError(f"c must be in (0.5, 1): {c!r}")
     if not (0.0 < epsilon <= c):
         raise HardnessParameterError(f"epsilon must be in (0, c]: {epsilon!r}")
     _require_scale_separation(epsilon, delta)
-    cells = max(1, round(c / epsilon))
-    step = c / cells
-    values = [c - j * step for j in range(cells + 1)]
-    values[-1] = 0.0
+    rungs, step = _ladder(c, 0.0, max(1, round(c / epsilon)))
+    values = rungs.tolist()
     multiplicity = max(1, round((1.0 - c) / step))
     boxes = []
     for j, v in enumerate(values):
@@ -269,16 +269,9 @@ def detection_hard_order(hard: DetectionHardInstance, x: float) -> ArrivalOrder:
     if hard.grid[j] <= 2.0 * hard.c - 1.0 + GRID_MATCH_TOL:
         raise ValueError(f"x={x!r} must exceed 2c-1 for the hard order")
     m = hard.multiplicity
-    det_id = lambda jj, ii: f"d{jj:04d}x{ii:04d}"
-    order: list[str] = []
-    for jj in range(j):
-        order.extend(det_id(jj, ii) for ii in range(m))
-    for ii in range(m):
-        order.append(hard.free_ids[ii])
-        order.append(det_id(j, ii))
-    for jj in range(j + 1, len(hard.grid)):
-        order.extend(det_id(jj, ii) for ii in range(m))
-    return tuple(order)
+    ids = hard.instance.ids
+    paired = zip(hard.free_ids, ids[j * m : (j + 1) * m])
+    return ids[: j * m] + tuple(b for pair in paired for b in pair) + ids[(j + 1) * m : -m]
 
 
 def detection_opt_prediction(hard: DetectionHardInstance, x: float) -> float:
@@ -316,10 +309,10 @@ def build_primal_tvd(c: float, grid_step: float) -> FiniteLP:
     if not (0.0 < grid_step <= 1.0 - c):
         raise HardnessParameterError(f"grid_step must be in (0, 1-c]: {grid_step!r}")
     cells = max(2, round((1.0 - c) / grid_step))
-    h = (1.0 - c) / cells
-    mids = c + (np.arange(cells) + 0.5) * h
-    xs = 2.0 * c - 1.0 + np.arange(1, cells + 1) * h
-    xs[-1] = c
+    # The rungs climb from 2c-1, so the step is -(1-c)/cells.
+    rungs, step = _ladder(2.0 * c - 1.0, c, cells)
+    xs = rungs[1:]
+    mids = c - (np.arange(cells) + 0.5) * step
     opt_x = 1.0 - c + xs
     rows = np.zeros((cells + 1, cells + 1))
     rows[:-1, 0] = opt_x

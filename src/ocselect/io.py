@@ -18,7 +18,7 @@ import warnings
 from pathlib import Path
 
 from .benchmarks import Box, Instance
-from .distributions import DiscreteDistribution, EXACT_TOL
+from .distributions import PROB_TOL, DiscreteDistribution
 
 FILE_PROB_TOL = 1e-9
 
@@ -89,7 +89,7 @@ def _parse_box(raw: object, position: int) -> Box:
     total = math.fsum(p for _, p in ordered)
     if abs(total - 1.0) > FILE_PROB_TOL:
         raise InstanceFormatError(f"{label}: probabilities sum to {total!r}, not 1")
-    if abs(total - 1.0) > EXACT_TOL:
+    if abs(total - 1.0) > PROB_TOL:
         warnings.warn(
             f"{label}: probabilities sum to {total!r}; renormalizing", RuntimeWarning
         )

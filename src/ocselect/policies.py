@@ -119,6 +119,8 @@ def tvd_step(
     boxes = np.asarray(boxes)
     if boxes.ndim != 1 or len(boxes) == 0:
         raise PolicyError(f"tvd_step needs the current box id: boxes={boxes.tolist()!r}")
+    if not np.issubdtype(boxes.dtype, np.integer):
+        raise PolicyError(f"box ids must be integers: boxes={boxes.tolist()!r}")
     outside = (boxes < 0) | (boxes >= instance.n)
     if outside.any():
         raise PolicyError(f"box id outside range({instance.n}): {int(boxes[outside][0])!r}")

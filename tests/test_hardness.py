@@ -248,6 +248,24 @@ class TestDetectionOrders:
         order = detection_hard_order(hard, 0.6)
         assert order[:4] == ("f0000", "d0000x0000", "f0001", "d0000x0001")
 
+    def test_every_rung_above_the_cut_on_a_finer_ladder(self):
+        # Four copies per rung, five rungs above 2c-1: every box once, the
+        # free boxes alternating with the copies of x, the rest descending.
+        hard = make_detection_hard_instance(DETECTION_C, 0.1, 1e-3)
+        m = hard.multiplicity
+        value = {b.box_id: b.dist.atoms for b in hard.instance.boxes}
+        xs = [x for x in hard.grid if x > 2.0 * hard.c - 1.0 + 1e-9]
+        assert m >= 3 and len(xs) >= 4
+        for j, x in enumerate(xs):
+            order = detection_hard_order(hard, x)
+            assert len(order) == len(hard.instance.ids)
+            assert sorted(order) == sorted(hard.instance.ids)
+            paired = order[j * m : (j + 2) * m]
+            assert paired[0::2] == hard.free_ids
+            assert all(value[b] == ((x, 1.0),) for b in paired[1::2])
+            rest = [value[b][0][0] for b in order[: j * m] + order[(j + 2) * m :]]
+            assert rest == sorted(rest, reverse=True) and x not in rest
+
     def test_rungs_at_or_below_detection_cut_rejected(self):
         hard = make_detection_hard_instance(0.6, 0.2, 0.01)
         # 2c - 1 = 0.2: the alternating stage only works above the cut.
@@ -520,6 +538,14 @@ class TestPrimalBuilders:
                 expected = np.array(reference, dtype=float)
                 assert field.shape == expected.shape
                 assert field.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("epsilon", [0.6, 0.3, 0.1, 0.0123, 0.005, 0.001])
+    def test_general_program_reads_the_instance_ladder(self, epsilon):
+        # Row 1 + j of the program is the free-after-x_j order of the
+        # instance at the same step, with x_j + 1 in the ratio column.
+        grid = np.array(make_general_hard_instance(epsilon, epsilon * epsilon / 2).grid)
+        assert grid.size > 1
+        assert (grid + 1.0).tobytes() == build_primal_general(epsilon).rows[1:-1, 0].tobytes()
 
     def test_pivot_counts(self):
         assert simplex_solve(build_primal_general(0.005)).pivots == (0, 125)

@@ -142,11 +142,20 @@ class TestTvdStep:
 
     @pytest.mark.parametrize(
         "boxes, named",
-        [([], "boxes=[]"), ([0, 4], "4"), ([0, -1], "-1")],
-        ids=("empty", "past_the_end", "negative"),
+        [
+            ([], "boxes=[]"),
+            ([0, 4], "4"),
+            ([0, -1], "-1"),
+            ([0.5, 1], "boxes=[0.5, 1.0]"),
+            ([0.0, 1.0], "boxes=[0.0, 1.0]"),
+            ([0, 1.0], "boxes=[0.0, 1.0]"),
+            ([True, False], "boxes=[True, False]"),
+        ],
+        ids=("empty", "past_the_end", "negative", "fraction", "whole_floats", "mixed", "booleans"),
     )
     def test_rejects_bad_box_ids(self, boxes, named):
-        # numpy would wrap -1 to the last box, so negative ids are checked too.
+        # numpy would wrap -1 to the last box, so negative ids are checked too,
+        # and it would raise its own IndexError on float or boolean ids.
         with pytest.raises(PolicyError, match=f": {re.escape(named)}$"):
             tvd_step(PolicyState.initial(0.9), STEPS, boxes, 0.0)
 
