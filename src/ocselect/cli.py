@@ -13,9 +13,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 validation error (bad file, bad
 combination of flags, refused enumeration), 3 certificate violation,
-4 internal numerical failure (a solution failing the simplex feasibility or
-optimality post-check, the pivot limit).  ``eval`` and ``simulate`` check
-every flag before they value any order.
+4 internal numerical failure (a simplex tableau that breaks down, a solution
+failing the simplex feasibility or optimality post-check, the pivot limit).
+``eval`` and ``simulate`` check every flag before they value any order.
 
 All CSV output uses LF newlines and ``%.12g`` floats, so a rerun with the
 same flags is byte-identical.  Each subcommand writes its CSV to an

@@ -138,12 +138,12 @@ def primal_tableau_mb(grid_step: float) -> float:
     """MB of simplex_solve's tableau for build_primal_general(grid_step).
 
     The condensed tableau has one column per nonbasic variable: cells+2 of
-    them (the slacks of the cells+3 rows start basic), plus the rhs column,
-    over the cells+3 rows and the cost row.  No rhs is negative, so there is
-    no artificial column.  The detection program has fewer cells at any
-    step, since 1-c < phi-1.  The solver's delayed pivots and flush tile
-    come on top: 3 * DELAY columns and DELAY rows, 0.30 MB at step 0.001
-    and 1.2 MB beside 46.8 MB at 0.00025.
+    them (FiniteLP's rhs >= 0 lets the slacks of the cells+3 rows start
+    basic), plus the rhs column, over the cells+3 rows and the cost row.
+    The detection program has fewer cells at any step, since 1-c < phi-1.
+    The solver's delayed pivots and flush tile come on top: 3 * DELAY
+    columns and DELAY rows, 0.30 MB at step 0.001 and 1.2 MB beside 46.8 MB
+    at 0.00025.
     """
     cells = float(_general_cells(grid_step))
     return (cells + 4.0) * (cells + 3.0) * 8.0 / 2**20

@@ -3,9 +3,10 @@
 The linear programs here have at most a few thousand variables, so a plain
 dense tableau with Bland's anti-cycling rule is both sufficient and easy
 to audit.  Problems are stated as: maximize objective . z subject to
-rows . z <= rhs and z >= 0.  The tableau is condensed (one column per
-nonbasic variable) and column-major, and pivots reach it in blocks of
-DELAY, each block through one matrix product.
+rows . z <= rhs and z >= 0, with rhs >= 0, so z = 0 is feasible and one
+phase of pivots from the slack basis solves them.  The tableau is
+condensed (one column per nonbasic variable) and column-major, and pivots
+reach it in blocks of DELAY, each block through one matrix product.
 """
 
 from __future__ import annotations
@@ -19,13 +20,8 @@ FEASIBILITY_TOL = 1e-9
 # Largest dual infeasibility and duality gap the optimality post-check accepts.
 DUALITY_TOL = 1e-9
 PIVOT_TOL = 1e-10
-PHASE1_TOL = 1e-8
 # Pivots held back before one matrix product applies them all (see _Delayed).
 DELAY = 16
-
-
-class InfeasibleError(ValueError):
-    """The constraint set admits no nonnegative solution."""
 
 
 class UnboundedError(ValueError):
@@ -37,7 +33,8 @@ class FiniteLP:
     """maximize objective . z  subject to  rows . z <= rhs,  z >= 0.
 
     The fields accept any nested sequences and hold read-only float64
-    arrays: objective (n), rows (m x n) and rhs (m).
+    arrays: objective (n), rows (m x n) and rhs (m).  Every entry is
+    finite and every rhs entry is at least 0, so z = 0 is feasible.
     """
 
     objective: np.ndarray
@@ -57,6 +54,8 @@ class FiniteLP:
             raise ValueError("row width does not match variable count")
         if not all(np.isfinite(array).all() for array in (objective, rows, rhs)):
             raise ValueError("LP data must be finite")
+        if (rhs < 0.0).any():
+            raise ValueError("LP rhs must be nonnegative")
         object.__setattr__(self, "objective", objective)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "rhs", rhs)
@@ -77,54 +76,32 @@ class LPSolution(NamedTuple):
     solution: tuple[float, ...]
     # Largest violation of rows . z <= rhs at the returned point (>= 0).
     residual: float
-    # Bland pivots taken in phase 1 and phase 2 (0 in phase 1 without artificials).
-    pivots: tuple[int, int]
+    # Bland pivots taken from the slack basis to the optimum.
+    pivots: int
 
 
 def simplex_solve(lp: FiniteLP) -> LPSolution:
-    """Two-phase dense simplex with Bland's rule.
+    """One-phase dense simplex with Bland's rule, from the slack basis.
 
-    Raises InfeasibleError / UnboundedError, and ArithmeticError if the
-    returned point fails the independent feasibility or optimality post-check.
+    FiniteLP's rhs >= 0 makes that basis (z = 0) feasible.  Raises
+    UnboundedError, and ArithmeticError if the tableau breaks down or the
+    returned point fails the independent feasibility or optimality
+    post-check.
     """
     n, m = lp.n_vars, lp.rhs.size
 
-    # Ax + s = b with slacks; flip rows with negative rhs and add artificials.
-    # Variables are labelled z (0..n-1), slacks (n..n+m-1), artificials.  The
-    # condensed tableau holds one column per nonbasic variable and b, over
-    # the cost row; basic variables have no column, since theirs would be
-    # unit vectors.  It is column-major, so each column tile a block of
-    # pivots updates is contiguous.  A flipped row starts with its artificial
-    # basic and its slack nonbasic, holding -1 in that row.
-    flip = lp.rhs < 0.0
-    art_rows = np.flatnonzero(flip)
-    n_art = art_rows.size
-    tableau = np.zeros((m + 1, n + n_art + 1), order="F")
+    # Ax + s = b with slacks, which start basic.  Variables are labelled z
+    # (0..n-1) and slacks (n..n+m-1).  The condensed tableau holds one
+    # column per nonbasic variable and b, over the cost row -objective;
+    # basic variables have no column, since theirs would be unit vectors.
+    # It is column-major, so each column tile a block of pivots updates is
+    # contiguous.
+    tableau = np.zeros((m + 1, n + 1), order="F")
     tableau[:m, :n] = lp.rows
-    tableau[art_rows, :n] = -lp.rows[art_rows]
-    tableau[art_rows, n + np.arange(n_art)] = -1.0
-    tableau[:m, -1] = np.where(flip, -lp.rhs, lp.rhs)
-    labels = np.concatenate((np.arange(n), n + art_rows))
-    basis = n + np.arange(m)
-    basis[art_rows] = n + m + np.arange(n_art)
-
-    phase1 = 0
-    if n_art:
-        # Minimize the artificials' sum, priced out on their rows.
-        tableau[m] = -tableau[art_rows].sum(axis=0)
-        phase1 = _iterate(tableau, basis, labels)
-        if tableau[-1, -1] < -PHASE1_TOL:
-            raise InfeasibleError(f"phase-1 infeasibility {-tableau[-1, -1]:.3e}")
-        tableau, labels = _drop_artificials(tableau, basis, labels, n + m)
-
-    # Phase 2: minimize -objective, priced out on the rows where z is basic.
-    cost = tableau[-1]
-    cost[:] = 0.0
-    structural = np.flatnonzero(labels < n)
-    cost[structural] = -lp.objective[labels[structural]]
-    priced = np.flatnonzero(basis < n)
-    cost += lp.objective[basis[priced]] @ tableau[priced]
-    phase2 = _iterate(tableau, basis, labels)
+    tableau[:m, -1] = lp.rhs
+    tableau[m, :n] = -lp.objective
+    labels, basis = np.arange(n), n + np.arange(m)
+    pivots = _iterate(tableau, basis, labels)
 
     z = np.zeros(n + m)
     z[basis] = tableau[:-1, -1]
@@ -142,7 +119,7 @@ def simplex_solve(lp: FiniteLP) -> LPSolution:
     worst = np.max([-y.min(initial=0.0), np.max(lp.objective - y @ lp.rows), lp.rhs @ y - value])
     if not worst <= DUALITY_TOL:
         raise ArithmeticError(f"solution fails the optimality post-check, duality {worst:.3e}")
-    return LPSolution(value, tuple(float(v) for v in solution), residual, (phase1, phase2))
+    return LPSolution(value, tuple(float(v) for v in solution), residual, pivots)
 
 
 def _iterate(tableau: np.ndarray, basis: np.ndarray, labels: np.ndarray) -> int:
@@ -183,12 +160,17 @@ class _Delayed:
     def bland_step(self) -> tuple[int, int, np.ndarray] | None:
         """The next Bland pivot (row, col, current column col), or None at
         the optimum: the lowest eligible label enters, and among ratio ties
-        the row with the lowest basic label leaves."""
+        the row with the lowest basic label leaves.  Every basis stays
+        feasible, so a non-finite entry in the columns read, or a b below
+        -FEASIBILITY_TOL, is a numerical breakdown (ArithmeticError)."""
         eligible = np.flatnonzero(self.read(-1, slice(-1)) < -PIVOT_TOL)
         if eligible.size == 0:
             return None
         col = int(eligible[self.labels[eligible].argmin()])
-        column, rhs = self.read(slice(None), [col, -1]).T
+        current = self.read(slice(None), [col, -1])
+        column, rhs = current.T
+        if not np.isfinite(current).all() or rhs[:-1].min(initial=0.0) < -FEASIBILITY_TOL:
+            raise ArithmeticError(f"tableau breaks down entering column {self.labels[col]}")
         positive = np.flatnonzero(column[:-1] > PIVOT_TOL)
         if positive.size == 0:
             raise UnboundedError(f"column {self.labels[col]} unbounded")
@@ -218,32 +200,3 @@ class _Delayed:
             np.matmul(etas, rows[:, a : a + width], out=product)
             block -= product
         self.k = 0
-
-
-def _drop_artificials(
-    tableau: np.ndarray, basis: np.ndarray, labels: np.ndarray, first_art: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pivot zero-level artificials out of the basis, then cut their columns.
-
-    No row is ever redundant here.  A flipped row's slack starts as a
-    nonbasic column that is the negation of its artificial's, and pivots
-    apply the same row operations to both, so they stay negations up to
-    rounding.  A basic artificial's column is the unit vector of its row, so
-    that row holds about -1 in its slack's column, whose label is below
-    ``first_art``: it always has a pivot.  Returns the tableau and labels
-    without the artificials' columns.
-    """
-    delayed = _Delayed(tableau, basis, labels)
-    for i in np.flatnonzero(basis >= first_art):
-        candidates = np.flatnonzero(
-            (np.abs(delayed.read(i, slice(-1))) > PIVOT_TOL) & (labels < first_art)
-        )
-        col = int(candidates[labels[candidates].argmin()])
-        delayed.pivot(i, col, delayed.read(slice(None), col))
-    delayed.flush()
-    # Move the kept columns to the front and b after them; the slice stays
-    # column-major.
-    kept = np.flatnonzero(labels < first_art)
-    tableau[:, : kept.size] = tableau[:, kept]
-    tableau[:, kept.size] = tableau[:, -1]
-    return tableau[:, : kept.size + 1], labels[kept]

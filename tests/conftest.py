@@ -94,24 +94,14 @@ def sweep_instances() -> list[Instance]:
 
 @pytest.fixture
 def stop_simplex(monkeypatch):
-    """``stop_simplex(*limits)`` makes simplex_solve stop its phases early.
-
-    The j-th call of ``simplex._iterate`` from then on returns, its pivots
-    applied, after at most ``limits[j]`` pivots (the last limit repeats;
-    None runs to the optimum), so a phase can end at a vertex that is
-    feasible and not optimal.
+    """``stop_simplex(limit)`` makes simplex_solve stop after at most
+    ``limit`` pivots, those pivots applied, so the solve can end at a vertex
+    that is feasible and not optimal.
     """
     from ocselect import simplex
 
-    iterate = simplex._iterate
-
-    def stop(*limits):
-        calls = itertools.count()
-
+    def stop(limit):
         def stopped(tableau, basis, labels):
-            limit = limits[min(next(calls), len(limits) - 1)]
-            if limit is None:
-                return iterate(tableau, basis, labels)
             delayed, pivots = simplex._Delayed(tableau, basis, labels), 0
             while pivots < limit and (step := delayed.bland_step()) is not None:
                 delayed.pivot(*step)
@@ -122,6 +112,39 @@ def stop_simplex(monkeypatch):
         monkeypatch.setattr(simplex, "_iterate", stopped)
 
     return stop
+
+
+SIMPLEX_FAULTS = ("nan-b", "nan-rows", "negative-b")
+
+
+@pytest.fixture
+def break_simplex(monkeypatch):
+    """``break_simplex(fault)`` corrupts simplex_solve's tableau once, right
+    after its fifth pivot: "nan-b" puts NaN in every entry of b, "nan-rows"
+    in every constraint entry, and "negative-b" sets b's first entry, as
+    the next read sees it, to -1e-6.
+    """
+    from ocselect import simplex
+
+    pivot = simplex._Delayed.pivot
+
+    def corrupt(fault):
+        pivots = itertools.count(1)
+
+        def corrupted(self, row, col, column):
+            pivot(self, row, col, column)
+            if next(pivots) != 5:
+                return
+            if fault == "nan-b":
+                self.tableau[:-1, -1] = math.nan
+            elif fault == "nan-rows":
+                self.tableau[:-1, :-1] = math.nan
+            else:
+                self.tableau[0, -1] -= self.read(0, -1) + 1e-6
+
+        monkeypatch.setattr(simplex._Delayed, "pivot", corrupted)
+
+    return corrupt
 
 
 def g0_grid(instance: Instance, points: int = 20) -> list[float]:

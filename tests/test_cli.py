@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import SIMPLEX_FAULTS
 from ocselect import (
     GuaranteeCheck,
     InstanceFormatError,
@@ -904,11 +905,19 @@ class TestHardnessCommand:
         assert "post-check" in capsys.readouterr().err
 
     def test_a_solve_stopped_short_of_the_optimum_exits_4(self, stop_simplex, capsys):
-        # Phase 2 stops after 10 pivots at a feasible vertex: the primal
+        # The solve stops after 10 pivots at a feasible vertex: the primal
         # post-check passes it and the duality check refuses it.
         stop_simplex(10)
         assert main(["hardness"]) == 4
         assert "optimality post-check" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", SIMPLEX_FAULTS)
+    def test_a_tableau_breakdown_exits_4(self, fault, break_simplex, capsys):
+        break_simplex(fault)
+        assert main(["hardness"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "breaks down" in captured.err
 
     def test_rejects_bad_lp_step(self):
         assert main(["hardness", "--lp-step", "0.2"]) == 2
@@ -927,7 +936,7 @@ class TestHardnessCommand:
         # Only the flag check is under test, so no program is solved.
         monkeypatch.setattr(cli, "build_primal_general", lambda step: step)
         monkeypatch.setattr(cli, "build_primal_tvd", lambda c, step: step)
-        monkeypatch.setattr(cli, "simplex_solve", lambda lp: LPSolution(0.5, (), 0.0, (0, 0)))
+        monkeypatch.setattr(cli, "simplex_solve", lambda lp: LPSolution(0.5, (), 0.0, 0))
         assert main(["hardness"] + argv) == 0
 
 

@@ -474,12 +474,9 @@ class TestDualsAgainstDenseScan:
 
 
 def solver_tableau_mb(lp):
-    """simplex_solve's condensed phase-1 tableau: (rows + 1) x (variables +
-    artificials + 1) float64 entries, one column per nonbasic variable (a
-    flipped row's slack is nonbasic in place of its basic artificial)."""
-    rows = len(lp.rhs)
-    artificials = sum(1 for b in lp.rhs if b < 0.0)
-    return (rows + 1) * (lp.n_vars + artificials + 1) * 8 / 2**20
+    """simplex_solve's condensed tableau: (rows + 1) x (variables + 1)
+    float64 entries, one column per nonbasic variable plus b."""
+    return (len(lp.rhs) + 1) * (lp.n_vars + 1) * 8 / 2**20
 
 
 class TestPrimalTableauSize:
@@ -548,8 +545,8 @@ class TestPrimalBuilders:
         assert (grid + 1.0).tobytes() == build_primal_general(epsilon).rows[1:-1, 0].tobytes()
 
     def test_pivot_counts(self):
-        assert simplex_solve(build_primal_general(0.005)).pivots == (0, 125)
-        assert simplex_solve(build_primal_tvd(DETECTION_C, 0.005)).pivots == (0, 84)
+        assert simplex_solve(build_primal_general(0.005)).pivots == 125
+        assert simplex_solve(build_primal_tvd(DETECTION_C, 0.005)).pivots == 84
 
     def test_build_and_solve_peak_at_most_twice_the_tableau(self):
         # The program's rows and two tableaus: 8.8 MB at step 0.001, so one
