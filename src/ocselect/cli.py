@@ -470,7 +470,7 @@ def cmd_verify_density(args: argparse.Namespace) -> int:
         spec = density()
         mass_residual = integrate_weighted(spec, "one", 0.5, 1.0) - 1.0
         check = verify_guarantee(spec, kind)
-        assert spec.gamma is not None and spec.c is not None
+        assert spec.gamma is not None
         # Written as "not within bounds" so that a NaN reads as a violation.
         if not (check.min_ratio >= spec.gamma - 1e-6 and abs(mass_residual) <= CERTIFICATE_TOL):
             exit_code = EXIT_CERTIFICATE

@@ -33,13 +33,6 @@ WEIGHT_ONE = "one"
 WEIGHT_X = "x"
 WEIGHT_ONE_MINUS_X = "one_minus_x"
 
-# Each weight's value at x, which is also its integral against a point mass at x.
-_WEIGHTS = {
-    WEIGHT_ONE: lambda x: 1.0,
-    WEIGHT_X: lambda x: x,
-    WEIGHT_ONE_MINUS_X: lambda x: 1.0 - x,
-}
-
 ENVELOPE_TVA = "tva"
 ENVELOPE_TVD = "tvd"
 
@@ -66,30 +59,19 @@ class DensityPiece:
 
 @dataclass(frozen=True)
 class DensitySpec:
-    """A density on [1/2, 1], or a single point mass.
+    """A density on [1/2, 1], given by its pieces.
 
     ``pieces`` are the density's positive pieces, sorted and not
     overlapping; the density is zero off them.  They must integrate to one.
-    A point-mass spec carries no pieces; it represents the deterministic
-    choice of the target fraction and is exempt from the pdf machinery.
     """
 
     name: str
     pieces: tuple[DensityPiece, ...]
     gamma: float | None = None
-    point_mass: float | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("density needs a name")
-        if self.point_mass is not None:
-            if self.pieces:
-                raise ValueError("point mass and pieces are mutually exclusive")
-            if not (0.0 <= self.point_mass <= 1.0):
-                raise ValueError(f"point mass outside [0, 1]: {self.point_mass!r}")
-            return
-        if not self.pieces:
-            raise ValueError("density needs pieces or a point mass")
         for left, right in zip(self.pieces, self.pieces[1:]):
             if right.lo < left.hi:
                 pair = f"[{left.lo}, {left.hi}] then [{right.lo}, {right.hi}]"
@@ -99,8 +81,8 @@ class DensitySpec:
             raise ValueError(f"density mass {mass!r} is not 1")
 
     @property
-    def c(self) -> float | None:  # the left edge of the positive part
-        return self.pieces[0].lo if self.pieces else None
+    def c(self) -> float:  # the left edge of the positive part
+        return self.pieces[0].lo
 
 
 class GuaranteeCheck(NamedTuple):
@@ -175,11 +157,6 @@ def rho_732() -> DensitySpec:
     )
 
 
-def point_density(fraction: float, name: str | None = None) -> DensitySpec:
-    """Deterministic target fraction as a degenerate density."""
-    return DensitySpec(name=name or f"point-{fraction:.6g}", pieces=(), point_mass=fraction)
-
-
 def _piece_integral(piece: DensityPiece, weight: str, lo: float, hi: float | np.ndarray):
     """The module's one integrator: weight(x) * pdf over [lo, hi] ∩ piece, in closed form.
 
@@ -217,12 +194,10 @@ def _piece_integral(piece: DensityPiece, weight: str, lo: float, hi: float | np.
 def integrate_weighted(spec: DensitySpec, weight: str, lo: float, hi: float | np.ndarray):
     """∫ weight(x) ρ(x) dx over [lo, hi], the pieces' ``_piece_integral`` summed in piece order.
 
-    A density with pieces also takes a 1-D array hi: one integral per entry.
+    hi may also be a 1-D array: one integral per entry.
     """
-    if weight not in _WEIGHTS:
+    if weight not in (WEIGHT_ONE, WEIGHT_X, WEIGHT_ONE_MINUS_X):
         raise ValueError(f"unknown weight: {weight!r}")
-    if spec.point_mass is not None:
-        return _WEIGHTS[weight](spec.point_mass) if lo <= spec.point_mass <= hi else 0.0
     return sum(_piece_integral(p, weight, lo, hi) for p in spec.pieces)
 
 
@@ -230,27 +205,16 @@ def density_cdf(spec: DensitySpec, x: float | np.ndarray) -> float | np.ndarray:
     """CDF at x, or at each entry of an array x.
 
     0 at x <= 1/2, else the weight-one ``integrate_weighted`` from 1/2 to
-    min(x, 1), capped at 1; a point mass p steps from 0 to 1 at p."""
+    min(x, 1), capped at 1."""
     xs = np.asarray(x, dtype=float)
-    if spec.point_mass is not None:
-        cdf = np.where(xs >= spec.point_mass, 1.0, 0.0)
-    else:
-        top = np.minimum(xs, 1.0).reshape(-1)
-        mass = integrate_weighted(spec, WEIGHT_ONE, 0.5, top).reshape(xs.shape)
-        cdf = np.where(xs <= 0.5, 0.0, np.minimum(mass, 1.0))
+    top = np.minimum(xs, 1.0).reshape(-1)
+    mass = integrate_weighted(spec, WEIGHT_ONE, 0.5, top).reshape(xs.shape)
+    cdf = np.where(xs <= 0.5, 0.0, np.minimum(mass, 1.0))
     return float(cdf) if cdf.ndim == 0 else cdf
-
-
-def _floor(envelope: str, x: float) -> float:
-    """What an overestimated target x still delivers, as a fraction of the optimum."""
-    return 1.0 - x if envelope == ENVELOPE_TVA else max(1.0 - x, x / 2.0)
 
 
 def _envelope_integral(spec: DensitySpec, envelope: str, y: float) -> float:
     """∫ over x ≤ y of x ρ plus ∫ over x > y of the overestimation floor."""
-    if spec.point_mass is not None:
-        x = spec.point_mass
-        return x if x <= y else _floor(envelope, x)
     taken = integrate_weighted(spec, WEIGHT_X, 0.5, y)
     if envelope == ENVELOPE_TVA:
         return taken + integrate_weighted(spec, WEIGHT_ONE_MINUS_X, y, 1.0)
@@ -275,8 +239,6 @@ def verify_guarantee(spec: DensitySpec, lower_envelope: str) -> GuaranteeCheck:
     rises, bottoming out at yF' = F, y* = lo exp(F(lo)/coef - 2 lo + 1).  F is
     constant off the pieces, so F/y falls there.  F is continuous, so the
     minimum is at 1/2, 1, a piece edge, 2/3 (tvd) or a y* inside its piece.
-    A point mass p makes F/y fall on [1/2, p) and on [p, 1]: the infimum is
-    at 1/2, at 1, or the left limit floor(p)/p at y = p, never attained.
     """
     if lower_envelope not in (ENVELOPE_TVA, ENVELOPE_TVD):
         raise ValueError(f"unknown envelope: {lower_envelope!r}")
@@ -293,8 +255,5 @@ def verify_guarantee(spec: DensitySpec, lower_envelope: str) -> GuaranteeCheck:
         (_envelope_integral(spec, lower_envelope, y) / y, y)
         for y in sorted(min(max(y, 0.5), 1.0) for y in ys)
     ]
-    p = spec.point_mass
-    if p is not None and p > 0.5:
-        candidates.append((_floor(lower_envelope, p) / p, p))
     # argmin of an array holding a NaN is the NaN, so a NaN ratio is reported.
     return GuaranteeCheck(*candidates[int(np.argmin([ratio for ratio, _ in candidates]))])

@@ -367,13 +367,10 @@ def _lane_mixture_pieces(
     is piecewise constant in g0 (see ``_lane_value_cuts``): each piece is
     weighted by its mass under the analytic density CDF and valued at its
     midpoint.  A piece of weight exactly 0.0, between two cuts inside a gap
-    of the density, is dropped.  A point mass is one piece of weight 1.
+    of the density, is dropped.
     """
     prophet = prophet_value(instance)
     orders = len(perm)
-    if density.point_mass is not None:
-        mids = np.full(orders, density.point_mass * prophet)
-        return MixturePieces(np.ones(orders, dtype=int), np.ones(orders), mids)
     lo, hi = density.pieces[0].lo, density.pieces[-1].hi
     cuts = _lane_value_cuts(instance, perm, policy_kind, hi * prophet)
     inside = (cuts > lo * prophet) & (cuts < math.inf)

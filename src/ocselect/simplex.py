@@ -108,7 +108,8 @@ def simplex_solve(lp: FiniteLP) -> LPSolution:
     solution = z[:n]
 
     residual = float(np.max(lp.rows @ solution - lp.rhs, initial=0.0))
-    if residual > FEASIBILITY_TOL or float(np.min(solution, initial=0.0)) < -FEASIBILITY_TOL:
+    # Written as "not within bounds" so that a NaN reads as a violation.
+    if not (residual <= FEASIBILITY_TOL and np.min(solution, initial=0.0) >= -FEASIBILITY_TOL):
         raise ArithmeticError(f"solution fails post-check, residual {residual:.3e}")
     value = float(np.dot(lp.objective, solution))
     # The slacks' reduced costs y prove value the maximum by weak duality;
@@ -162,9 +163,13 @@ class _Delayed:
         the optimum: the lowest eligible label enters, and among ratio ties
         the row with the lowest basic label leaves.  Every basis stays
         feasible, so a non-finite entry in the columns read, or a b below
-        -FEASIBILITY_TOL, is a numerical breakdown (ArithmeticError)."""
-        eligible = np.flatnonzero(self.read(-1, slice(-1)) < -PIVOT_TOL)
+        -FEASIBILITY_TOL, is a numerical breakdown (ArithmeticError).  A NaN
+        reduced cost never enters, so the cost row is checked at the end."""
+        costs = self.read(-1, slice(-1))
+        eligible = np.flatnonzero(costs < -PIVOT_TOL)
         if eligible.size == 0:
+            if not np.isfinite(costs).all():
+                raise ArithmeticError("tableau breaks down: a reduced cost is not finite")
             return None
         col = int(eligible[self.labels[eligible].argmin()])
         current = self.read(slice(None), [col, -1])

@@ -114,15 +114,16 @@ def stop_simplex(monkeypatch):
     return stop
 
 
-SIMPLEX_FAULTS = ("nan-b", "nan-rows", "negative-b")
+SIMPLEX_FAULTS = ("nan-b", "nan-rows", "negative-b", "nan-cost")
 
 
 @pytest.fixture
 def break_simplex(monkeypatch):
     """``break_simplex(fault)`` corrupts simplex_solve's tableau once, right
     after its fifth pivot: "nan-b" puts NaN in every entry of b, "nan-rows"
-    in every constraint entry, and "negative-b" sets b's first entry, as
-    the next read sees it, to -1e-6.
+    in every constraint entry, "negative-b" sets b's first entry, as the
+    next read sees it, to -1e-6, and "nan-cost" puts NaN in the cost row's
+    first entry.
     """
     from ocselect import simplex
 
@@ -139,6 +140,8 @@ def break_simplex(monkeypatch):
                 self.tableau[:-1, -1] = math.nan
             elif fault == "nan-rows":
                 self.tableau[:-1, :-1] = math.nan
+            elif fault == "nan-cost":
+                self.tableau[-1, 0] = math.nan
             else:
                 self.tableau[0, -1] -= self.read(0, -1) + 1e-6
 

@@ -411,8 +411,6 @@ def value_cuts(
 
 def density_cdf(spec: DensitySpec, x: float) -> float:
     """CDF at x: the density integrated from 1/2 piece by piece."""
-    if spec.point_mass is not None:
-        return 1.0 if x >= spec.point_mass else 0.0
     if x <= 0.5:
         return 0.0
     return min(1.0, integrate_weighted(spec, WEIGHT_ONE, 0.5, min(x, 1.0)))
@@ -429,8 +427,6 @@ def _mixture_pieces(
     if policy_kind not in ("tva", "tvd"):
         raise ValueError(f"randomized mixture needs tva or tvd, got {policy_kind!r}")
     prophet = prophet_value(instance)
-    if density.point_mass is not None:
-        return [1.0], [density.point_mass * prophet]
     lo, hi = density.pieces[0].lo, density.pieces[-1].hi
     dists = [instance.dists[b] for b in boxes]
     cuts = value_cuts(dists, emax_after, policy_kind, hi * prophet)

@@ -35,7 +35,8 @@ def solve(lp):
     solution = z[:n]
 
     residual = float(np.max(lp.rows @ solution - lp.rhs, initial=0.0))
-    if residual > FEASIBILITY_TOL or float(np.min(solution, initial=0.0)) < -FEASIBILITY_TOL:
+    # Written as "not within bounds" so that a NaN reads as a violation.
+    if not (residual <= FEASIBILITY_TOL and np.min(solution, initial=0.0) >= -FEASIBILITY_TOL):
         raise ArithmeticError(f"solution fails post-check, residual {residual:.3e}")
     value = float(np.dot(lp.objective, solution))
     y = tableau[-1, n : n + m]

@@ -15,7 +15,6 @@ from ocselect import (
     DensitySpec,
     density_cdf,
     integrate_weighted,
-    point_density,
     rho_656,
     rho_732,
     solve_c_656,
@@ -27,9 +26,13 @@ from ocselect.densities import (
     ENVELOPE_TVD,
     PIECE_INV,
     PIECE_INV_SHIFTED,
-    _WEIGHTS,
+    WEIGHT_ONE,
+    WEIGHT_ONE_MINUS_X,
+    WEIGHT_X,
     _envelope_integral,
 )
+
+WEIGHTS = (WEIGHT_ONE, WEIGHT_X, WEIGHT_ONE_MINUS_X)
 
 
 class TestConstants656:
@@ -133,7 +136,7 @@ class TestZeroOffThePieces:
     """A gap between two pieces, and a last piece that ends below 1."""
 
     @pytest.mark.parametrize("spec", ZERO_STRETCHES, ids=lambda spec: spec.name)
-    @pytest.mark.parametrize("weight", list(_WEIGHTS))
+    @pytest.mark.parametrize("weight", WEIGHTS)
     def test_nothing_off_the_pieces(self, spec, weight):
         # Off the pieces: from 1/2 to the first, across the gap, past the end.
         edges = [0.5, *(e for p in spec.pieces for e in (p.lo, p.hi)), 1.0]
@@ -147,22 +150,13 @@ class TestZeroOffThePieces:
 
 class TestIntegrateWeighted:
     @pytest.mark.parametrize("spec_factory", [rho_656, rho_732, gapped_density, short_density])
-    @pytest.mark.parametrize("weight", list(_WEIGHTS))
+    @pytest.mark.parametrize("weight", WEIGHTS)
     def test_an_array_of_upper_ends_gets_each_scalar_integral(self, spec_factory, weight):
         spec = spec_factory()
         ends = cdf_probes(spec)
         for lo in (0.5, spec.pieces[0].lo, 0.6, 2.0 / 3.0, 0.9):
             want = [integrate_weighted(spec, weight, lo, hi) for hi in ends]
             assert integrate_weighted(spec, weight, lo, np.array(ends)).tolist() == want
-
-    @pytest.mark.parametrize("weight", list(_WEIGHTS))
-    def test_point_mass_counts_only_inside_the_bounds(self, weight):
-        spec = point_density(0.7)
-        value = {"one": 1.0, "x": 0.7, "one_minus_x": 1.0 - 0.7}[weight]
-        for lo, hi in ((0.5, 1.0), (0.7, 0.7), (0.5, 0.7), (0.7, 1.0)):
-            assert integrate_weighted(spec, weight, lo, hi) == value
-        for lo, hi in ((0.5, 0.6), (0.71, 1.0), (0.8, 0.6)):
-            assert integrate_weighted(spec, weight, lo, hi) == 0.0
 
 
 class TestVerifyGuarantee:
@@ -182,13 +176,6 @@ class TestVerifyGuarantee:
         spec = rho_656()
         check = verify_guarantee(spec, ENVELOPE_TVD)
         assert check.min_ratio >= 0.656
-
-    def test_point_mass_guarantee_is_its_consistency_value(self):
-        # All mass at y0: for y < y0 the LHS is the envelope floor; the
-        # exact infimum is pinned in TestGuaranteeAgainstDenseScan, so just
-        # require the check to run and stay in (0, 1].
-        check = verify_guarantee(point_density(0.8), ENVELOPE_TVD)
-        assert 0.0 < check.min_ratio <= 1.0
 
 
 def dense_scan(spec, envelope, points=200_001):
@@ -250,30 +237,6 @@ class TestGuaranteeAgainstDenseScan:
         assert check.argmin_y == pytest.approx(math.exp(-0.55), abs=1e-12)
         assert check.argmin_y == pytest.approx(0.5769, abs=1e-4)
 
-    @pytest.mark.parametrize(
-        "p, envelope, expected",
-        [
-            # F/y falls on [p, 1], so at or below 1/2 the minimum is p/1.
-            (0.5, ENVELOPE_TVA, (0.5, 1.0)),
-            (0.5, ENVELOPE_TVD, (0.5, 1.0)),
-            (0.6, ENVELOPE_TVA, (0.6, 1.0)),
-            (0.6, ENVELOPE_TVD, (0.6, 1.0)),
-            # The left limit floor(p)/p at y = p.  The stored 0.8 lies just
-            # above 4/5, so (1-p)/p is the float just under 0.25.
-            (0.8, ENVELOPE_TVA, ((1.0 - 0.8) / 0.8, 0.8)),
-            (0.8, ENVELOPE_TVD, (0.5, 0.8)),
-            # tva's floor 1-p is 0 at p = 1, attained already at y = 1/2.
-            (1.0, ENVELOPE_TVA, (0.0, 0.5)),
-            (1.0, ENVELOPE_TVD, (0.5, 1.0)),
-        ],
-    )
-    def test_point_mass_infimum(self, p, envelope, expected):
-        spec = point_density(p)
-        check = verify_guarantee(spec, envelope)
-        assert check == expected
-        grid_min, _ = dense_scan(spec, envelope)
-        assert check.min_ratio <= grid_min + 4 * math.ulp(grid_min)
-
 
 class TestCdf:
     def test_cdf_monotone_and_normalized(self):
@@ -304,14 +267,7 @@ class TestArrayCdf:
         assert density_cdf(spec, np.array(xs)).tolist() == want
         assert [density_cdf(spec, x) for x in xs] == want
 
-    def test_point_mass(self):
-        spec = point_density(0.7)
-        xs = [0.0, 0.5, math.nextafter(0.7, 0.0), 0.7, math.nextafter(0.7, 1.0), 1.0, 2.0]
-        want = [ref.density_cdf(spec, x) for x in xs]
-        assert want == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]
-        assert density_cdf(spec, np.array(xs)).tolist() == want
-
-    @pytest.mark.parametrize("spec", [rho_656(), rho_732(), point_density(0.7)])
+    @pytest.mark.parametrize("spec", [rho_656(), rho_732()])
     def test_a_scalar_gives_a_python_float(self, spec):
         for x in (0.3, 0.6, 0.9, 1.2, np.float64(0.8)):
             got = density_cdf(spec, x)

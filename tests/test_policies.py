@@ -36,7 +36,6 @@ from ocselect import (
     load_instance,
     opt_online,
     parse_instance,
-    point_density,
     prophet_value,
     randomized_value,
     rho_656,
@@ -538,12 +537,6 @@ class TestBatchedCuts:
 
 
 class TestRandomizedValue:
-    def test_point_mass_equals_exact(self):
-        spec = point_density(1.0 / PHI)
-        got = randomized_value(AB, ("B", "A"), spec, policy_kind="tva")
-        want = tva_exact(AB, ("B", "A"), prophet_value(AB) / PHI).stages[0, 0]
-        assert got == want
-
     def test_rho_732_beats_gamma_on_both_orders(self):
         for order in (("A", "B"), ("B", "A")):
             opt = opt_online(AB, order).stages[0, 0]
@@ -1003,10 +996,16 @@ def high_density(lo: float = 0.9) -> DensitySpec:
     return DensitySpec("high", (DensityPiece(PIECE_INV, lo, 1.0, -1.0 / math.log(lo)),))
 
 
+def narrow_density() -> DensitySpec:
+    """All mass on [1/phi, 1/phi + 1e-4]: a support that holds almost no cuts."""
+    lo, hi = 1.0 / PHI, 1.0 / PHI + 1e-4
+    return DensitySpec("narrow", (DensityPiece(PIECE_INV, lo, hi, 1.0 / math.log(hi / lo)),))
+
+
 MIXTURE_DENSITIES = (
     rho_656(),
     rho_732(),
-    point_density(1.0 / PHI),
+    narrow_density(),
     high_density(),
     gapped_density(),
     short_density(),

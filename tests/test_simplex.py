@@ -382,6 +382,25 @@ class TestOptimalityCheck:
         with pytest.raises(ArithmeticError, match="breaks down"):
             simplex_solve(build_primal_general(0.02))
 
+    @pytest.mark.parametrize(
+        "module, solve",
+        [(simplex, simplex_solve), (reference, reference.solve)],
+        ids=["condensed", "reference"],
+    )
+    def test_a_nan_b_after_the_last_pivot_fails_the_post_check(self, module, solve, monkeypatch):
+        # NaN > FEASIBILITY_TOL is False: a check for "beyond the bounds"
+        # would pass the NaN point on to the optimality check.
+        iterate = module._iterate
+
+        def corrupted(tableau, *args):
+            pivots = iterate(tableau, *args)
+            tableau[:-1, -1] = math.nan
+            return pivots
+
+        monkeypatch.setattr(module, "_iterate", corrupted)
+        with pytest.raises(ArithmeticError, match="post-check, residual nan"):
+            solve(build_primal_general(0.02))
+
     def test_a_duality_gap_alone_is_caught(self, monkeypatch):
         # The general program's first ladder row, x = phi, has no negative
         # coefficient, and its slack ends nonbasic: raising its dual (that
