@@ -77,6 +77,11 @@ def short_density() -> DensitySpec:
     )
 
 
+def narrow_density(lo: float, hi: float) -> DensitySpec:
+    """All mass as coef/x on the narrow [lo, hi]: close to a deterministic start."""
+    return DensitySpec("narrow", (DensityPiece(PIECE_INV, lo, hi, 1.0 / math.log(hi / lo)),))
+
+
 def all_orders(instance: Instance):
     return [tuple(p) for p in itertools.permutations(sorted(instance.ids))]
 

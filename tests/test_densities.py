@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import scalar_reference as ref
-from conftest import gapped_density, short_density
+from conftest import gapped_density, narrow_density, short_density
 from ocselect import (
     DensityPiece,
     DensitySpec,
@@ -158,6 +158,17 @@ class TestIntegrateWeighted:
             want = [integrate_weighted(spec, weight, lo, hi) for hi in ends]
             assert integrate_weighted(spec, weight, lo, np.array(ends)).tolist() == want
 
+    @pytest.mark.parametrize("weight", WEIGHTS)
+    def test_a_narrow_piece_counts_only_inside_the_bounds(self, weight):
+        spec = narrow_density(0.7, 0.7 + 1e-4)
+        whole = integrate_weighted(spec, weight, 0.5, 1.0)
+        # Near a start fixed at 0.7: weight one, 0.7 or 0.3.
+        assert whole == pytest.approx({"one": 1.0, "x": 0.7, "one_minus_x": 0.3}[weight], abs=1e-4)
+        for lo, hi in ((0.7, 0.7 + 1e-4), (0.5, 0.7 + 1e-4), (0.7, 1.0), (0.6, 0.8)):
+            assert integrate_weighted(spec, weight, lo, hi) == whole
+        for lo, hi in ((0.5, 0.6), (0.5, 0.7), (0.71, 1.0), (0.8, 0.6)):
+            assert integrate_weighted(spec, weight, lo, hi) == 0.0
+
 
 class TestVerifyGuarantee:
     def test_732_meets_its_envelope(self):
@@ -238,6 +249,31 @@ class TestGuaranteeAgainstDenseScan:
         assert check.argmin_y == pytest.approx(0.5769, abs=1e-4)
 
 
+    @pytest.mark.parametrize(
+        "lo, hi, envelope, limit",
+        [
+            # As the support narrows to p, the infimum tends to a fixed
+            # start's: p/1 when F/y falls on [p, 1] ...
+            (0.5, 0.5 + 1e-4, ENVELOPE_TVA, 0.5),
+            (0.5, 0.5 + 1e-4, ENVELOPE_TVD, 0.5),
+            (0.6, 0.6 + 1e-4, ENVELOPE_TVA, 0.6),
+            (0.6, 0.6 + 1e-4, ENVELOPE_TVD, 0.6),
+            # ... else the floor at p over p: (1-p)/p under tva, 1/2 under tvd.
+            (0.8, 0.8 + 1e-4, ENVELOPE_TVA, 0.25),
+            (0.8, 0.8 + 1e-4, ENVELOPE_TVD, 0.5),
+            (1.0 - 1e-4, 1.0, ENVELOPE_TVA, 0.0),
+            (1.0 - 1e-4, 1.0, ENVELOPE_TVD, 0.5),
+        ],
+        ids=["0.5-tva", "0.5-tvd", "0.6-tva", "0.6-tvd", "0.8-tva", "0.8-tvd", "1-tva", "1-tvd"],
+    )
+    def test_a_narrow_density_nears_a_fixed_start(self, lo, hi, envelope, limit):
+        spec = narrow_density(lo, hi)
+        check = verify_guarantee(spec, envelope)
+        assert check.min_ratio == pytest.approx(limit, abs=1e-3)
+        grid_min, _ = dense_scan(spec, envelope)
+        assert check.min_ratio <= grid_min + 4 * math.ulp(grid_min)
+
+
 class TestCdf:
     def test_cdf_monotone_and_normalized(self):
         spec = rho_732()
@@ -267,7 +303,18 @@ class TestArrayCdf:
         assert density_cdf(spec, np.array(xs)).tolist() == want
         assert [density_cdf(spec, x) for x in xs] == want
 
-    @pytest.mark.parametrize("spec", [rho_656(), rho_732()])
+    def test_a_narrow_piece(self):
+        lo, hi = 0.7, 0.7 + 1e-4
+        spec = narrow_density(lo, hi)
+        below, above = math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)
+        xs = [0.0, 0.5, below, lo, lo + 5e-5, hi, above, 1.0, 2.0]
+        want = [ref.density_cdf(spec, x) for x in xs]
+        assert want[:4] == [0.0] * 4
+        assert 0.0 < want[4] < 1.0
+        assert want[5:] == pytest.approx([1.0] * 4, abs=1e-12)
+        assert density_cdf(spec, np.array(xs)).tolist() == want
+
+    @pytest.mark.parametrize("spec", [rho_656(), rho_732(), narrow_density(0.7, 0.7 + 1e-4)])
     def test_a_scalar_gives_a_python_float(self, spec):
         for x in (0.3, 0.6, 0.9, 1.2, np.float64(0.8)):
             got = density_cdf(spec, x)

@@ -22,6 +22,7 @@ from conftest import (
     distinct_atoms_instance,
     g0_grid,
     gapped_density,
+    narrow_density,
     random_instance,
     short_density,
 )
@@ -537,6 +538,14 @@ class TestBatchedCuts:
 
 
 class TestRandomizedValue:
+    def test_a_narrow_density_equals_exact_at_its_support(self):
+        # No cut of AB lies in [1/phi, 1/phi + 1e-4] times the prophet value,
+        # so every draw gets tva_exact's value at 1/phi.
+        spec = narrow_density(1.0 / PHI, 1.0 / PHI + 1e-4)
+        got = randomized_value(AB, ("B", "A"), spec, policy_kind="tva")
+        want = tva_exact(AB, ("B", "A"), prophet_value(AB) / PHI).stages[0, 0]
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_rho_732_beats_gamma_on_both_orders(self):
         for order in (("A", "B"), ("B", "A")):
             opt = opt_online(AB, order).stages[0, 0]
@@ -996,16 +1005,11 @@ def high_density(lo: float = 0.9) -> DensitySpec:
     return DensitySpec("high", (DensityPiece(PIECE_INV, lo, 1.0, -1.0 / math.log(lo)),))
 
 
-def narrow_density() -> DensitySpec:
-    """All mass on [1/phi, 1/phi + 1e-4]: a support that holds almost no cuts."""
-    lo, hi = 1.0 / PHI, 1.0 / PHI + 1e-4
-    return DensitySpec("narrow", (DensityPiece(PIECE_INV, lo, hi, 1.0 / math.log(hi / lo)),))
-
-
 MIXTURE_DENSITIES = (
     rho_656(),
     rho_732(),
-    narrow_density(),
+    # A support that holds almost no cuts.
+    narrow_density(1.0 / PHI, 1.0 / PHI + 1e-4),
     high_density(),
     gapped_density(),
     short_density(),
