@@ -125,10 +125,10 @@ class SuffixTables:
     ``set_emax`` and ``set_tau`` hold the two quantities for every set,
     indexed by its bitmask (bit b for box b), the set's rows multiplied in
     descending box order.  Each has 2**n entries, and both are built on the
-    first read of either.  ``emax_after``, ``emax_over`` and ``switch_tau``
-    read them up to ENUMERATION_LIMIT boxes, so every answer depends only on
-    which boxes remain; past it they multiply each row's boxes back to front
-    in arrival order.
+    first read of either.  ``emax_after`` and ``switch_tau`` read them up
+    to ENUMERATION_LIMIT boxes, so every answer depends only on which boxes
+    remain; past it they multiply each row's boxes back to front in arrival
+    order.
     """
 
     def __init__(self, dists: Sequence[DiscreteDistribution]) -> None:
@@ -163,32 +163,17 @@ class SuffixTables:
             out[:, t] = _max_mean(self.grid, running)
         return out
 
-    def emax_over(self, boxes: np.ndarray) -> np.ndarray:
-        """E[max] over each row's boxes, 0.0 over none: ``emax_after`` of one set.
-
-        Up to ENUMERATION_LIMIT boxes, ``set_emax`` at the row's set.  Past
-        it, the mean of ``_fold``, the same product as ``emax_after`` reaches
-        for these boxes.
-        """
-        if len(self.cdf) <= ENUMERATION_LIMIT:
-            return self.set_emax[np.bitwise_or.reduce(1 << boxes, axis=1)]
-        if boxes.shape[1] == 0:
-            return np.zeros(len(boxes))
-        return _max_mean(self.grid, self._fold(boxes))
-
     def switch_tau(self, suffix: np.ndarray) -> np.ndarray:
         """The best single threshold over each row's boxes.
 
         Up to ENUMERATION_LIMIT boxes, ``set_tau`` at the row's set.  Past
-        it, the threshold picked from the atom masses of ``_fold``.
+        it, the threshold picked from the atom masses of the row's CDF: its
+        boxes' rows multiplied back to front, its last box first.
         """
         if len(self.cdf) <= ENUMERATION_LIMIT:
             return self.set_tau[np.bitwise_or.reduce(1 << suffix, axis=1)]
-        return _best_thresholds(self.grid, _atom_masses(self._fold(suffix)))[0]
-
-    def _fold(self, boxes: np.ndarray) -> np.ndarray:
-        """Each row's CDF: its boxes' rows multiplied back to front, its last box first."""
-        return reduce(np.multiply, (self.cdf[b] for b in boxes[:, ::-1].T))
+        cdf = reduce(np.multiply, (self.cdf[b] for b in suffix[:, ::-1].T))
+        return _best_thresholds(self.grid, _atom_masses(cdf))[0]
 
     @cached_property
     def _set_tables(self) -> tuple[np.ndarray, np.ndarray]:

@@ -13,8 +13,8 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage error, 2 validation error (bad file, bad
 combination of flags, refused enumeration), 3 certificate violation,
-4 internal numerical failure (a simplex tableau that breaks down, a solution
-failing the simplex feasibility or optimality post-check, the pivot limit).
+4 internal numerical failure (an unbounded program or a simplex tableau that
+breaks down, a solution failing a simplex post-check, the pivot limit).
 ``eval`` and ``simulate`` check every flag before they value any order.
 
 All CSV output uses LF newlines and ``%.12g`` floats, so a rerun with the

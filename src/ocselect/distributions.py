@@ -157,8 +157,8 @@ def _head_tail_sums(values: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, .
     return head_mass, tail_mass, tail_mean
 
 
-def inverse_target(dist: DiscreteDistribution, g_prev: float) -> float:
-    """Smallest x >= 0 with E[max(v, x)] >= g_prev (within 1e-12 slack).
+def _lane_inverse_target(tables: BoxTables, boxes: np.ndarray, g_prev: np.ndarray) -> np.ndarray:
+    """Per lane, the smallest x >= 0 with E[max(v, x)] >= g_prev[i], v from row ``boxes[i]``.
 
     The map x -> E[max(v, x)] is nondecreasing and piecewise linear with
     breakpoints at the atoms, so the inverse is found by locating the first
@@ -167,15 +167,8 @@ def inverse_target(dist: DiscreteDistribution, g_prev: float) -> float:
     ``g_prev - TARGET_SLACK``: the tiny downward bias keeps an atom lying
     exactly on the solution on the accept side of later >= comparisons,
     which is what makes running the recursion at g0 = OPT reproduce the
-    optimal policy bit for bit.  One lane of ``_lane_inverse_target``.
+    optimal policy bit for bit.
     """
-    if not (g_prev >= 0.0):
-        raise ValueError(f"target must be >= 0: {g_prev!r}")
-    return float(_lane_inverse_target(dist.tables, np.zeros(1, dtype=int), np.array([g_prev]))[0])
-
-
-def _lane_inverse_target(tables: BoxTables, boxes: np.ndarray, g_prev: np.ndarray) -> np.ndarray:
-    """``inverse_target`` of each lane's box, row ``boxes[i]`` of ``tables``, at ``g_prev[i]``."""
     target = g_prev - TARGET_SLACK
     i = tables.below(tables.emax_at_values, boxes, target)
     # The solve is on the segment (values[i-1], values[i]], whose slope is
@@ -192,7 +185,8 @@ def _lane_inverse_target(tables: BoxTables, boxes: np.ndarray, g_prev: np.ndarra
 def _lane_jump_target(tables: BoxTables, boxes: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """The g above which ``_lane_inverse_target`` of row ``boxes[i]`` passes each level of row i.
 
-    Up to rounding, inverse_target(d, g) > y exactly when g > E[max(v, y)] + TARGET_SLACK.
+    Up to rounding, the inversion of g on box v passes y exactly when
+    g > E[max(v, y)] + TARGET_SLACK.
     """
     atoms = tables.values[boxes]
     # Atoms below each level, as bisect_left counts them; +inf pads never are.

@@ -16,7 +16,6 @@ and distributions only, so expected values are finite backward recursions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -28,12 +27,7 @@ from .distributions import (
     _lane_inverse_target,
     _lane_jump_target,
     inverse_cdf,
-    inverse_target,
 )
-
-TARGETED = "targeted"
-CONSERVATIVE = "conservative"
-TERMINATED = "terminated"
 
 # Exact-evaluation policies selectable by name.
 EXACT_POLICIES = ("sta", "tva", "tvd")
@@ -53,93 +47,7 @@ VALUE_TOL = 1e-9
 
 
 class PolicyError(ValueError):
-    """A step machine was driven outside its contract."""
-
-
-class Decision(NamedTuple):
-    accept: bool
-
-
-@dataclass(frozen=True)
-class PolicyState:
-    """State of a policy run between boxes.
-
-    ``stage`` counts boxes already stepped (0-based index of the next box).
-    ``target`` is the current targeted value; ``threshold`` and
-    ``switch_stage`` are populated once the detecting policy has switched to
-    conservative single-threshold mode.
-    """
-
-    stage: int
-    mode: str
-    target: float
-    switch_stage: int | None = None
-    threshold: float | None = None
-
-    @staticmethod
-    def initial(g0: float) -> "PolicyState":
-        if not (g0 >= 0.0):
-            raise ValueError(f"initial target must be >= 0: {g0!r}")
-        return PolicyState(stage=0, mode=TARGETED, target=g0)
-
-
-def _advance(
-    state: PolicyState, accept_at: float, realized_value: float, mode: str, **changes
-) -> tuple[PolicyState, Decision]:
-    """Step past one box: accept a value at or above ``accept_at``, else stay in ``mode``."""
-    accept = realized_value >= accept_at
-    new = replace(state, stage=state.stage + 1, mode=TERMINATED if accept else mode, **changes)
-    return new, Decision(accept)
-
-
-def tva_step(
-    state: PolicyState, box_dist: DiscreteDistribution, realized_value: float
-) -> tuple[PolicyState, Decision]:
-    """Advance the plain targeted policy by one box."""
-    if state.mode != TARGETED:
-        raise PolicyError(f"targeted step in mode {state.mode!r}")
-    g = inverse_target(box_dist, state.target)
-    return _advance(state, g, realized_value, TARGETED, target=g)
-
-
-def tvd_step(
-    state: PolicyState, instance: Instance, boxes: Sequence[int], realized_value: float
-) -> tuple[PolicyState, Decision]:
-    """Advance the detecting targeted policy by one box.
-
-    ``boxes`` holds distinct indices into ``instance.boxes``: the current
-    box, then the boxes still to come in arrival order.  Box ids, not
-    distributions, because two boxes may share one distribution.  The switch
-    test compares the updated target against E[max of the boxes still to
-    come], the instance's ``SuffixTables.emax_over`` of ``boxes[1:]``, which
-    ``emax_after`` reads at stage 0 of ``boxes``; a tie stays targeted.  The
-    conservative threshold is its ``switch_tau`` over all of ``boxes``, and
-    the switch is permanent.
-    """
-    boxes = np.asarray(boxes)
-    if boxes.ndim != 1 or len(boxes) == 0:
-        raise PolicyError(f"tvd_step needs the current box id: boxes={boxes.tolist()!r}")
-    if not np.issubdtype(boxes.dtype, np.integer):
-        raise PolicyError(f"box ids must be integers: boxes={boxes.tolist()!r}")
-    outside = (boxes < 0) | (boxes >= instance.n)
-    if outside.any():
-        raise PolicyError(f"box id outside range({instance.n}): {int(boxes[outside][0])!r}")
-    ids = boxes.tolist()
-    if len(set(ids)) < len(ids):
-        raise PolicyError(f"box id repeated: {next(b for b in ids if ids.count(b) > 1)!r}")
-    if state.mode == TERMINATED:
-        raise PolicyError("stepping a terminated policy")
-    if state.mode == CONSERVATIVE:
-        return _advance(state, state.threshold, realized_value, CONSERVATIVE)
-    g = float(_lane_inverse_target(instance.box_tables, boxes[:1], np.array([state.target]))[0])
-    tables = instance.suffix_tables
-    future = float(tables.emax_over(boxes[None, 1:])[0])
-    if g <= future:
-        return _advance(state, g, realized_value, TARGETED, target=g)
-    tau = float(tables.switch_tau(boxes[None])[0])
-    return _advance(
-        state, tau, realized_value, CONSERVATIVE, target=g, switch_stage=state.stage, threshold=tau
-    )
+    """An unknown policy kind was asked for."""
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +123,9 @@ def lane_values(
     target ``g0[i]`` (for ``sta``, its threshold).  ``opt`` is the online
     optimum: it takes no g0 (pass None) and accepts at each stage any value
     at or above the value to go from the next stage.  ``sta`` accepts at g0 at
-    every stage.  ``tva`` accepts at each target of the walk
-    g_t = inverse_target(d_t, g_{t-1}).  ``tvd`` walks the same targets until
+    every stage.  ``tva`` accepts at each target of the walk that
+    ``_lane_inverse_target`` takes, g_t = the smallest x >= 0 with
+    E[max(v_t, x)] >= g_{t-1}.  ``tvd`` walks the same targets until
     the first g_t above E[max of the boxes after stage t]; from that switch
     stage on it accepts at the best single threshold over the remaining
     boxes.  Both come from the instance's ``SuffixTables``.  Many lanes may

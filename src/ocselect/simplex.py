@@ -24,8 +24,8 @@ PIVOT_TOL = 1e-10
 DELAY = 16
 
 
-class UnboundedError(ValueError):
-    """The objective is unbounded above on the feasible set."""
+class UnboundedError(ArithmeticError):
+    """Unbounded objective: every program built here is bounded, so a numerical failure."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,6 +15,7 @@ import pytest
 
 from ocselect import Box, DensityPiece, DensitySpec, DiscreteDistribution, Instance
 from ocselect.densities import PIECE_INV, PIECE_INV_SHIFTED
+from ocselect.distributions import _lane_inverse_target
 
 MIN_ATOM_PROB = 0.02
 
@@ -80,6 +81,11 @@ def short_density() -> DensitySpec:
 def narrow_density(lo: float, hi: float) -> DensitySpec:
     """All mass as coef/x on the narrow [lo, hi]: close to a deterministic start."""
     return DensitySpec("narrow", (DensityPiece(PIECE_INV, lo, hi, 1.0 / math.log(hi / lo)),))
+
+
+def inverse_target(dist: DiscreteDistribution, g_prev: float) -> float:
+    """``_lane_inverse_target`` on the one lane (dist, g_prev), as a float."""
+    return float(_lane_inverse_target(dist.tables, np.zeros(1, dtype=int), np.array([g_prev]))[0])
 
 
 def all_orders(instance: Instance):

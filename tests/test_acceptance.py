@@ -21,6 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from conftest import all_orders, brute_force_opt, random_instance
 from ocselect import (
     PHI,
@@ -45,13 +46,7 @@ from ocselect import (
 )
 from ocselect.benchmarks import order_indices
 from ocselect.cli import main
-from ocselect.policies import (
-    PolicyState,
-    lane_randomized_values,
-    lane_values,
-    tva_step,
-    tvd_step,
-)
+from ocselect.policies import lane_randomized_values, lane_values
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 GRID_POINTS = 20
@@ -335,25 +330,27 @@ class TestCriterion9DetectionLimits:
 
 
 def enumerate_policy_value(instance, order, g0: float, kind: str) -> float:
-    """Exhaust every realization of the decision tree and average."""
+    """Exhaust every realization of the decision tree and average.
+
+    Each stage accepts the first value at or above its threshold from the
+    scalar reference, so the oracle shares neither the lane inversion nor
+    ``SuffixTables`` with the evaluators it checks.
+    """
     boxes = order_indices(instance, order)
     dists = [instance.dists[b] for b in boxes]
+    thresholds = ref.stage_thresholds(kind, g0, instance, boxes).per_stage
     terms: list[float] = []
 
-    def walk(stage: int, state: PolicyState, prob: float) -> None:
+    def walk(stage: int, prob: float) -> None:
         if stage == len(dists):
             return
         for value, p in dists[stage].atoms:
-            if kind == "tva":
-                nxt, decision = tva_step(state, dists[stage], value)
-            else:
-                nxt, decision = tvd_step(state, instance, boxes[stage:], value)
-            if decision.accept:
+            if value >= thresholds[stage]:
                 terms.append(prob * p * value)
             else:
-                walk(stage + 1, nxt, prob * p)
+                walk(stage + 1, prob * p)
 
-    walk(0, PolicyState.initial(g0), 1.0)
+    walk(0, 1.0)
     return math.fsum(terms)
 
 

@@ -21,6 +21,7 @@ import pytest
 
 from conftest import SIMPLEX_FAULTS
 from ocselect import (
+    FiniteLP,
     GuaranteeCheck,
     InstanceFormatError,
     LPSolution,
@@ -903,6 +904,16 @@ class TestHardnessCommand:
         monkeypatch.setattr(cli, "simplex_solve", failing)
         assert main(["hardness"]) == 4
         assert "post-check" in capsys.readouterr().err
+
+    def test_an_unbounded_program_exits_4(self, monkeypatch, capsys):
+        # max z s.t. -z <= 1 is unbounded.  The package builds every program
+        # it solves, so this is an internal failure (exit 4), not bad input.
+        unbounded = FiniteLP((1.0,), ((-1.0,),), (1.0,))
+        monkeypatch.setattr(cli, "build_primal_general", lambda step: unbounded)
+        assert main(["hardness"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unbounded" in captured.err
 
     def test_a_solve_stopped_short_of_the_optimum_exits_4(self, stop_simplex, capsys):
         # The solve stops after 10 pivots at a feasible vertex: the primal

@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import inverse_target
 from ocselect import (
     HardnessParameterError,
     build_primal_general,
@@ -41,7 +42,6 @@ from ocselect import (
     verify_dual_general,
     verify_dual_tvd,
 )
-from ocselect.distributions import inverse_target
 from ocselect.hardness import primal_tableau_mb
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
