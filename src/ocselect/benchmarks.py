@@ -65,10 +65,6 @@ class Instance:
         return tuple(b.box_id for b in self.boxes)
 
     @cached_property
-    def id_set(self) -> frozenset[str]:
-        return frozenset(self.ids)
-
-    @cached_property
     def dists(self) -> tuple[DiscreteDistribution, ...]:
         return tuple(b.dist for b in self.boxes)
 
@@ -100,7 +96,7 @@ ArrivalOrder = tuple[str, ...]
 
 def order_indices(instance: Instance, order: ArrivalOrder) -> list[int]:
     """Positions in ``instance.boxes`` in arrival order, validating the order is a bijection."""
-    if len(order) != instance.n or set(order) != instance.id_set:
+    if len(order) != instance.n or set(order) != instance.index.keys():
         raise OrderError(
             f"order {order!r} is not a permutation of instance ids {instance.ids!r}"
         )
@@ -209,8 +205,8 @@ def sta_lower_bound(instance: Instance, tau: float) -> float:
     The bound is order-free, which is what makes it useful: it certifies all
     arrival orders at once.
     """
-    if not (tau >= 0.0):
-        raise ValueError(f"threshold must be >= 0: {tau!r}")
+    if not (0.0 <= tau < math.inf):
+        raise ValueError(f"threshold must be finite and >= 0: {tau!r}")
     md = instance.max_dist
     head_mass, tail_mass, tail_mean = _head_tail_sums(*_atom_rows([md]))
     idx = bisect_left(md.values, tau)

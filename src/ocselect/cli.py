@@ -14,7 +14,8 @@ Subcommands:
 Exit codes: 0 success, 1 usage error, 2 validation error (bad file, bad
 combination of flags, refused enumeration), 3 certificate violation,
 4 internal numerical failure (an unbounded program or a simplex tableau that
-breaks down, a solution failing a simplex post-check, the pivot limit).
+breaks down, a solution failing a simplex post-check, the pivot limit, a
+computed stage value, ratio or probability out of its range).
 ``eval`` and ``simulate`` check every flag before they value any order.
 
 All CSV output uses LF newlines and ``%.12g`` floats, so a rerun with the
@@ -319,8 +320,7 @@ def _order_values(
         return opt, lanes.stages[:, 0]
     opt = lane_values("opt", instance, perm, np.arange(len(perm)), None).stages[:, 0]
     kind, density = MIXTURES[MIXTURE_POLICIES[policy]]
-    mixed = lane_randomized_values(instance, perm, density(), kind)
-    return opt, np.fromiter(mixed, float, len(perm))
+    return opt, lane_randomized_values(instance, perm, density(), kind)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -339,7 +339,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             i = int(bad.argmax() if bad.any() else ratio.argmin())
             order_id = "|".join(instance.ids[j] for j in perm[i])
             if bad[i]:
-                raise ValueError(
+                raise ArithmeticError(
                     f"ratio {float(ratio[i])!r} for order {order_id!r} is outside [0, 1]"
                 )
             if ratio[i] < min_ratio:

@@ -110,7 +110,6 @@ def bisect_decreasing(residual, lo: float, hi: float) -> float:
     return root
 
 
-@lru_cache(maxsize=1)
 def solve_c_656() -> tuple[float, float]:
     """Left edge and ratio of the one-kernel density.
 
@@ -122,7 +121,6 @@ def solve_c_656() -> tuple[float, float]:
     return c, gamma
 
 
-@lru_cache(maxsize=1)
 def solve_c_732() -> tuple[float, float]:
     """Left edge and ratio of the two-kernel density.
 

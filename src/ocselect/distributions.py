@@ -35,7 +35,7 @@ def as_probability(p: np.ndarray | float) -> np.ndarray:
     p = np.asarray(p)
     out = ~((-PROB_TOL <= p) & (p <= 1.0 + PROB_TOL))
     if out.any():
-        raise ValueError(f"not a probability within tolerance: {float(p[out][0])!r}")
+        raise ArithmeticError(f"not a probability within tolerance: {float(p[out][0])!r}")
     return np.minimum(1.0, np.maximum(0.0, p))
 
 
@@ -45,9 +45,8 @@ class DiscreteDistribution:
 
     ``atoms`` is a tuple of (value, probability) pairs sorted by strictly
     increasing value, with probabilities in (0, 1] summing to 1 within
-    1e-12.  ``tables`` holds its lookup tables (head mass, tail mean and
-    E[max] at each atom) as a one-row ``BoxTables``.  Derived values are
-    cached on first use; the dataclass is frozen so they can never go stale.
+    1e-12.  Derived values are cached on first use; the dataclass is frozen
+    so they can never go stale.
     """
 
     atoms: tuple[tuple[float, float], ...]
@@ -77,13 +76,8 @@ class DiscreteDistribution:
         return tuple(p for _, p in self.atoms)
 
     @cached_property
-    def tables(self) -> BoxTables:
-        """This distribution's own lookup tables, as the one row of a ``BoxTables``."""
-        return BoxTables.build([self])
-
-    @cached_property
     def mean(self) -> float:
-        return float(self.tables.mean[0])
+        return float(BoxTables.build([self]).mean[0])
 
     @cached_property
     def _values_arr(self) -> np.ndarray:

@@ -16,7 +16,7 @@ and distributions only, so expected values are finite backward recursions.
 from __future__ import annotations
 
 import math
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -178,7 +178,7 @@ def lane_values(
     # Each stage value is finite and nonnegative; the first lane's first bad value is named.
     out_of_range = ~(np.isfinite(stages) & (stages >= -VALUE_TOL))
     if out_of_range.any():
-        raise ValueError(f"per-stage value out of range: {float(stages[out_of_range][0])!r}")
+        raise ArithmeticError(f"per-stage value out of range: {float(stages[out_of_range][0])!r}")
     return LaneValues(stages, thresholds, switch, switch_target)
 
 
@@ -319,13 +319,13 @@ def randomized_value(
     optimum.
     """
     perm = np.array([order_indices(instance, order)])
-    return next(lane_randomized_values(instance, perm, density, policy_kind))
+    return float(lane_randomized_values(instance, perm, density, policy_kind)[0])
 
 
 def lane_randomized_values(
     instance: Instance, perm: np.ndarray, density: DensitySpec, policy_kind: str
-) -> Iterator[float]:
-    """The mixture value of each row of ``perm`` in turn, with its pieces as lanes.
+) -> np.ndarray:
+    """The mixture value of each row of ``perm``, with its pieces as lanes.
 
     Row i of ``perm`` holds the box indices of one order.  Every row's
     pieces are built together (see ``_lane_mixture_pieces``) and valued by
@@ -345,5 +345,5 @@ def lane_randomized_values(
         lanes = perm[first : last + 1], rows[part] - first, mids[part]
         values[part] = lane_values(policy_kind, instance, *lanes).stages[:, 0]
     bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-    for a, b in zip(bounds, bounds[1:]):
-        yield _mix(weights[a:b].tolist(), values[a:b].tolist())
+    mixed = [_mix(weights[a:b].tolist(), values[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+    return np.array(mixed)

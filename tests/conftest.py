@@ -15,7 +15,7 @@ import pytest
 
 from ocselect import Box, DensityPiece, DensitySpec, DiscreteDistribution, Instance
 from ocselect.densities import PIECE_INV, PIECE_INV_SHIFTED
-from ocselect.distributions import _lane_inverse_target
+from ocselect.distributions import BoxTables, _lane_inverse_target
 
 MIN_ATOM_PROB = 0.02
 
@@ -85,7 +85,8 @@ def narrow_density(lo: float, hi: float) -> DensitySpec:
 
 def inverse_target(dist: DiscreteDistribution, g_prev: float) -> float:
     """``_lane_inverse_target`` on the one lane (dist, g_prev), as a float."""
-    return float(_lane_inverse_target(dist.tables, np.zeros(1, dtype=int), np.array([g_prev]))[0])
+    tables = BoxTables.build([dist])
+    return float(_lane_inverse_target(tables, np.zeros(1, dtype=int), np.array([g_prev]))[0])
 
 
 def all_orders(instance: Instance):

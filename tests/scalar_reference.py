@@ -38,7 +38,7 @@ from ocselect.policies import EXACT_POLICIES, VALUE_TOL, PolicyError, _mix
 def as_probability(p: float) -> float:
     """Validate ``p`` as a probability and clamp it into [0, 1]."""
     if not (-PROB_TOL <= p <= 1.0 + PROB_TOL):
-        raise ValueError(f"not a probability within tolerance: {p!r}")
+        raise ArithmeticError(f"not a probability within tolerance: {p!r}")
     return min(1.0, max(0.0, p))
 
 
@@ -201,8 +201,8 @@ def _mean_from_cdf(values: list[float], cdf: list[float]) -> float:
 
 def sta_lower_bound(instance: Instance, tau: float) -> float:
     """P[M >= tau] * tau + P[M < tau] * E[(M-tau)^+] for M the overall maximum."""
-    if not (tau >= 0.0):
-        raise ValueError(f"threshold must be >= 0: {tau!r}")
+    if not (0.0 <= tau < math.inf):
+        raise ValueError(f"threshold must be finite and >= 0: {tau!r}")
     return _threshold_bound(max_distribution(instance.dists), tau)
 
 
@@ -301,7 +301,7 @@ class EvaluationResult:
             raise ValueError("per_stage must end with the empty-suffix value 0")
         for v in self.per_stage:
             if not math.isfinite(v) or v < -VALUE_TOL:
-                raise ValueError(f"per-stage value out of range: {v!r}")
+                raise ArithmeticError(f"per-stage value out of range: {v!r}")
 
     @property
     def total(self) -> float:

@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from conftest import all_orders, brute_force_opt, distinct_atoms_instance, random_instance
 from ocselect import (
     Box,
@@ -151,6 +152,13 @@ class TestStaLowerBound:
 
     def test_above_support_is_zero(self):
         assert sta_lower_bound(AB, 11.0) == 0.0
+
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    def test_non_finite_threshold_is_rejected(self, tau):
+        # At +inf the bound's tau * P[M >= tau] would be 0 * inf.
+        for bound in (sta_lower_bound, ref.sta_lower_bound):
+            with pytest.raises(ValueError, match="threshold must be finite and >= 0"):
+                bound(AB, tau)
 
     def test_bound_is_actually_a_lower_bound(self):
         rng = np.random.default_rng(47)

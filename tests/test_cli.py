@@ -460,6 +460,18 @@ class TestEvalValidation:
         assert code == 0
         assert len(read_rows(capsys.readouterr().out)) == 4
 
+    def test_force_enumeration_lifts_the_guard(self, monkeypatch, capsys):
+        argv = ["eval", "--instance", FOUR_BOX, "--policy", "tvd", "--g0", "auto"]
+        assert main(argv) == 0
+        unguarded = capsys.readouterr()
+        monkeypatch.setattr(cli, "ENUMERATION_LIMIT", 3)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "4 boxes means 24 orders; pass --force-enumeration to run anyway" in captured.err
+        assert main(argv + ["--force-enumeration"]) == 0
+        assert capsys.readouterr() == unguarded
+
     def test_random_orders_need_seed(self, capsys):
         code = main(
             ["eval", "--instance", TWO_BOX, "--policy", "tva", "--g0", "0", "--orders", "random:2"]
@@ -673,23 +685,49 @@ class TestEvalValidation:
     def test_value_above_optimum_is_rejected(self, monkeypatch, capsys):
         self.inflate_lane_values(monkeypatch)
         code = main(["eval", "--instance", FOUR_BOX, "--policy", "tva", "--g0", "auto"])
-        assert code == 2
+        assert code == 4
         assert "outside [0, 1]" in capsys.readouterr().err
 
     def test_failed_ratio_check_writes_no_out_file(self, monkeypatch, capsys, tmp_path):
         self.inflate_lane_values(monkeypatch)
         out = tmp_path / "report.csv"
         argv = ["eval", "--instance", FOUR_BOX, "--policy", "tva", "--g0", "auto"]
-        assert main(argv + ["--out", str(out)]) == 2
+        assert main(argv + ["--out", str(out)]) == 4
         assert "outside [0, 1]" in capsys.readouterr().err
         assert not out.exists()
         # An existing file is left as it was, and no CSV goes to stdout either.
         out.write_bytes(b"earlier,report\r\n\xff")
-        assert main(argv + ["--out", str(out)]) == 2
-        assert main(argv) == 2
+        assert main(argv + ["--out", str(out)]) == 4
+        assert main(argv) == 4
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("outside [0, 1]") == 2
         assert out.read_bytes() == b"earlier,report\r\n\xff"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--instance", FOUR_BOX, "--policy", "tvd"],
+            ["eval", "--instance", FOUR_BOX, "--policy", "tvd-rand-732"],
+            ["simulate", "--instance", FOUR_BOX, "--policy", "tvd", "--seed", "1"],
+        ],
+        ids=("eval", "mixture", "simulate"),
+    )
+    def test_stage_value_out_of_range_exits_4(self, argv, monkeypatch, capsys):
+        # Negated tail means drive the stage values below zero, which no input
+        # file can do: the range check reports an internal numerical failure.
+        load = cli.load_instance
+
+        def faulty(path):
+            instance = load(path)
+            tables = instance.box_tables
+            instance.__dict__["box_tables"] = tables._replace(tail_mean=-tables.tail_mean)
+            return instance
+
+        monkeypatch.setattr(cli, "load_instance", faulty)
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "per-stage value out of range" in captured.err
 
     def test_unencodable_id_leaves_out_and_stdout_untouched(self, capsys, tmp_path):
         # A lone surrogate is valid JSON, but no strict encoder takes it.

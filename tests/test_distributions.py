@@ -232,7 +232,7 @@ class TestBoxTables:
         for b, d in enumerate(dists):
             k = len(d.atoms)
             want = ref.tables(d)
-            for got, row in ((tables, b), (d.tables, 0)):
+            for got, row in ((tables, b), (BoxTables.build([d]), 0)):
                 assert got.values[row, :k].tolist() == list(d.values)
                 assert got.head_mass[row, : k + 1].tolist() == list(want.head_mass)
                 assert got.tail_mean[row, : k + 1].tolist() == list(want.tail_mean)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,6 +66,12 @@ def test_traced_mixture_command_summarizes(argv, layer, tmp_path, monkeypatch):
     assert totals.calls["cli.main"] == 1
     if argv[-1] == "tvd-rand-732":
         assert totals.calls["policies.lane_randomized_values"] >= 1
+        # The mixture's passes run inside its own span, so the trace charges them to it.
+        with np.load(spans_path) as saved:
+            names = saved["names"].tolist()
+            name, parent = saved["name"], saved["parent"]
+        passes = parent[name == names.index("policies.lane_values")]
+        assert (name[passes] == names.index("policies.lane_randomized_values")).any()
     assert [totals.calls[f"policies.{name}"] for name in ONE_ORDER_EVALUATORS] == [0] * 4
     metrics = spans.per_layer_metrics(totals, orders=24, overhead_s=0.0)
     assert metrics[f"{layer}.calls"] > 0

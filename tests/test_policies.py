@@ -869,7 +869,7 @@ class TestSetTables:
 
 
 def raised(call, *args) -> tuple[type, str]:
-    with pytest.raises(ValueError) as info:
+    with pytest.raises((ValueError, ArithmeticError)) as info:
         call(*args)
     return type(info.value), str(info.value)
 
@@ -1071,7 +1071,7 @@ class TestLaneRandomizedValues:
             made = np.count_nonzero((cuts > lo * prophet) & (cuts < math.inf), axis=1) + 1
             dropped += int((made - pieces.counts).sum())
             valued.clear()
-            list(lane_randomized_values(inst, perm, density, kind))
+            lane_randomized_values(inst, perm, density, kind)
             assert np.concatenate(valued).tolist() == pieces.mids.tolist()
         assert (dropped > 0) == (density.name == "gapped")
 
@@ -1089,7 +1089,7 @@ class TestLaneRandomizedValues:
             return lane_values(kind, instance, part, rows, g0)
 
         monkeypatch.setattr(policies, "lane_values", recording)
-        list(lane_randomized_values(inst, perm, rho_732(), "tvd"))
+        lane_randomized_values(inst, perm, rho_732(), "tvd")
         counts = policies._lane_mixture_pieces(inst, perm, rho_732(), "tvd").counts
         piece_rows = np.repeat(np.arange(len(perm)), counts)
         assert len(passes) == 8
@@ -1102,7 +1102,7 @@ class TestLaneRandomizedValues:
     def test_rejects_a_kind_without_a_mixture(self):
         perm = np.array([[0, 1]])
         with pytest.raises(ValueError, match="randomized mixture needs tva or tvd"):
-            list(lane_randomized_values(AB, perm, rho_732(), "sta"))
+            lane_randomized_values(AB, perm, rho_732(), "sta")
 
 
 class TestMixturePieces:
