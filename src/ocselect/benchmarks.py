@@ -152,24 +152,30 @@ class SuffixTables:
         if len(self.cdf) <= ENUMERATION_LIMIT:
             after = np.zeros_like(perm)
             after[:, :-1] = np.bitwise_or.accumulate(1 << perm[:, :0:-1], axis=1)[:, ::-1]
-            return self.set_emax[after]
+            return self.set_emax.take(after)
         out = np.zeros((lanes, n))
         rows = (self.cdf[perm[:, t]] for t in range(n - 1, 0, -1))
         for t, running in zip(range(n - 2, -1, -1), accumulate(rows, np.multiply)):
             out[:, t] = _max_mean(self.grid, running)
         return out
 
-    def switch_tau(self, suffix: np.ndarray) -> np.ndarray:
-        """The best single threshold over each row's boxes.
+    def switch_tau(self, perm: np.ndarray, start: np.ndarray) -> np.ndarray:
+        """The best single threshold over row i of ``perm``'s boxes from column start[i] on.
 
-        Up to ENUMERATION_LIMIT boxes, ``set_tau`` at the row's set.  Past
-        it, the threshold picked from the atom masses of the row's CDF: its
-        boxes' rows multiplied back to front, its last box first.
+        Up to ENUMERATION_LIMIT boxes, ``set_tau`` at each row's set, all
+        rows at once.  Past it, for each start in turn, the threshold picked
+        from the atom masses of each row's CDF: the row's boxes from its
+        start on, multiplied back to front, its last box first.
         """
         if len(self.cdf) <= ENUMERATION_LIMIT:
-            return self.set_tau[np.bitwise_or.reduce(1 << suffix, axis=1)]
-        cdf = reduce(np.multiply, (self.cdf[b] for b in suffix[:, ::-1].T))
-        return _best_thresholds(self.grid, _atom_masses(cdf))[0]
+            suffix = np.arange(perm.shape[1]) >= start[:, None]
+            return self.set_tau.take(np.bitwise_or.reduce(np.where(suffix, 1 << perm, 0), axis=1))
+        taus = np.empty(len(perm))
+        for s in sorted(set(start.tolist())):
+            at = start == s
+            cdf = reduce(np.multiply, (self.cdf[b] for b in perm[at, s:][:, ::-1].T))
+            taus[at] = _best_thresholds(self.grid, _atom_masses(cdf))[0]
+        return taus
 
     @cached_property
     def _set_tables(self) -> tuple[np.ndarray, np.ndarray]:

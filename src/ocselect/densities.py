@@ -158,20 +158,32 @@ def rho_732() -> DensitySpec:
 def _piece_integral(piece: DensityPiece, weight: str, lo: float, hi: float | np.ndarray):
     """The module's one integrator: weight(x) * pdf over [lo, hi] ∩ piece, in closed form.
 
-    hi is a float or a 1-D array, whose entries each take ``math.log`` of one
-    float and so get a one-entry call's bits.  An upper end at or below the
-    piece's start reads an exact 0.0 (an array entry is raised to the start)."""
+    hi is a float or a 1-D array.  An array entry inside the piece (or NaN)
+    takes ``math.log`` of one float, and an entry clamped to either end reuses
+    that end's log, so every entry gets a one-entry call's bits.  An upper end
+    at or below the piece's start reads an exact 0.0 (an array entry is
+    raised to the start)."""
     a = max(lo, piece.lo)
+    shifted = piece.kind == PIECE_INV_SHIFTED
     if isinstance(hi, np.ndarray):
         b = np.maximum(np.minimum(hi, piece.hi), a)
-        log = lambda t: np.fromiter(map(math.log, memoryview(t)), float, len(t))
+        # The argument of the log in the piece's antiderivative.
+        arg = (lambda t: 2.0 * t - 1.0) if shifted else (lambda t: t)
+        la = math.log(arg(a))
+        lb = np.where(b == a, la, math.log(arg(piece.hi)))
+        inside = (b != a) & (b != piece.hi)
+        t = arg(b[inside])
+        lb[inside] = np.fromiter(map(math.log, memoryview(t)), float, len(t))
     else:
-        b, log = min(hi, piece.hi), math.log
+        b = min(hi, piece.hi)
         if b <= a:
             return 0.0
+        if shifted:
+            la, lb = math.log(2.0 * a - 1.0), math.log(2.0 * b - 1.0)
+        else:
+            la, lb = math.log(a), math.log(b)
     k = piece.coefficient
-    if piece.kind == PIECE_INV_SHIFTED:
-        la, lb = math.log(2.0 * a - 1.0), log(2.0 * b - 1.0)
+    if shifted:
         if weight == WEIGHT_ONE:
             return k * 0.5 * (lb - la)
         if weight == WEIGHT_X:
@@ -179,7 +191,6 @@ def _piece_integral(piece: DensityPiece, weight: str, lo: float, hi: float | np.
         if weight == WEIGHT_ONE_MINUS_X:
             return k * ((lb - la) / 4.0 - (b - a) / 2.0)
     else:
-        la, lb = math.log(a), log(b)
         if weight == WEIGHT_ONE:
             return k * (lb - la)
         if weight == WEIGHT_X:

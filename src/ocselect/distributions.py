@@ -77,7 +77,7 @@ class DiscreteDistribution:
 
     @cached_property
     def mean(self) -> float:
-        return float(BoxTables.build([self]).mean[0])
+        return float(BoxTables.build([self]).tail_mean[0, 0])
 
     @cached_property
     def _values_arr(self) -> np.ndarray:
@@ -93,21 +93,20 @@ class DiscreteDistribution:
 class BoxTables(NamedTuple):
     """Every box's lookup tables as rows of a common width, for lane-batched passes.
 
-    A lane is one (order, g0) pair; a chunk of lanes is a box-index array
-    ``perm`` of shape (lanes, n), and stage t gathers rows ``perm[:, t]``.
-    Row b holds box b's tables, one entry per atom and one past the end:
-    ``head_mass`` is P[v < values[i]] and ``tail_mean`` the sum of p*v over
-    the atoms at or above values[i].  ``values`` and ``emax_at_values``
-    (E[max(v, values[i])], nondecreasing) read +inf from the row's first pad
-    on, so counting a row's entries below x is ``bisect_left`` over the real
-    entries.  Entries past a row's own width are never read.
+    A lane is one (order, g0) pair, and at each stage it reads the row of
+    the box it is at.  Row b holds box b's tables, one entry per atom and one
+    past the end: ``head_mass`` is P[v < values[i]] and ``tail_mean`` the sum
+    of p*v over the atoms at or above values[i].  ``values`` and
+    ``emax_at_values`` (E[max(v, values[i])]) are nondecreasing and read +inf
+    from the row's first pad on, so ``below`` is ``bisect_left`` over the real
+    entries.  Entries past a row's own width are never read.  Every table is
+    C-contiguous, so a lane reads one cell as a flat ``take`` at ``cell``.
     """
 
     values: np.ndarray
     head_mass: np.ndarray
     tail_mean: np.ndarray
     emax_at_values: np.ndarray
-    mean: np.ndarray
 
     @staticmethod
     def build(dists: Sequence[DiscreteDistribution]) -> "BoxTables":
@@ -116,11 +115,20 @@ class BoxTables(NamedTuple):
         emax_at_values = values * head_mass + tail_mean
         pad = probs == 0.0
         values[pad] = emax_at_values[pad] = math.inf
-        return BoxTables(values, head_mass, tail_mean, emax_at_values, tail_mean[:, 0])
+        return BoxTables(values, head_mass, np.ascontiguousarray(tail_mean), emax_at_values)
 
     def below(self, table: np.ndarray, boxes: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Per lane, how many entries of ``table[boxes]`` lie below ``x``."""
-        return np.count_nonzero(table[boxes] < x[:, None], axis=1)
+        """Per lane, the index of the first entry in row ``boxes[i]`` of ``table`` not below x[i].
+
+        ``table`` is ``values`` or ``emax_at_values``, whose rows never
+        decrease and end in +inf pads, so the index is the count of the row's
+        entries below x[i], as ``bisect_left`` finds it.
+        """
+        return (table.take(boxes, axis=0) < x[:, None]).argmin(axis=1)
+
+    def cell(self, boxes: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Per lane, the flat position of entry ``idx[i]`` of row ``boxes[i]`` in every table."""
+        return boxes * self.values.shape[1] + idx
 
 
 def _atom_rows(dists: Sequence[DiscreteDistribution]) -> tuple[np.ndarray, np.ndarray]:
@@ -165,15 +173,17 @@ def _lane_inverse_target(tables: BoxTables, boxes: np.ndarray, g_prev: np.ndarra
     """
     target = g_prev - TARGET_SLACK
     i = tables.below(tables.emax_at_values, boxes, target)
-    # The solve is on the segment (values[i-1], values[i]], whose slope is
-    # P[v < x], and i >= 1 wherever the mean is below the target.  Past the
-    # last mark i is the row's first pad, whose value is +inf: the segment
-    # runs on from the last atom with slope head_mass[pad] and tail mean 0.0.
-    i = np.maximum(i, 1)
-    x = (target - tables.tail_mean[boxes, i]) / tables.head_mass[boxes, i]
-    x = np.minimum(np.maximum(x, tables.values[boxes, i - 1]), tables.values[boxes, i])
+    # The first mark is the mean, so i is 0 exactly where the mean reaches
+    # the target, and x is 0.0 there.  Elsewhere the solve is on the segment
+    # (values[i-1], values[i]], whose slope is P[v < x].  Past the last mark
+    # i is the row's first pad, whose value is +inf: the segment runs on
+    # from the last atom with slope head_mass[pad] and tail mean 0.0.
+    cell = tables.cell(boxes, np.maximum(i, 1))
+    x = (target - tables.tail_mean.ravel().take(cell)) / tables.head_mass.ravel().take(cell)
+    values = tables.values.ravel()
+    x = np.minimum(np.maximum(x, values.take(cell - 1)), values.take(cell))
     x = np.minimum(np.maximum(x, 0.0), g_prev)
-    return np.where(tables.mean[boxes] >= target, 0.0, x)
+    return np.where(i == 0, 0.0, x)
 
 
 def _lane_jump_target(tables: BoxTables, boxes: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -182,11 +192,12 @@ def _lane_jump_target(tables: BoxTables, boxes: np.ndarray, levels: np.ndarray) 
     Up to rounding, the inversion of g on box v passes y exactly when
     g > E[max(v, y)] + TARGET_SLACK.
     """
-    atoms = tables.values[boxes]
+    atoms = tables.values.take(boxes, axis=0)
     # Atoms below each level, as bisect_left counts them; +inf pads never are.
     idx = sum(atoms[:, k, None] < levels for k in range(atoms.shape[1]))
-    rows = boxes[:, None]
-    return levels * tables.head_mass[rows, idx] + tables.tail_mean[rows, idx] + TARGET_SLACK
+    cell = tables.cell(boxes[:, None], idx)
+    head_mass, tail_mean = tables.head_mass.ravel().take(cell), tables.tail_mean.ravel().take(cell)
+    return levels * head_mass + tail_mean + TARGET_SLACK
 
 
 def max_distribution(dists: Sequence[DiscreteDistribution]) -> DiscreteDistribution:

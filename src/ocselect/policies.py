@@ -35,11 +35,12 @@ EXACT_POLICIES = ("sta", "tva", "tvd")
 # Lanes per pass of ``lane_randomized_values``, one per mixture piece, and
 # orders per chunk of the CLI's ``eval``, one lane per order for the exact
 # kinds.  Measured on the perfbench commands (Python 3.11, numpy 2.4, 2-vCPU
-# VM; medians of 12 runs of peak RSS and wall time), all 8! orders of 8 boxes
-# take 31.1 MB and 0.87 s with 512, 31.9 MB and 0.76 s with 1024, 34.0 MB and
-# 0.75 s with 2048, 38.3 MB and 0.74 s with 4096; the two 12-box mixtures on
-# 120 orders 36.4, 36.4, 36.8 and 37.3 MB in 0.64, 0.59, 0.62 and 0.57 s.
-# 512 is slower on both; the wider chunks cost megabytes for a few percent.
+# VM; medians of 12 runs of each command's peak RSS and wall time, process
+# start included, in two sets), all 8! orders of 8 boxes take 30.3 MB and
+# 0.26-0.27 s with 512, 30.8-30.9 MB and 0.25-0.26 s with 1024, 32.1 MB and
+# 0.24-0.26 s with 2048; the two 12-box mixtures on 120 orders 36.4, 36.5 and
+# 36.9 MB in 0.33-0.36, 0.32-0.34 and 0.33 s.  512 is slower on both; 2048
+# costs 1.3 MB on the orders for a few percent at most.
 LANE_CHUNK = 1024
 
 # Slack allowed when validating computed per-stage values as nonnegative.
@@ -142,39 +143,51 @@ def lane_values(
     if not np.all(nonnegative):
         what = "threshold" if policy_kind == "sta" else "initial target"
         raise ValueError(f"{what} must be >= 0: {float(g0[np.argmin(nonnegative)])!r}")
+    if policy_kind == "tvd":
+        # Row t holds each row of perm's E[max of the boxes after stage t].
+        emax_after = instance.suffix_tables.emax_after(perm).T
     tables = instance.box_tables
     lanes, n = len(rows), perm.shape[1]
+    # Row t holds each lane's box at stage t, gathered once per pass.
+    boxes = perm.T.take(rows, axis=1)
     switch = np.full(lanes, -1)
-    thresholds = np.empty((lanes, n))
+    # Like boxes, thresholds and stages are stage-major and are returned transposed.
+    thresholds = np.empty((n, lanes))
     if policy_kind == "sta":
-        thresholds[:] = g0[:, None]
+        thresholds[:] = g0
     elif policy_kind != "opt":
-        if policy_kind == "tvd":
-            emax_after = instance.suffix_tables.emax_after(perm)
         g = g0
         for t in range(n):
-            g = _lane_inverse_target(tables, perm[rows, t], g)
-            thresholds[:, t] = g
+            g = _lane_inverse_target(tables, boxes[t], g)
+            thresholds[t] = g
             if policy_kind == "tvd":
-                switch[(switch < 0) & (g > emax_after[rows, t])] = t
-    switched = switch >= 0
-    switch_target = np.where(switched, thresholds[np.arange(lanes), switch], math.nan)
-    for s in sorted(set(switch[switched].tolist())):
-        at = np.flatnonzero(switch == s)
-        used = np.zeros(len(perm), dtype=bool)
-        used[rows[at]] = True
-        taus = np.empty(len(perm))
-        taus[used] = instance.suffix_tables.switch_tau(perm[used, s:])
-        thresholds[at, s:] = taus[rows[at]][:, None]
-    stages = np.zeros((lanes, n + 1))
-    acc = stages[:, n]
+                switch[(switch < 0) & (g > emax_after[t].take(rows))] = t
+    switched = np.flatnonzero(switch >= 0)
+    stage = switch[switched]
+    switch_target = np.full(lanes, math.nan)
+    switch_target[switched] = thresholds.ravel().take(stage * lanes + switched)
+    if switched.size:
+        # One threshold for each (row of perm, switch stage) that a lane switches at.
+        pair = rows[switched] * n + stage
+        slot = np.zeros(len(perm) * n, dtype=int)
+        slot[pair] = 1
+        first = np.flatnonzero(slot)
+        slot[first] = np.arange(len(first))
+        taus = instance.suffix_tables.switch_tau(perm.take(first // n, axis=0), first % n)
+        taus = taus.take(slot.take(pair))
+        for s in sorted(set(stage.tolist())):
+            at = stage == s
+            thresholds[s:, switched[at]] = taus[at]
+    stages = np.zeros((n + 1, lanes))
+    acc = stages[n]
+    tail_mean, head_mass = tables.tail_mean.ravel(), tables.head_mass.ravel()
     for t in range(n - 1, -1, -1):
-        boxes = perm[rows, t]
         if policy_kind == "opt":
-            thresholds[:, t] = acc
-        idx = tables.below(tables.values, boxes, thresholds[:, t])
-        acc = tables.tail_mean[boxes, idx] + tables.head_mass[boxes, idx] * acc
-        stages[:, t] = acc
+            thresholds[t] = acc
+        cell = tables.cell(boxes[t], tables.below(tables.values, boxes[t], thresholds[t]))
+        acc = tail_mean.take(cell) + head_mass.take(cell) * acc
+        stages[t] = acc
+    stages, thresholds = stages.T, thresholds.T
     # Each stage value is finite and nonnegative; the first lane's first bad value is named.
     out_of_range = ~(np.isfinite(stages) & (stages >= -VALUE_TOL))
     if out_of_range.any():
@@ -237,7 +250,7 @@ def _lane_value_cuts(
     levels = np.empty((len(perm), 0))
     for t in range(perm.shape[1] - 1, -1, -1):
         boxes = perm[:, t]
-        levels = np.concatenate((levels, tables.values[boxes]), axis=1)
+        levels = np.concatenate((levels, tables.values.take(boxes, axis=0)), axis=1)
         if policy_kind == "tvd":
             switch_level = emax_after[:, t, None]
             levels[levels > switch_level] = math.inf

@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import json
 import math
+import random
+from bisect import bisect_left
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_reference as ref
-from conftest import inverse_target, random_instance
+from conftest import distinct_atoms_instance, inverse_target, random_instance
 from scalar_reference import expected_max_with
 from ocselect import Box, DiscreteDistribution, Instance, best_single_threshold, sta_lower_bound
+from ocselect.benchmarks import order_indices
+from ocselect.io import parse_instance
+from ocselect.policies import lane_values
 from ocselect.distributions import (
     TARGET_SLACK,
     BoxTables,
@@ -237,10 +245,106 @@ class TestBoxTables:
                 assert got.head_mass[row, : k + 1].tolist() == list(want.head_mass)
                 assert got.tail_mean[row, : k + 1].tolist() == list(want.tail_mean)
                 assert got.emax_at_values[row, :k].tolist() == list(want.emax_at_values)
-                assert got.mean[row] == want.mean
                 assert np.all(got.values[row, k:] == math.inf)
                 assert np.all(got.emax_at_values[row, k:] == math.inf)
             assert d.mean == want.mean and type(d.mean) is float
+
+
+def gen_instances() -> list[Instance]:
+    """Instances as ``perfbench/gen.py`` makes them: 6 atoms a box, probabilities k/1024."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return [
+        parse_instance(json.dumps(gen.make_instance(random.Random(seed), boxes=boxes, atoms=6)))
+        for seed, boxes in ((1, 8), (2, 12), (3, 500))
+    ]
+
+
+class TestBelow:
+    def test_equals_bisect_left_on_every_row(self, sweep_instances):
+        # ``below`` finds the first entry not below x, which is bisect_left's
+        # count only on rows that never decrease: ``values`` rows do by
+        # DiscreteDistribution's check, and ``emax_at_values`` is a rounded
+        # values * head_mass + tail_mean, so its rows are checked here.
+        rng = np.random.default_rng(40)
+        instances = [
+            *sweep_instances,
+            random_instance(rng, 12, max_atoms=6),
+            distinct_atoms_instance(),
+            *gen_instances(),
+        ]
+        rows = 0
+        for inst in instances:
+            tables = BoxTables.build(inst.dists)
+            for table in (tables.values, tables.emax_at_values):
+                for b, d in enumerate(inst.dists):
+                    row = table[b, : len(d.atoms)].tolist()
+                    assert all(x <= y for x, y in zip(row, row[1:])), (b, row)
+                    xs = [row[0] - 1.0, math.nextafter(row[0], -math.inf), math.inf, math.nan]
+                    xs += [y for v in row for y in (math.nextafter(v, -math.inf), v)]
+                    xs += [math.nextafter(v, math.inf) for v in row]
+                    got = tables.below(table, np.full(len(xs), b), np.array(xs))
+                    assert got.tolist() == [bisect_left(row, x) for x in xs], (b, row)
+                    rows += 1
+        assert rows == 2 * sum(inst.n for inst in instances)
+
+
+class TestFlatGathers:
+    # One 6-atom box and one 1-atom box: the tables are 7 wide, and the
+    # 1-atom box's row is its atom, then six pads.
+    SIX = DiscreteDistribution(
+        tuple(zip((0.5, 1.25, 2.0, 3.5, 5.0, 7.25), (0.1, 0.2, 0.15, 0.25, 0.2, 0.1)))
+    )
+    ONE = DiscreteDistribution(((3.0, 1.0),))
+    INSTANCE = Instance((Box("six", SIX), Box("one", ONE)))
+
+    def test_every_table_is_c_contiguous(self):
+        tables = BoxTables.build(self.INSTANCE.dists)
+        assert tables.values.shape == (2, 7)
+        for name, table in tables._asdict().items():
+            assert table.flags.c_contiguous, name
+            assert np.shares_memory(table.ravel(), table), name
+
+    def test_the_inversion_at_the_row_edges_equals_the_scalar_reference(self):
+        tables = BoxTables.build(self.INSTANCE.dists)
+        boxes, targets, want = [], [], []
+        for b, d in enumerate(self.INSTANCE.dists):
+            top = d.values[-1]
+            # The mean, where the index is clamped to 1, and past the last
+            # mark, where it is the row's first pad.
+            for g in (d.mean, d.mean + TARGET_SLACK, top + 1.0, 2.0 * top + 3.0, 1e6):
+                boxes.append(b)
+                targets.append(g)
+                want.append(ref.inverse_target(d, g))
+        boxes, targets = np.array(boxes), np.array(targets)
+        index = tables.below(tables.emax_at_values, boxes, targets - TARGET_SLACK)
+        assert index.tolist() == [0, 0, 6, 6, 6, 0, 0, 1, 1, 1]
+        assert _lane_inverse_target(tables, boxes, targets).tolist() == want
+
+    def test_the_jump_target_past_the_last_atom_equals_the_scalar_reference(self):
+        tables = BoxTables.build(self.INSTANCE.dists)
+        levels = np.array([[0.0, 0.5, 7.25, 8.0, 20.0], [0.0, 2.5, 3.0, 3.5, 20.0]])
+        got = _lane_jump_target(tables, np.arange(2), levels)
+        for d, row, got_row in zip(self.INSTANCE.dists, levels.tolist(), got.tolist()):
+            assert got_row == [expected_max_with(d, y) + TARGET_SLACK for y in row]
+
+    def test_the_backward_pass_at_the_row_edges_equals_the_scalar_reference(self):
+        # Thresholds at 0, at each box's first and last atom and one ulp past
+        # the last, where the index is the row's first pad, on both orders.
+        inst = self.INSTANCE
+        taus = [0.0, 0.5, 3.0, 7.25, math.nextafter(7.25, math.inf), math.nextafter(3.0, math.inf)]
+        orders = [("six", "one"), ("one", "six")]
+        perm = np.array([order_indices(inst, order) for order in orders])
+        rows = np.repeat(np.arange(2), len(taus))
+        lanes = lane_values("sta", inst, perm, rows, np.tile(taus, 2))
+        want = [ref.sta_exact(inst, order, tau).per_stage for order in orders for tau in taus]
+        assert [tuple(row) for row in lanes.stages.tolist()] == want
+        opt = lane_values("opt", inst, perm, np.arange(2), None)
+        assert [tuple(row) for row in opt.stages.tolist()] == [
+            ref.opt_online(inst, order).per_stage for order in orders
+        ]
 
 
 class TestInverseTargetMatchesScalar:

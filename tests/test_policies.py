@@ -687,7 +687,7 @@ class TestLaneValues:
             for row, order in zip(emax_after.tolist(), orders):
                 assert row == ref.emax_after(inst, order_indices(inst, order))
             for s in range(inst.n):
-                taus = tables.switch_tau(perm[:, s:]).tolist()
+                taus = tables.switch_tau(perm, np.full(len(perm), s)).tolist()
                 assert taus == [
                     ref.switch_threshold(ref.remaining(inst, row[s:]))
                     for row in perm.tolist()
@@ -769,7 +769,7 @@ def set_value_conflicts(inst: Instance) -> int:
         for t, value in enumerate(values)
     ]
     for s in range(inst.n):
-        taus = tables.switch_tau(perm[:, s:]).tolist()
+        taus = tables.switch_tau(perm, np.full(len(perm), s)).tolist()
         read += [(-set_mask(row), tau) for row, tau in zip(perm[:, s:].tolist(), taus)]
     first: dict[int, float] = {}
     return sum(first.setdefault(key, value) != value for key, value in read)
@@ -797,13 +797,13 @@ class TestSetTables:
                 after_first = np.concatenate((np.zeros((len(sets), 1), dtype=int), sets), axis=1)
                 table = (
                     tables.emax_after(after_first)[:, 0].tolist(),
-                    tables.switch_tau(sets).tolist(),
+                    tables.switch_tau(sets, np.zeros(len(sets), dtype=int)).tolist(),
                 )
                 with monkeypatch.context() as fold:
                     fold.setattr(benchmarks, "ENUMERATION_LIMIT", 0)
                     folded = (
                         tables.emax_after(after_first)[:, 0].tolist(),
-                        tables.switch_tau(sets).tolist(),
+                        tables.switch_tau(sets, np.zeros(len(sets), dtype=int)).tolist(),
                     )
                 assert table == folded
                 masks = [set_mask(row) for row in sets.tolist()]
@@ -854,7 +854,7 @@ class TestSetTables:
         for row, boxes in zip(emax_after.tolist(), perm.tolist()):
             assert row == ref.emax_after(inst, boxes)
         for s in range(inst.n):
-            taus = tables.switch_tau(perm[:, s:]).tolist()
+            taus = tables.switch_tau(perm, np.full(len(perm), s)).tolist()
             want = [ref.switch_threshold(ref.remaining(inst, row[s:])) for row in perm]
             assert taus == want
         switched_suffixes = assert_lanes_match_scalar(inst, orders, (0.9, 1.1))
