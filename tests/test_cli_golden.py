@@ -23,6 +23,9 @@ from ocselect.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("cli_golden.json")
 DATA = ("data/two_box.json", "data/four_box.json")
+# Past ENUMERATION_LIMIT boxes, so tvd folds each row's boxes instead of
+# reading its set tables.
+TWELVE = "data/twelve_box.json"
 
 
 def commands() -> list[list[str]]:
@@ -37,7 +40,14 @@ def commands() -> list[list[str]]:
         out.append(
             ["simulate", "--instance", path, "--policy", "tvd", "--runs", "20000", "--seed", "4"]
         )
-    return [*out, ["hardness", "--lp-step", "0.02"], ["verify-density"]]
+    out += [["hardness", "--lp-step", "0.02"], ["verify-density"]]
+    eval_ = ["eval", "--instance", TWELVE, "--policy"]
+    for g0 in ("auto", "opt"):
+        out.append([*eval_, "tvd", "--g0", g0, "--orders", "random:20", "--seed", "3"])
+    for mixture in ("tvd-rand-732", "tva-rand-656"):
+        out.append([*eval_, mixture, "--orders", "random:5", "--seed", "3"])
+    simulate = ["simulate", "--instance", TWELVE, "--policy", "tvd"]
+    return [*out, [*simulate, "--runs", "20000", "--seed", "4"]]
 
 
 def run(argv: list[str]) -> dict:
