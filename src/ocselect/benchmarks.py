@@ -123,8 +123,8 @@ class SuffixTables:
     descending box order.  Each has 2**n entries, and both are built on the
     first read of either.  ``emax_after`` and ``switch_tau`` read them up
     to ENUMERATION_LIMIT boxes, so every answer depends only on which boxes
-    remain; past it they multiply each row's boxes back to front in arrival
-    order.
+    remain; past it they multiply each row's boxes back to front in the
+    row's order.
     """
 
     def __init__(self, dists: Sequence[DiscreteDistribution]) -> None:
@@ -159,23 +159,17 @@ class SuffixTables:
             out[:, t] = _max_mean(self.grid, running)
         return out
 
-    def switch_tau(self, perm: np.ndarray, start: np.ndarray) -> np.ndarray:
-        """The best single threshold over row i of ``perm``'s boxes from column start[i] on.
+    def switch_tau(self, boxes: np.ndarray) -> np.ndarray:
+        """The best single threshold over the boxes in each row of ``boxes``.
 
-        Up to ENUMERATION_LIMIT boxes, ``set_tau`` at each row's set, all
-        rows at once.  Past it, for each start in turn, the threshold picked
-        from the atom masses of each row's CDF: the row's boxes from its
-        start on, multiplied back to front, its last box first.
+        Up to ENUMERATION_LIMIT boxes, ``set_tau`` at each row's set.  Past
+        it, the threshold picked from the atom masses of each row's CDF: its
+        boxes' CDF rows multiplied back to front, its last box first.
         """
         if len(self.cdf) <= ENUMERATION_LIMIT:
-            suffix = np.arange(perm.shape[1]) >= start[:, None]
-            return self.set_tau.take(np.bitwise_or.reduce(np.where(suffix, 1 << perm, 0), axis=1))
-        taus = np.empty(len(perm))
-        for s in sorted(set(start.tolist())):
-            at = start == s
-            cdf = reduce(np.multiply, (self.cdf[b] for b in perm[at, s:][:, ::-1].T))
-            taus[at] = _best_thresholds(self.grid, _atom_masses(cdf))[0]
-        return taus
+            return self.set_tau.take(np.bitwise_or.reduce(1 << boxes, axis=1))
+        cdf = reduce(np.multiply, (self.cdf[b] for b in boxes[:, ::-1].T))
+        return _best_thresholds(self.grid, _atom_masses(cdf))[0]
 
     @cached_property
     def _set_tables(self) -> tuple[np.ndarray, np.ndarray]:

@@ -131,8 +131,9 @@ def lane_values(
     stage on it accepts at the best single threshold over the remaining
     boxes.  Both come from the instance's ``SuffixTables``.  Many lanes may
     share one order: ``tvd``'s E[max] table is built once per row of
-    ``perm`` and its switch threshold once per (row, switch stage), then
-    gathered per lane, so ``perm`` should hold only the lanes' rows.  Each
+    ``perm`` and gathered per lane, so ``perm`` should hold only the lanes'
+    rows.  Its switch thresholds take one ``switch_tau`` call per switch
+    stage, on the boxes that each lane switching there has left.  Each
     stage is one numpy pass over all lanes that repeats, in the same order,
     the IEEE operations of the one-order reference evaluators in
     ``tests/scalar_reference.py``.
@@ -165,19 +166,10 @@ def lane_values(
     switched = np.flatnonzero(switch >= 0)
     stage = switch[switched]
     switch_target = np.full(lanes, math.nan)
-    switch_target[switched] = thresholds.ravel().take(stage * lanes + switched)
-    if switched.size:
-        # One threshold for each (row of perm, switch stage) that a lane switches at.
-        pair = rows[switched] * n + stage
-        slot = np.zeros(len(perm) * n, dtype=int)
-        slot[pair] = 1
-        first = np.flatnonzero(slot)
-        slot[first] = np.arange(len(first))
-        taus = instance.suffix_tables.switch_tau(perm.take(first // n, axis=0), first % n)
-        taus = taus.take(slot.take(pair))
-        for s in sorted(set(stage.tolist())):
-            at = stage == s
-            thresholds[s:, switched[at]] = taus[at]
+    for s in sorted(set(stage.tolist())):
+        at = switched[stage == s]
+        switch_target[at] = thresholds[s, at]
+        thresholds[s:, at] = instance.suffix_tables.switch_tau(boxes[s:, at].T)
     stages = np.zeros((n + 1, lanes))
     acc = stages[n]
     tail_mean, head_mass = tables.tail_mean.ravel(), tables.head_mass.ravel()

@@ -637,10 +637,12 @@ def assert_lanes_match_scalar(inst: Instance, orders, fractions) -> set[int]:
     """Every lane of every kind equals the scalar reference under ==.
 
     The optimum's stages equal the reference's, and its thresholds are the
-    values to go after each stage.  Returns the lengths of the suffixes that
+    values to go after each stage.  The other kinds' thresholds equal the
+    reference's ``stage_thresholds``.  Returns the lengths of the suffixes that
     tvd switched on.
     """
     perm = np.array([order_indices(inst, order) for order in orders])
+    boxes = perm.tolist()
     optima = lane_values("opt", inst, perm, np.arange(len(orders)), None)
     want = [list(ref.opt_online(inst, order).per_stage) for order in orders]
     assert optima.stages.tolist() == want
@@ -656,6 +658,8 @@ def assert_lanes_match_scalar(inst: Instance, orders, fractions) -> set[int]:
             got = lane_values(kind, inst, perm, np.arange(len(orders)), g0)
             results = [scalar(inst, order, x) for order, x in zip(orders, g0.tolist())]
             assert got.stages[:, 0].tolist() == [r.total for r in results]
+            plans = [ref.stage_thresholds(kind, x, inst, b) for b, x in zip(boxes, g0.tolist())]
+            assert got.thresholds.tolist() == [plan.per_stage for plan in plans]
             stages = [-1 if r.switch_stage is None else r.switch_stage for r in results]
             assert got.switch_stage.tolist() == (stages if kind == "tvd" else [-1] * len(orders))
             suffixes.update(inst.n - s for s in stages if s >= 0)
@@ -687,7 +691,7 @@ class TestLaneValues:
             for row, order in zip(emax_after.tolist(), orders):
                 assert row == ref.emax_after(inst, order_indices(inst, order))
             for s in range(inst.n):
-                taus = tables.switch_tau(perm, np.full(len(perm), s)).tolist()
+                taus = tables.switch_tau(perm[:, s:]).tolist()
                 assert taus == [
                     ref.switch_threshold(ref.remaining(inst, row[s:]))
                     for row in perm.tolist()
@@ -769,7 +773,7 @@ def set_value_conflicts(inst: Instance) -> int:
         for t, value in enumerate(values)
     ]
     for s in range(inst.n):
-        taus = tables.switch_tau(perm, np.full(len(perm), s)).tolist()
+        taus = tables.switch_tau(perm[:, s:]).tolist()
         read += [(-set_mask(row), tau) for row, tau in zip(perm[:, s:].tolist(), taus)]
     first: dict[int, float] = {}
     return sum(first.setdefault(key, value) != value for key, value in read)
@@ -797,13 +801,13 @@ class TestSetTables:
                 after_first = np.concatenate((np.zeros((len(sets), 1), dtype=int), sets), axis=1)
                 table = (
                     tables.emax_after(after_first)[:, 0].tolist(),
-                    tables.switch_tau(sets, np.zeros(len(sets), dtype=int)).tolist(),
+                    tables.switch_tau(sets).tolist(),
                 )
                 with monkeypatch.context() as fold:
                     fold.setattr(benchmarks, "ENUMERATION_LIMIT", 0)
                     folded = (
                         tables.emax_after(after_first)[:, 0].tolist(),
-                        tables.switch_tau(sets, np.zeros(len(sets), dtype=int)).tolist(),
+                        tables.switch_tau(sets).tolist(),
                     )
                 assert table == folded
                 masks = [set_mask(row) for row in sets.tolist()]
@@ -854,7 +858,7 @@ class TestSetTables:
         for row, boxes in zip(emax_after.tolist(), perm.tolist()):
             assert row == ref.emax_after(inst, boxes)
         for s in range(inst.n):
-            taus = tables.switch_tau(perm, np.full(len(perm), s)).tolist()
+            taus = tables.switch_tau(perm[:, s:]).tolist()
             want = [ref.switch_threshold(ref.remaining(inst, row[s:])) for row in perm]
             assert taus == want
         switched_suffixes = assert_lanes_match_scalar(inst, orders, (0.9, 1.1))
@@ -1146,6 +1150,30 @@ class TestSharedOrderTables:
                     switched += int((shared.switch_stage >= 0).sum())
         assert (switched > 0) == (kind == "tvd")
 
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_lanes_of_one_order_and_switch_stage_read_one_threshold(self, n):
+        # One mixture pass: many pieces of each order, switching at several
+        # stages, up to ENUMERATION_LIMIT from the set tables and past it from
+        # each lane's fold.  Every lane's thresholds equal the reference's
+        # under ==, so lanes that share an order and a switch stage read the
+        # same bits.
+        rng = np.random.default_rng(14)
+        inst = random_instance(rng, n, max_atoms=4)
+        orders = [tuple(inst.ids[j] for j in rng.permutation(n)) for _ in range(12)]
+        perm, rows, g0 = mixture_lanes(inst, orders, rho_732(), "tvd")
+        lanes = lane_values("tvd", inst, perm, rows, g0)
+        boxes = perm.tolist()
+        want = [
+            ref.stage_thresholds("tvd", x, inst, boxes[row]).per_stage
+            for row, x in zip(rows.tolist(), g0.tolist())
+        ]
+        assert lanes.thresholds.tolist() == want
+        switched = lanes.switch_stage >= 0
+        pairs = list(zip(rows[switched].tolist(), lanes.switch_stage[switched].tolist()))
+        # At least five lanes switch where an earlier lane of their order did.
+        assert len(pairs) - len(set(pairs)) >= 5
+        assert len({stage for _, stage in pairs}) >= 5
+
     def test_one_pass_stays_within_eight_lane_by_stage_arrays(self):
         # One pass of LANE_CHUNK tvd pieces on 12 boxes.  Suffix tables built
         # once per order keep it within eight (lanes, boxes + 1) float arrays;
@@ -1164,11 +1192,13 @@ class TestSharedOrderTables:
         try:
             lanes = lane_values("tvd", inst, perm[: rows[-1] + 1], rows, g0)
             _, peak = tracemalloc.get_traced_memory()
+            assert (lanes.switch_stage >= 0).any()
+            # The streamed run's peak counts none of the first pass's arrays.
+            del lanes
             tracemalloc.reset_peak()
             streamed = list(lane_randomized_values(inst, perm, rho_732(), "tvd"))
             _, stream_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (lanes.switch_stage >= 0).any()
         assert len(streamed) == len(orders)
         assert peak <= bound and stream_peak <= bound
