@@ -42,7 +42,8 @@ def commands() -> list[list[str]]:
         )
     out += [["hardness", "--lp-step", "0.02"], ["verify-density"]]
     eval_ = ["eval", "--instance", TWELVE, "--policy"]
-    for g0 in ("auto", "opt"):
+    # At 9.7, above every one of these orders' optima, tvd switches on all 20.
+    for g0 in ("auto", "opt", "9.7"):
         out.append([*eval_, "tvd", "--g0", g0, "--orders", "random:20", "--seed", "3"])
     for mixture in ("tvd-rand-732", "tva-rand-656"):
         out.append([*eval_, mixture, "--orders", "random:5", "--seed", "3"])
