@@ -295,32 +295,25 @@ def _index_chunks(rows: Iterable[Sequence[int]], n: int) -> Iterator[np.ndarray]
         yield np.fromiter(itertools.chain.from_iterable(chunk), np.intp).reshape(-1, n)
 
 
-def _exact_lanes(
-    policy: str, start: float | str, instance: Instance, perm: np.ndarray
-) -> tuple[np.ndarray, LaneValues]:
-    """Each row's online optimum, and ``policy``'s lanes from ``start`` (auto is prophet/phi)."""
-    rows = np.arange(len(perm))
-    opt = lane_values("opt", instance, perm, rows, None).stages[:, 0]
-    if start == "auto":
-        start = prophet_value(instance) / PHI
-    g0 = opt if start == "opt" else start
-    return opt, lane_values(policy, instance, perm, rows, np.broadcast_to(g0, opt.shape))
-
-
 def _order_values(
     policy: str, start: float | str | None, instance: Instance, perm: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's online optimum, and its value under ``policy`` from ``_check_flags``'s start.
+) -> tuple[np.ndarray, np.ndarray, LaneValues | None]:
+    """Each row's online optimum, its value under ``policy``, and the exact kinds' lanes.
 
-    Every policy runs one chunk of orders at a time through the lane evaluator;
-    the randomized mixtures value all of a chunk's pieces, LANE_CHUNK per pass.
+    ``start`` is ``_check_flags``'s: ``auto`` is prophet/phi and ``opt`` each
+    row's optimum, valued once per chunk.  The mixtures value a chunk's pieces
+    LANE_CHUNK per pass and give None for the lanes.
     """
-    if policy not in MIXTURE_POLICIES:
-        opt, lanes = _exact_lanes(policy, start, instance, perm)
-        return opt, lanes.stages[:, 0]
-    opt = lane_values("opt", instance, perm, np.arange(len(perm)), None).stages[:, 0]
-    kind, density = MIXTURES[MIXTURE_POLICIES[policy]]
-    return opt, lane_randomized_values(instance, perm, density(), kind)
+    rows = np.arange(len(perm))
+    opt = lane_values("opt", instance, perm, rows, None).stages[:, 0]
+    if policy in MIXTURE_POLICIES:
+        kind, density = MIXTURES[MIXTURE_POLICIES[policy]]
+        return opt, lane_randomized_values(instance, perm, density(), kind), None
+    if start == "auto":
+        start = prophet_value(instance) / PHI
+    g0 = np.broadcast_to(opt if start == "opt" else start, opt.shape)
+    lanes = lane_values(policy, instance, perm, rows, g0)
+    return opt, lanes.stages[:, 0], lanes
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -332,7 +325,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     with _spooled(args.out) as spool:
         spool.write(_csv_text([("order_id", "opt", "value", "ratio")]))
         for perm in chunks:
-            opt, value = _order_values(args.policy, start, instance, perm)
+            opt, value, _ = _order_values(args.policy, start, instance, perm)
             ratio = np.divide(value, opt, out=np.ones_like(opt), where=~(opt <= 0.0))
             bad = ~((-RATIO_SLACK <= ratio) & (ratio <= 1.0 + RATIO_SLACK))
             # The first order out of range, or else the first with the chunk's least ratio.
@@ -429,14 +422,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         order = tuple(part.strip() for part in args.order.split(","))
     perm = np.array([order_indices(instance, order)])
-    _, lane = _exact_lanes(args.policy, start, instance, perm)
-    exact = float(lane.stages[0, 0])
+    _, value, lanes = _order_values(args.policy, start, instance, perm)
+    exact = float(value[0])
     dists = [instance.dists[b] for b in perm[0]]
     samples = np.empty(runs)
     for first in range(0, runs, SIMULATION_CHUNK):
         rng = _stream(args.seed, first // SIMULATION_CHUNK)
         stop = min(first + SIMULATION_CHUNK, runs)
-        samples[first:stop] = sample_runs(dists, lane.thresholds[0], rng, stop - first)
+        samples[first:stop] = sample_runs(dists, lanes.thresholds[0], rng, stop - first)
     if samples.min() == samples.max():
         mean = float(samples[0])
         std_error = 0.0

@@ -190,7 +190,8 @@ def _lane_jump_target(tables: BoxTables, boxes: np.ndarray, levels: np.ndarray) 
     """The g above which ``_lane_inverse_target`` of row ``boxes[i]`` passes each level of row i.
 
     Up to rounding, the inversion of g on box v passes y exactly when
-    g > E[max(v, y)] + TARGET_SLACK.
+    g > E[max(v, y)] + TARGET_SLACK.  A +inf level lands on its row's first
+    pad, whose head mass is the box's total probability, so it maps to +inf.
     """
     atoms = tables.values.take(boxes, axis=0)
     # Atoms below each level, as bisect_left counts them; +inf pads never are.

@@ -230,8 +230,9 @@ def _lane_value_cuts(
     target g_t lies among the stage's atoms and emax_after[t], E[max of the
     boxes after stage t] from the instance's ``SuffixTables``.  Each such
     level is carried back to g0 stage by stage, all orders at once, through
-    ``_lane_jump_target``.  Levels only grow on the way, so one reaching
-    ``top`` is dropped at once.
+    ``_lane_jump_target``.  No target rises above g0 < ``top``, so a level
+    at or above ``top`` is set to +inf before each pull-back, where it stays
+    +inf however a box's masses round, and again after it.
     For ``tvd`` a target above emax_after[t] switches the walk at stage t,
     after which no target from stage t on is used, so only levels up to
     emax_after[t] are kept there.
@@ -247,10 +248,9 @@ def _lane_value_cuts(
             switch_level = emax_after[:, t, None]
             levels[levels > switch_level] = math.inf
             levels = np.concatenate((levels, switch_level), axis=1)
-        dropped = levels >= top
-        levels[dropped] = 0.0
+        levels[levels >= top] = math.inf
         levels = _lane_jump_target(tables, boxes, levels)
-        levels[dropped | (levels >= top)] = math.inf
+        levels[levels >= top] = math.inf
         levels = _distinct(levels)
     return levels
 
@@ -280,29 +280,22 @@ def _lane_mixture_pieces(
     ``perm`` holds each order's indices into ``instance.boxes``.  The value
     is piecewise constant in g0 (see ``_lane_value_cuts``): each piece is
     weighted by its mass under the analytic density CDF and valued at its
-    midpoint.  A piece of weight exactly 0.0, between two cuts inside a gap
-    of the density, is dropped.
+    midpoint.  Each order's edges are one row: lo, its cuts, hi.  A cut at
+    or below lo·prophet reads lo and a +inf pad reads hi; each makes a piece
+    of weight exactly 0.0, dropped like a piece in a gap of the density.
     """
     prophet = prophet_value(instance)
-    orders = len(perm)
     lo, hi = density.pieces[0].lo, density.pieces[-1].hi
     cuts = _lane_value_cuts(instance, perm, policy_kind, hi * prophet)
-    inside = (cuts > lo * prophet) & (cuts < math.inf)
-    counts = np.count_nonzero(inside, axis=1) + 1
-    # Each order's edges: lo, its cuts above lo, hi; flat, order after order.
-    ends = np.ones((orders, 1), dtype=bool)
-    edges = np.concatenate((np.full(ends.shape, lo), cuts / prophet, np.full(ends.shape, hi)), 1)
-    edges = edges[np.concatenate((ends, inside, ends), axis=1)]
+    edges = np.empty((len(perm), cuts.shape[1] + 2))
+    edges[:, 0], edges[:, -1] = lo, hi
+    edges[:, 1:-1] = np.where(cuts > lo * prophet, np.minimum(cuts / prophet, hi), lo)
+    del cuts  # before the padded rows' CDF, the builder's peak
     cdf = density_cdf(density, edges)
-    weights = cdf[1:] - cdf[:-1]
-    # Every pair of neighbouring edges but an order's last edge and the next
-    # one's first, where the density has mass between the two.
-    starts = np.cumsum(counts + 1) - counts - 1
+    weights = cdf[:, 1:] - cdf[:, :-1]
     within = weights != 0.0
-    within[starts[1:] - 1] = False
-    counts = np.add.reduceat(within, starts, dtype=int)
-    mids = (0.5 * (edges[:-1] + edges[1:]) * prophet)[within]
-    return MixturePieces(counts, weights[within], mids)
+    mids = 0.5 * (edges[:, :-1] + edges[:, 1:]) * prophet
+    return MixturePieces(np.count_nonzero(within, axis=1), weights[within], mids[within])
 
 
 def _mix(weights: list[float], values: list[float]) -> float:

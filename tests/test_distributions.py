@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import random
+import warnings
 from bisect import bisect_left
 from pathlib import Path
 
@@ -329,6 +330,18 @@ class TestFlatGathers:
         got = _lane_jump_target(tables, np.arange(2), levels)
         for d, row, got_row in zip(self.INSTANCE.dists, levels.tolist(), got.tolist()):
             assert got_row == [expected_max_with(d, y) + TARGET_SLACK for y in row]
+
+    def test_a_level_of_inf_pulls_back_to_inf_on_every_row(self, sweep_instances):
+        # ``_lane_value_cuts`` sets the levels it drops to +inf before the
+        # pull-back.  A +inf level lands on its row's first pad, whose head
+        # mass is the box's total probability, so it reads +inf, unwarned.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for inst in (*sweep_instances, *gen_instances()):
+                tables = BoxTables.build(inst.dists)
+                levels = np.full((inst.n, 2), math.inf)
+                got = _lane_jump_target(tables, np.arange(inst.n), levels)
+                assert got.tolist() == levels.tolist()
 
     def test_the_backward_pass_at_the_row_edges_equals_the_scalar_reference(self):
         # Thresholds at 0, at each box's first and last atom and one ulp past

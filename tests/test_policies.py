@@ -490,6 +490,20 @@ class TestBatchedCuts:
                 got, want = batched_cuts(inst, perm, kind, top)
                 assert got == want
 
+    def test_a_level_at_top_stays_dropped_where_a_box_sums_under_one(self):
+        # Box a's one atom is the prophet value, 100, with mass 1 - 1e-13.
+        # Pulled back through a, a level at 100 lands 1e-11 below it, so it
+        # must be dropped before the pull-back, as the reference does.
+        under_one = DiscreteDistribution(((100.0, 1.0 - 1e-13),))
+        b = DiscreteDistribution(((0.0, 0.5), (50.0, 0.5)))
+        c = DiscreteDistribution(((10.0, 0.25), (99.0, 0.75)))
+        inst = Instance((Box("a", under_one), Box("b", b), Box("c", c)))
+        perm = np.array([order_indices(inst, order) for order in all_orders(inst)])
+        assert prophet_value(inst) == 100.0
+        for kind in ("tva", "tvd"):
+            got, want = batched_cuts(inst, perm, kind, 100.0)
+            assert got == want
+
     @pytest.mark.parametrize("name", ["four_box.json", "two_box.json"])
     def test_every_order_of_the_bundled_instances(self, name):
         inst = load_instance(DATA_DIR / name)
@@ -870,6 +884,31 @@ class TestSetTables:
         s = int(got.switch_stage[0])
         assert (s, got.thresholds[0, s]) == (want.switch_stage, want.threshold)
         assert "set_emax" not in tables.__dict__ and "set_tau" not in tables.__dict__
+
+    def test_past_the_limit_the_switch_masses_fold_back_to_front(self, monkeypatch):
+        # The picked threshold is an atom value, which a last-bit change in
+        # the masses rarely moves, so the masses ``switch_tau`` picks from are
+        # compared with the reference's back-to-front fold under ==.  Folded
+        # front to back instead, 138 of these 360 rows differ.
+        inst = gen_instance(1)
+        rng = np.random.default_rng(1)
+        perm = np.array([rng.permutation(inst.n) for _ in range(30)])
+        tables, picked = inst.suffix_tables, []
+        best = benchmarks._best_thresholds
+        monkeypatch.setattr(
+            benchmarks, "_best_thresholds", lambda v, mass: picked.append(mass) or best(v, mass)
+        )
+        rows = 0
+        for s in range(inst.n):
+            picked.clear()
+            tables.switch_tau(perm[:, s:])
+            (mass,) = picked
+            for row, masses in zip(perm.tolist(), mass.tolist()):
+                got = [(v, m) for v, m in zip(tables.grid.tolist(), masses) if m > 0.0]
+                suffix = ref.suffix_maxima(ref.remaining(inst, row[s:]))[0]
+                assert tuple(got) == ref._from_cdf(*suffix).atoms, (s, row)
+                rows += 1
+        assert rows == 360
 
 
 def raised(call, *args) -> tuple[type, str]:
